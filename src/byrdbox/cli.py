@@ -89,8 +89,11 @@ def cmd_verify(args) -> int:
         try:
             program = parse_program(path.read_text(encoding="utf-8"))
         except (ParseError, OSError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+            print(f"error: {path.name}: {exc}", file=sys.stderr)
+            detail = "parse-error" if isinstance(exc, ParseError) else "read-error"
+            lines.append(f"FAIL {path.name} 0 {detail}")
+            worst = 1
+            continue
         report = check_adequacy(program, args.max_steps)
         lines.append(report.machine_line(path.name))
         if not report.passed:
@@ -122,6 +125,16 @@ def cmd_compare(args) -> int:
     return 0 if ok else 1
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="byrdbox",
@@ -130,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--max-steps", type=int, default=10000)
+        p.add_argument("--max-steps", type=_positive_int, default=10000)
         p.add_argument("--output", default=None)
 
     p = sub.add_parser("trace", help="emit the trace of a program run")

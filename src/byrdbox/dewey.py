@@ -1,0 +1,72 @@
+"""Tree queries on Dewey nodes, answered without scanning the tree.
+
+Python's tuple order is the Dewey (lexicographic) order, and in it the
+subtree of a node v is one contiguous range [v, succ(v)), where
+succ(v) = v[:-1] + (v[-1] + 1,); the whole tree is the root's subtree.
+A question about a subtree is therefore one bisection of a sorted tuple
+of nodes.  Each engine state keeps two such tuples, `order` (every node)
+and `cps` (the choice points: nodes whose box still holds a clause).
+They are immutable, so states that did not change one share it.
+
+A node's children are numbered 1..k without gaps in every reachable
+state of both engines and in every rebuilt state: children are created
+in order (a clause's body slots all at once), and pruning removes a
+lexicographic suffix of the tree or all of a node's children.  So v is a
+leaf iff v + (1,) is not in the tree, and its children are counted by
+probing 1, 2, ...
+"""
+
+from __future__ import annotations
+
+from bisect import bisect_left, bisect_right
+from typing import Optional
+
+__all__ = [
+    "derive_indexes",
+    "child_count",
+    "last_in_subtree",
+    "with_node",
+    "split_after",
+]
+
+
+def derive_indexes(state) -> None:
+    """Fill in the `order` and `cps` of a state built without them (an
+    initial state, or one made by hand), from its `tree` and `boxes`."""
+    if state.order is None:
+        object.__setattr__(state, "order", tuple(sorted(state.tree)))
+    if state.cps is None:
+        cps = tuple(v for v in state.order if state.boxes.get(v))
+        object.__setattr__(state, "cps", cps)
+
+
+def child_count(tree, v: tuple) -> int:
+    k = 0
+    while v + (k + 1,) in tree:
+        k += 1
+    return k
+
+
+def last_in_subtree(nodes: tuple, v: tuple) -> Optional[tuple]:
+    """The greatest node of sorted `nodes` in v's subtree, or None."""
+    i = bisect_left(nodes, v[:-1] + (v[-1] + 1,)) if v else len(nodes)
+    if i and nodes[i - 1] >= v:
+        return nodes[i - 1]
+    return None
+
+
+def with_node(nodes: tuple, v: tuple, present: bool = True) -> tuple:
+    """Sorted `nodes` with v in it when `present`, without v otherwise."""
+    i = bisect_left(nodes, v)
+    there = i < len(nodes) and nodes[i] == v
+    if present and not there:
+        return nodes[:i] + (v,) + nodes[i:]
+    if there and not present:
+        return nodes[:i] + nodes[i + 1:]
+    return nodes
+
+
+def split_after(nodes: tuple, v: tuple) -> tuple:
+    """(the nodes <= v, the nodes > v) of sorted `nodes`."""
+    i = bisect_right(nodes, v)
+    return nodes[:i], nodes[i:]

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional, Tuple
 
+from .dewey import derive_indexes, last_in_subtree, split_after, with_node
 from .terms import (
     BOTTOM,
     Clause,
@@ -114,6 +115,13 @@ class VirtualState:
     failing: bool
     program: Program = field(compare=False, repr=False)
     shadow: Shadow = field(compare=False, repr=False)
+    # Indexes (see dewey): every node, and the choice points, as sorted
+    # tuples.  Derived from `tree` and `boxes` when not given.
+    order: tuple = field(default=None, compare=False, repr=False)
+    cps: tuple = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        derive_indexes(self)
 
 
 @dataclass(frozen=True)
@@ -152,7 +160,8 @@ def parent(v: NodeId) -> NodeId:
 
 
 def is_leaf(state: VirtualState, v: NodeId) -> bool:
-    return not any(w[: len(v)] == v and len(w) == len(v) + 1 for w in state.tree)
+    # children are numbered from 1 without gaps (see dewey)
+    return v + (1,) not in state.tree
 
 
 def lpath(state: VirtualState, v: NodeId) -> int:
@@ -169,19 +178,14 @@ def may_have_new_brother(state: VirtualState, v: NodeId) -> bool:
     return chosen is not None and v[-1] < len(chosen.body)
 
 
-def _subtree(state: VirtualState, v: NodeId):
-    return (w for w in state.tree if w[: len(v)] == v)
-
-
 def has_choice_point(state: VirtualState, v: NodeId) -> bool:
-    return any(state.boxes.get(w) for w in _subtree(state, v))
+    return last_in_subtree(state.cps, v) is not None
 
 
 def greatest_choice_point(state: VirtualState, v: NodeId) -> Optional[NodeId]:
     """Greatest node (lexicographically) in v's subtree whose box still
     holds a clause; None when there is no choice point."""
-    candidates = [w for w in _subtree(state, v) if state.boxes.get(w)]
-    return max(candidates) if candidates else None
+    return last_in_subtree(state.cps, v)
 
 
 def box_init(program: Program, atom: Term, bindings: dict):
@@ -372,10 +376,9 @@ def _child_slot(state, maps, atom, v, number):
     return called
 
 
-def _prune(keep_upto, maps):
-    """Delete every node lexicographically greater than `keep_upto`."""
+def _prune(doomed, maps):
+    """Delete the `doomed` nodes from the tree and every map."""
     tree, numbers, preds, boxes, fresh, shadow = maps
-    doomed = {w for w in tree if w > keep_upto}
     tree.difference_update(doomed)
     for m in (numbers, preds, boxes, fresh,
               shadow["call_preds"], shadow["call_snaps"],
@@ -408,6 +411,7 @@ def _fire(state: VirtualState, rule: RuleId) -> VirtualState:
         "failed": dict(state.shadow.failed),
     }
     maps = (tree, numbers, preds, boxes, fresh, shadow)
+    order, cps = state.order, state.cps
     counter = state.counter
     current = u
     complete = state.complete
@@ -416,6 +420,7 @@ def _fire(state: VirtualState, rule: RuleId) -> VirtualState:
     if rule in (RuleId.CALL1, RuleId.CALL2):
         peek = _peek_fresh(state, u)
         ok = _visit(state, u, peek, (boxes, shadow))
+        cps = with_node(cps, u, bool(boxes[u]))
         fresh[u] = False
         failing = False
         if rule is RuleId.CALL2:
@@ -449,9 +454,13 @@ def _fire(state: VirtualState, rule: RuleId) -> VirtualState:
 
     elif rule in (RuleId.REDO1, RuleId.REDO2):
         v = greatest_choice_point(state, u)
-        _prune(v, maps)
+        # Backtracking to v deletes every node lexicographically after it.
+        order, doomed = split_after(order, v)
+        cps = split_after(cps, v)[0]
+        _prune(doomed, maps)
         peek = _peek_redo(state, v)
         ok = _visit(state, v, peek, (boxes, shadow))
+        cps = with_node(cps, v, bool(boxes[v]))
         current = v
         failing = False
         if complete:
@@ -461,6 +470,10 @@ def _fire(state: VirtualState, rule: RuleId) -> VirtualState:
             counter += 1
             current = v + (1,)
             _child_slot(state, maps, shadow["chosen"][v].body[0], current, counter)
+
+    if rule in (RuleId.CALL2, RuleId.EXIT2, RuleId.REDO2):  # a new child slot
+        order = with_node(order, current)
+        cps = with_node(cps, current, bool(boxes[current]))
 
     new_state = VirtualState(
         tree=frozenset(tree),
@@ -481,6 +494,8 @@ def _fire(state: VirtualState, rule: RuleId) -> VirtualState:
             chosen=shadow["chosen"],
             failed=shadow["failed"],
         ),
+        order=order,
+        cps=cps,
     )
     return new_state
 

@@ -26,10 +26,18 @@ which all three models must trace identically up to the m2 numbering.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional, Tuple
 
+from .dewey import (
+    child_count,
+    derive_indexes,
+    last_in_subtree,
+    split_after,
+    with_node,
+)
 from .engine import EPSILON, NodeId, parent, node_str, DeterminismViolation
 from .terms import (
     BOTTOM,
@@ -117,18 +125,26 @@ class ExtendedState:
     reverse: bool      # bk3
     program: Program = field(compare=False, repr=False)
     shadow: ExtShadow = field(compare=False, repr=False)
+    # Indexes (see dewey): every node, and the choice points, as sorted
+    # tuples.  Derived from `tree` and `boxes` when not given.
+    order: tuple = field(default=None, compare=False, repr=False)
+    cps: tuple = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        derive_indexes(self)
 
 
 # ----------------------------------------------------------------------
-# Tree helpers on the extended state
+# Tree helpers on the extended state.  Children are numbered from 1
+# without gaps (see dewey).
 # ----------------------------------------------------------------------
 
 def _is_leaf(state, v):
-    return not any(w[: len(v)] == v and len(w) == len(v) + 1 for w in state.tree)
+    return v + (1,) not in state.tree
 
 
 def _children(state, v):
-    return sorted(w for w in state.tree if w[: len(v)] == v and len(w) == len(v) + 1)
+    return [v + (i,) for i in range(1, child_count(state.tree, v) + 1)]
 
 
 def _has_next_node(state, v):
@@ -136,12 +152,11 @@ def _has_next_node(state, v):
 
 
 def _hcp(state, v):
-    return any(state.boxes.get(w) for w in state.tree if w[: len(v)] == v)
+    return last_in_subtree(state.cps, v) is not None
 
 
 def _gcp(state, v):
-    cps = [w for w in state.tree if w[: len(v)] == v and state.boxes.get(w)]
-    return max(cps) if cps else None
+    return last_in_subtree(state.cps, v)
 
 
 def _toward_gcp(state, u):
@@ -157,10 +172,6 @@ def _reenterable_child(state, u):
         if not state.fresh.get(w, False) and w not in state.shadow.marks
     ]
     return live[-1] if live else None
-
-
-def _rank(state, v) -> int:
-    return 1 + sum(1 for w in state.tree if w < v)
 
 
 def _lp(v) -> int:
@@ -319,6 +330,8 @@ class _Work:
         self.call_snaps = dict(state.shadow.call_snaps)
         self.display = dict(state.shadow.display)
         self.marks = set(state.shadow.marks)
+        self.order = state.order
+        self.cps = state.cps
 
     def freeze(self) -> ExtendedState:
         return ExtendedState(
@@ -345,23 +358,33 @@ class _Work:
                 display=self.display,
                 marks=frozenset(self.marks),
             ),
+            order=self.order,
+            cps=self.cps,
         )
 
     # -- shared pieces --------------------------------------------------
+
+    def set_box(self, v, box):
+        self.boxes[v] = box
+        self.cps = with_node(self.cps, v, bool(box))
 
     def prune_after(self, v):
         """Tear down everything behind a resumed choice point: interior
         nodes vanish, later body slots of still-standing clauses revert to
         unvisited skeleton nodes awaiting a fresh number."""
-        doomed = {y for y in self.tree if y > v and parent(y) >= v}
-        resets = {y for y in self.tree if y > v and parent(y) < v}
-        self.tree -= doomed
+        kept, after = split_after(self.order, v)
+        doomed = [y for y in after if parent(y) >= v]
+        resets = tuple(y for y in after if parent(y) < v)
+        self.order = kept + resets
+        # every box behind v is gone or emptied
+        self.cps = split_after(self.cps, v)[0]
+        self.tree.difference_update(doomed)
         for maps in (self.numbers, self.preds, self.chosen, self.boxes,
                      self.sigmas, self.fresh, self.call_preds,
                      self.call_snaps, self.display):
             for y in doomed:
                 maps.pop(y, None)
-        self.marks -= doomed
+        self.marks.difference_update(doomed)
         for y in resets:
             self.fresh[y] = True
             self.numbers.pop(y, None)
@@ -397,7 +420,7 @@ def _event(port, r, node, pred, chrono):
 
 def _num_for(work, model, node):
     if model is ModelId.M2:
-        return 1 + sum(1 for w in work.tree if w < node)
+        return 1 + bisect_left(work.order, node)  # 1 + nodes before it
     return work.numbers[node]
 
 
@@ -411,7 +434,7 @@ def _fire(state: ExtendedState, model: ModelId, chrono: int, rule: ExtRuleId):
         called = resolve(w.bindings, state.preds[u])
         w.counter += 1
         w.numbers[u] = w.counter
-        w.boxes[u] = state.program.clauses_for(called.functor, called.arity)
+        w.set_box(u, state.program.clauses_for(called.functor, called.arity))
         w.chosen.pop(u, None)
         w.sigmas[u] = w.bindings
         w.fresh[u] = False
@@ -437,7 +460,7 @@ def _fire(state: ExtendedState, model: ModelId, chrono: int, rule: ExtRuleId):
                 box.pop(0)
                 break
             box.pop(0)
-        w.boxes[u] = tuple(box)
+        w.set_box(u, tuple(box))
 
     elif rule is ExtRuleId.FACTSUCCEEDS:
         w.bindings = w.pending
@@ -457,6 +480,7 @@ def _fire(state: ExtendedState, model: ModelId, chrono: int, rule: ExtRuleId):
         for i, atom in enumerate(body, start=1):
             child = u + (i,)
             w.tree.add(child)
+            w.order = with_node(w.order, child)
             w.preds[child] = atom
             w.fresh[child] = True
             w.boxes[child] = ()

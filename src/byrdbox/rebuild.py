@@ -21,9 +21,10 @@ number is 1 for the whole run, so `nd(r) = root` is just `r = 1`):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
+from .dewey import child_count
 from .engine import EPSILON, NodeId, RuleId, VirtualState, node_str, parent
 from .terms import Term, VarNames, format_term
 from .tracing import Port, TraceEvent
@@ -62,12 +63,28 @@ class RestrictedState:
     current: NodeId
     numbers: dict
     preds: dict
+    # The inverse of `numbers`; where several nodes carry one number (only
+    # a malformed trace numbers so), the first of them in `numbers`.
+    # Derived on first use when not given.
+    by_number: Optional[dict] = field(default=None, compare=False, repr=False)
 
     def node_of(self, number: int) -> Optional[NodeId]:
-        for v, n in self.numbers.items():
-            if n == number:
-                return v
-        return None
+        return _inverse(self).get(number)
+
+
+def _inverse(q: RestrictedState) -> dict:
+    if q.by_number is None:
+        # built back to front, so the first node of a number is set last
+        nodes, numbers = reversed(q.numbers.keys()), reversed(q.numbers.values())
+        object.__setattr__(q, "by_number", dict(zip(numbers, nodes)))
+    return q.by_number
+
+
+def _numbered(q: RestrictedState, v: NodeId, number: int) -> dict:
+    """q's inverse numbering once the new node v carries `number`."""
+    inverse = dict(_inverse(q))
+    inverse.setdefault(number, v)
+    return inverse
 
 
 def initial_restricted(goal: Term) -> RestrictedState:
@@ -139,8 +156,8 @@ def _require_node(q: RestrictedState, number: int) -> NodeId:
 
 
 def _next_child(q: RestrictedState, w: NodeId) -> NodeId:
-    used = [v[-1] for v in q.tree if v[: len(w)] == w and len(v) == len(w) + 1]
-    return w + (max(used, default=0) + 1,)
+    # children are numbered from 1 without gaps (see dewey)
+    return w + (child_count(q.tree, w) + 1,)
 
 
 def _grow(q, v, number, pred):
@@ -149,16 +166,24 @@ def _grow(q, v, number, pred):
         current=v,
         numbers={**q.numbers, v: number},
         preds={**q.preds, v: pred},
+        by_number=_numbered(q, v, number),
     )
 
 
 def _pruned(q, keep_upto):
+    """q's tree, numbering, predications and inverse numbering without the
+    nodes after `keep_upto`; the three maps are fresh copies."""
     doomed = {w for w in q.tree if w > keep_upto}
-    return (
-        frozenset(q.tree - doomed),
-        {v: n for v, n in q.numbers.items() if v not in doomed},
-        {v: p for v, p in q.preds.items() if v not in doomed},
-    )
+    numbers, preds, by_number = dict(q.numbers), dict(q.preds), dict(_inverse(q))
+    for w in doomed:
+        n = numbers.pop(w, None)
+        preds.pop(w, None)
+        if by_number.get(n) == w:
+            del by_number[n]
+    if len(by_number) != len(numbers):
+        # some number is carried twice: derive the inverse again when used
+        by_number = None
+    return q.tree - doomed, numbers, preds, by_number
 
 
 def reconstruct_step(
@@ -179,6 +204,7 @@ def reconstruct_step(
             current=parent(q.current),
             numbers=q.numbers,
             preds={**q.preds, q.current: e.pred},
+            by_number=q.by_number,
         )
 
     if rule is RuleId.EXIT2:
@@ -193,6 +219,7 @@ def reconstruct_step(
             current=v,
             numbers={**q.numbers, v: e_next.r},
             preds={**q.preds, u: e.pred, v: e_next.pred},
+            by_number=_numbered(q, v, e_next.r),
         )
 
     if rule is RuleId.FAIL2:
@@ -201,23 +228,20 @@ def reconstruct_step(
             current=parent(q.current),
             numbers=q.numbers,
             preds=q.preds,
+            by_number=q.by_number,
         )
 
-    if rule is RuleId.REDO1:
-        v = _require_node(q, e.r)
-        tree, numbers, preds = _pruned(q, v)
-        return RestrictedState(tree=tree, current=v, numbers=numbers, preds=preds)
-
-    assert rule is RuleId.REDO2
+    assert rule in (RuleId.REDO1, RuleId.REDO2)
     v = _require_node(q, e.r)
-    tree, numbers, preds = _pruned(q, v)
+    tree, numbers, preds, by_number = _pruned(q, v)
+    if rule is RuleId.REDO1:
+        return RestrictedState(tree, v, numbers, preds, by_number)
     child = v + (1,)
-    return RestrictedState(
-        tree=frozenset(tree | {child}),
-        current=child,
-        numbers={**numbers, child: e_next.r},
-        preds={**preds, child: e_next.pred},
-    )
+    numbers[child] = e_next.r
+    preds[child] = e_next.pred
+    if by_number is not None:
+        by_number.setdefault(e_next.r, child)
+    return RestrictedState(tree | {child}, child, numbers, preds, by_number)
 
 
 @dataclass(frozen=True)

@@ -106,6 +106,7 @@ class Program:
 class ParseError(Exception):
     def __init__(self, message: str, line: int, column: int):
         super().__init__(f"{message} (line {line}, column {column})")
+        self.message = message
         self.line = line
         self.column = column
 
@@ -252,21 +253,20 @@ def parse_program(source: str) -> Program:
                 raise ParseError("duplicate goal directive", tok.line, tok.column)
             goal = payload
         else:
-            label, head, body = payload
-            clauses.append((label, head, body))
+            clauses.append((payload, tok))
     if goal is None:
         line = parser.peek().line
         raise ParseError("missing goal directive", line, 1)
-    named = tuple(
-        Clause(label if label else f"c{i}", head, body)
-        for i, (label, head, body) in enumerate(clauses, start=1)
-    )
+    named = []
     seen = set()
-    for c in named:
+    for i, ((label, head, body), tok) in enumerate(clauses, start=1):
+        c = Clause(label if label else f"c{i}", head, body)
         if c.id in seen:
-            raise ParseError(f"duplicate clause id {c.id!r}", 1, 1)
+            # tok starts the clause: its label, or its head when unlabeled
+            raise ParseError(f"duplicate clause id {c.id!r}", tok.line, tok.column)
         seen.add(c.id)
-    return Program(named, goal)
+        named.append(c)
+    return Program(tuple(named), goal)
 
 
 # ======================================================================

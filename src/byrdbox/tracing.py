@@ -16,6 +16,7 @@ node and which predication depend on the rule that fired:
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum
 
@@ -130,29 +131,56 @@ def format_trace(events, names: VarNames = None) -> str:
     return "\n".join(format_event(e, names) for e in events)
 
 
-def parse_event(line: str) -> TraceEvent:
+def _is_int(text: str) -> bool:
+    try:
+        int(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _field_error(message, line, line_number, field, offset=0):
+    """A ParseError at the `field`-th (from 0) whitespace-separated field of
+    `line`, `offset` columns into it."""
+    column = [m.start() for m in re.finditer(r"\S+", line)][field] + 1
+    return ParseError(message, line_number, column + offset)
+
+
+def parse_event(line: str, line_number: int = 1) -> TraceEvent:
+    """One event from one line of a trace; errors are reported at
+    `line_number` and the column of the offending field."""
     parts = line.split()
     if len(parts) != 5:
-        raise ParseError(f"expected 5 fields, found {len(parts)}", 1, 1)
+        raise ParseError(f"expected 5 fields, found {len(parts)}", line_number, 1)
     try:
         chrono, r, l = int(parts[0]), int(parts[1]), int(parts[2])
     except ValueError:
-        raise ParseError(f"bad numeric field in {line!r}", 1, 1) from None
+        field = next(i for i in range(3) if not _is_int(parts[i]))
+        raise _field_error(
+            f"bad numeric field {parts[field]!r}", line, line_number, field
+        ) from None
     try:
         port = Port(parts[3])
     except ValueError:
-        raise ParseError(f"unknown port {parts[3]!r}", 1, 1) from None
-    pred = parse_term(parts[4])
+        raise _field_error(
+            f"unknown port {parts[3]!r}", line, line_number, 3
+        ) from None
+    try:
+        pred = parse_term(parts[4])
+    except ParseError as exc:
+        raise _field_error(
+            exc.message, line, line_number, 4, exc.column - 1
+        ) from None
     return TraceEvent(chrono, r, l, port, pred)
 
 
 def parse_trace(text: str) -> list:
     events = []
-    for line in text.splitlines():
+    for number, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
-        events.append(parse_event(stripped))
+        events.append(parse_event(line, number))
     return events
 
 

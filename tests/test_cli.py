@@ -1,3 +1,5 @@
+import pytest
+
 from byrdbox.cli import main
 
 
@@ -38,6 +40,16 @@ def test_trace_parse_error_exit_code(tmp_path, capsys):
     bad.write_text("q :- .\n:- q.\n", encoding="utf-8")
     code, _ = run_cli(capsys, "trace", "--program", str(bad))
     assert code == 1
+
+
+@pytest.mark.parametrize("value", ["0", "-3", "many"])
+def test_max_steps_must_be_a_positive_int(capsys, data_dir, value):
+    with pytest.raises(SystemExit) as exit_:
+        main(["trace", "--program", str(data_dir / "example1.pl"), "--max-steps", value])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --max-steps" in err.splitlines()[-1]
+    assert "Traceback" not in err
 
 
 def test_trace_output_file(tmp_path, capsys, data_dir):
@@ -114,6 +126,23 @@ def test_verify_corpus_directory(tmp_path, capsys, data_dir):
     assert code == 0
     assert len(out.splitlines()) == 3
     assert all(line.startswith("PASS") for line in out.splitlines())
+
+
+def test_verify_corpus_reports_a_bad_file_and_goes_on(tmp_path, capsys, data_dir):
+    (tmp_path / "a_bad.pl").write_text("p(a).\nq :- .\n:- p(a).\n", encoding="utf-8")
+    (tmp_path / "b_good.pl").write_text(
+        (data_dir / "example1.pl").read_text(encoding="utf-8"), encoding="utf-8"
+    )
+    code = main(["verify", "--corpus", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out.splitlines() == [
+        "FAIL a_bad.pl 0 parse-error",
+        "PASS b_good.pl 10 -",
+    ]
+    assert captured.err.splitlines() == [
+        "error: a_bad.pl: expected a term, found '.' (line 2, column 6)"
+    ]
 
 
 def test_verify_reports_divergence(monkeypatch, capsys, data_dir):

@@ -60,6 +60,16 @@ def test_parse_error_carries_position():
     assert err.value.line == 2
 
 
+def test_duplicate_clause_id_points_at_the_second_clause():
+    with pytest.raises(ParseError, match="duplicate clause id 'c1'") as err:
+        parse_program("c1: p(a).\n  c1: p(b).\n:- p(a).")
+    assert (err.value.line, err.value.column) == (2, 3)
+    # an unlabeled clause takes its position as id: here c2, like the label
+    with pytest.raises(ParseError, match="duplicate clause id 'c2'") as err:
+        parse_program("c2: p(a). p(b).\n:- p(a).")
+    assert (err.value.line, err.value.column) == (1, 11)
+
+
 def test_parse_comments_and_anonymous_vars():
     p = parse_program("% header\nq(_, _).\n:- q(a, b). % trailing\n")
     head = p.clauses[0].head

@@ -133,6 +133,21 @@ def test_parse_trace_skips_comments_and_blanks():
     assert [e.chrono for e in events] == [1, 2]
 
 
+@pytest.mark.parametrize(
+    "text, line, column, message",
+    [
+        ("1 1 1 Call goal\n\n  3 x 1 Exit goal\n", 3, 5, "bad numeric field 'x'"),
+        ("1 1 1 Call goal\n# note\n3 1 1 Jump goal\n", 3, 7, "unknown port"),
+        ("1 1 1 Call goal\n2 2 2 Call p(a,\n", 2, 16, "expected a term"),
+        ("1 1 1 Call goal\n2 2 Call p\n", 2, 1, "expected 5 fields"),
+    ],
+)
+def test_parse_trace_reports_the_bad_line_and_column(text, line, column, message):
+    with pytest.raises(ParseError, match=message) as err:
+        parse_trace(text)
+    assert (err.value.line, err.value.column) == (line, column)
+
+
 def test_debug_dump_renders_every_node(ex1_program):
     from byrdbox.tracing import debug_dump
 

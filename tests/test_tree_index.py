@@ -1,0 +1,152 @@
+"""The tree indexes against the full-tree scans they replaced.
+
+Both engines and the rebuilder answer their tree questions (leaf, choice
+points, children, m2 rank, next child slot, node by number) from sorted
+node tuples and the children-are-1..k invariant.  The scans below are the
+reference definitions; every reachable state must answer alike.
+"""
+
+import pytest
+
+from byrdbox import (
+    ModelId,
+    initial_restricted,
+    parse_program,
+    parse_term,
+    parse_trace,
+    reconstruct_trace,
+    run_actual_trace,
+    run_model,
+)
+from byrdbox.corpus import corpus
+from byrdbox.engine import greatest_choice_point, has_choice_point, is_leaf
+from byrdbox.multimodel import _children, _gcp, _hcp, _is_leaf, _num_for
+from byrdbox.rebuild import _next_child
+
+from conftest import DATA
+
+FUEL = 120
+
+
+# ----------------------------------------------------------------------
+# Reference scans
+# ----------------------------------------------------------------------
+
+def scan_children(tree, v):
+    return sorted(w for w in tree if w[: len(v)] == v and len(w) == len(v) + 1)
+
+
+def scan_gcp(tree, boxes, v):
+    cps = [w for w in tree if w[: len(v)] == v and boxes.get(w)]
+    return max(cps) if cps else None
+
+
+def scan_rank(tree, v):
+    return 1 + sum(1 for w in tree if w < v)
+
+
+def scan_next_child(tree, w):
+    used = [v[-1] for v in tree if v[: len(w)] == w and len(v) == len(w) + 1]
+    return w + (max(used, default=0) + 1,)
+
+
+def scan_node_of(numbers, number):
+    for v, n in numbers.items():
+        if n == number:
+            return v
+    return None
+
+
+# ----------------------------------------------------------------------
+
+def programs():
+    examples = [
+        parse_program((DATA / name).read_text(encoding="utf-8"))
+        for name in ("example1.pl", "example2.pl")
+    ]
+    return examples + list(corpus(30))
+
+
+PROGRAMS = programs()
+
+
+def assert_children_gapless(tree):
+    for v in tree:
+        if v:
+            assert v[-1] == 1 or v[:-1] + (v[-1] - 1,) in tree, v
+
+
+def assert_indexes_exact(state):
+    assert state.order == tuple(sorted(state.tree))
+    assert state.cps == tuple(sorted(v for v in state.tree if state.boxes.get(v)))
+
+
+@pytest.mark.parametrize("index", range(len(PROGRAMS)))
+def test_core_engine_queries_match_scans(index):
+    trace = run_actual_trace(PROGRAMS[index], FUEL)
+    for state in trace.run.states:
+        assert_children_gapless(state.tree)
+        assert_indexes_exact(state)
+        for v in state.tree:
+            gcp = scan_gcp(state.tree, state.boxes, v)
+            assert is_leaf(state, v) == (not scan_children(state.tree, v))
+            assert greatest_choice_point(state, v) == gcp
+            assert has_choice_point(state, v) == (gcp is not None)
+
+    # the rebuilt states of the same trace
+    goal = trace.run.initial.preds[()]
+    for q in reconstruct_trace(initial_restricted(goal), trace.events).states:
+        assert_children_gapless(q.tree)
+        for v in q.tree:
+            assert _next_child(q, v) == scan_next_child(q.tree, v)
+        for number in set(q.numbers.values()) | {0, max(q.numbers.values()) + 1}:
+            assert q.node_of(number) == scan_node_of(q.numbers, number)
+
+
+@pytest.mark.parametrize("model", list(ModelId), ids=str)
+@pytest.mark.parametrize("index", range(len(PROGRAMS)))
+def test_model_engine_queries_match_scans(index, model):
+    run = run_model(PROGRAMS[index], model, FUEL)
+    for state in [run.initial] + [s for _, s in run.transitions]:
+        assert_children_gapless(state.tree)
+        assert_indexes_exact(state)
+        for v in state.tree:
+            gcp = scan_gcp(state.tree, state.boxes, v)
+            children = scan_children(state.tree, v)
+            assert _children(state, v) == children
+            assert _is_leaf(state, v) == (not children)
+            assert _gcp(state, v) == gcp
+            assert _hcp(state, v) == (gcp is not None)
+            assert _num_for(state, ModelId.M2, v) == scan_rank(state.tree, v)
+
+
+# Forged traces can give two live nodes one number.  node_of must then
+# answer with the first of them in the numbering, as a scan finds it.
+SHARED_NUMBER_TRACES = {
+    # Call2 from the root numbers both 1 and 2 with 5; a Redo of 5 resumes 1.
+    "resume-first": (
+        "1 1 0 Call goal\n2 5 0 Call p\n3 5 0 Exit p\n4 1 0 Call goal\n"
+        "5 5 0 Call q\n6 5 0 Redo p\n7 5 0 Exit p",
+        {6: ((1,), frozenset({(), (1,)}))},
+    ),
+    # 2 and then 11 carry 5; a Redo to 12 prunes 2, and 11 carries 5 alone.
+    "prune-first": (
+        "1 1 0 Call goal\n2 2 0 Call p\n3 2 0 Exit p\n4 1 0 Call goal\n"
+        "5 5 0 Call q\n6 5 0 Fail q\n7 2 0 Call p\n8 5 0 Exit s\n"
+        "9 6 0 Call t\n10 6 0 Redo t\n11 6 0 Exit t",
+        {10: ((1, 2), frozenset({(), (1,), (1, 1), (1, 2)}))},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", SHARED_NUMBER_TRACES)
+def test_node_of_with_a_number_carried_twice(name):
+    text, expected = SHARED_NUMBER_TRACES[name]
+    events = parse_trace(text)
+    states = reconstruct_trace(initial_restricted(parse_term("goal")), events).states
+    assert any(len(set(q.numbers.values())) < len(q.numbers) for q in states)
+    for q in states:
+        for number in range(8):
+            assert q.node_of(number) == scan_node_of(q.numbers, number)
+    for step, (current, tree) in expected.items():
+        assert (states[step].current, states[step].tree) == (current, tree)
