@@ -28,8 +28,17 @@ def _emit(text: str, output):
         print(text)
 
 
+def _read(path) -> str:
+    """A file's text; one that is not UTF-8 is an OSError naming it."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        reason = f"{exc.reason} at byte {exc.start}"
+        raise OSError(f"{path}: not UTF-8 text ({reason})") from None
+
+
 def _load_program(path: str):
-    return parse_program(Path(path).read_text(encoding="utf-8"))
+    return parse_program(_read(path))
 
 
 def cmd_trace(args) -> int:
@@ -52,7 +61,7 @@ def cmd_trace(args) -> int:
 def cmd_reconstruct(args) -> int:
     try:
         goal = parse_term(args.goal)
-        events = parse_trace(Path(args.trace).read_text(encoding="utf-8"))
+        events = parse_trace(_read(args.trace))
     except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -87,11 +96,16 @@ def cmd_verify(args) -> int:
     lines = []
     for path in paths:
         try:
-            program = parse_program(path.read_text(encoding="utf-8"))
-        except (ParseError, OSError) as exc:
+            program = parse_program(_read(path))
+        except ParseError as exc:
             print(f"error: {path.name}: {exc}", file=sys.stderr)
-            detail = "parse-error" if isinstance(exc, ParseError) else "read-error"
-            lines.append(f"FAIL {path.name} 0 {detail}")
+            lines.append(f"FAIL {path.name} 0 parse-error")
+            worst = 1
+            continue
+        except OSError as exc:
+            # the message of a read error already names the file
+            print(f"error: {exc}", file=sys.stderr)
+            lines.append(f"FAIL {path.name} 0 read-error")
             worst = 1
             continue
         report = check_adequacy(program, args.max_steps)

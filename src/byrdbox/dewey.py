@@ -14,6 +14,12 @@ in order (a clause's body slots all at once), and pruning removes a
 lexicographic suffix of the tree or all of a node's children.  So v is a
 leaf iff v + (1,) is not in the tree, and its children are counted by
 probing 1, 2, ...
+
+Every node a state stores is the canonical tuple of its word, made by
+`child` or `parent` and kept for the life of the process in one table, so
+all states share one object per node.  Equality never depends on it, but
+set and dict comparisons test identity first: comparing two states costs
+one step per node, not one per node component.
 """
 
 from __future__ import annotations
@@ -22,12 +28,42 @@ from bisect import bisect_left, bisect_right
 from typing import Optional
 
 __all__ = [
+    "child",
+    "parent",
     "derive_indexes",
     "child_count",
     "last_in_subtree",
     "with_node",
     "split_after",
 ]
+
+
+# The link maps are keyed by the id of a canonical node, which the table
+# keeps alive, so that id is never reused; they make `child` and `parent`
+# O(1) on canonical nodes.
+_NODES = {(): ()}
+_CHILDREN = {}  # (id(v), i) -> v.i
+_PARENTS = {}  # id(v.i) -> v
+
+
+def child(v: tuple, i: int) -> tuple:
+    """The canonical node v.i."""
+    node = _CHILDREN.get((id(v), i))
+    if node is None:
+        v = _NODES.setdefault(v, v)
+        w = v + (i,)
+        node = _CHILDREN[id(v), i] = _NODES.setdefault(w, w)
+        _PARENTS[id(node)] = v
+    return node
+
+
+def parent(v: tuple) -> tuple:
+    """The canonical parent of v; the root is its own parent."""
+    p = _PARENTS.get(id(v))
+    if p is None:
+        w = v[:-1]
+        p = _NODES.setdefault(w, w)
+    return p
 
 
 def derive_indexes(state) -> None:

@@ -23,7 +23,9 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional, Tuple
 
-from .dewey import derive_indexes, last_in_subtree, split_after, with_node
+from .dewey import (
+    child, derive_indexes, last_in_subtree, parent, split_after, with_node,
+)
 from .terms import (
     BOTTOM,
     Clause,
@@ -59,11 +61,6 @@ __all__ = [
 
 NodeId = Tuple[int, ...]
 EPSILON: NodeId = ()
-
-# Stamp used for throwaway renamings while peeking at a box; never
-# collides with the real stamps the shadow hands out (those are >= 1).
-_TRIAL_STAMP = -1
-
 
 class RuleId(Enum):
     CALL1 = "Call1"
@@ -144,7 +141,8 @@ class RunResult:
 # ----------------------------------------------------------------------
 # Tree utilities.  Dewey words are int tuples; Python's tuple order is
 # exactly the required lexicographic order (a prefix sorts before its
-# extensions, siblings sort by component).
+# extensions, siblings sort by component).  Stored nodes are the
+# canonical tuples made by dewey's `child` and `parent`.
 # ----------------------------------------------------------------------
 
 def node_str(v: NodeId) -> str:
@@ -153,10 +151,6 @@ def node_str(v: NodeId) -> str:
     if all(i <= 9 for i in v):
         return "".join(str(i) for i in v)
     return ".".join(str(i) for i in v)
-
-
-def parent(v: NodeId) -> NodeId:
-    return v[:-1] if v else EPSILON
 
 
 def is_leaf(state: VirtualState, v: NodeId) -> bool:
@@ -226,8 +220,7 @@ def _peek_visit(state: VirtualState, v: NodeId, base: dict) -> _Peek:
     goal = state.shadow.call_preds[v]
     skipped = 0
     for c in state.boxes.get(v, ()):
-        trial = rename_clause(c, _TRIAL_STAMP)
-        if unify(goal, trial.head, base, resolved=False) is not BOTTOM:
+        if unify(goal, c.trial.head, base, resolved=False) is not BOTTOM:
             return _Peek(skipped, c, base)
         skipped += 1
     return _Peek(skipped, None, base)
@@ -426,7 +419,7 @@ def _fire(state: VirtualState, rule: RuleId) -> VirtualState:
         if rule is RuleId.CALL2:
             assert ok
             counter += 1
-            current = u + (1,)
+            current = child(u, 1)
             _child_slot(state, maps, shadow["chosen"][u].body[0], current, counter)
 
     elif rule is RuleId.EXIT1:
@@ -439,7 +432,7 @@ def _fire(state: VirtualState, rule: RuleId) -> VirtualState:
         preds[u] = resolve(shadow["bindings"], shadow["call_preds"][u])
         w, i = parent(u), u[-1]
         counter += 1
-        current = w + (i + 1,)
+        current = child(w, i + 1)
         _child_slot(state, maps, shadow["chosen"][w].body[i], current, counter)
 
     elif rule is RuleId.FAIL2:
@@ -468,7 +461,7 @@ def _fire(state: VirtualState, rule: RuleId) -> VirtualState:
         if rule is RuleId.REDO2:
             assert ok
             counter += 1
-            current = v + (1,)
+            current = child(v, 1)
             _child_slot(state, maps, shadow["chosen"][v].body[0], current, counter)
 
     if rule in (RuleId.CALL2, RuleId.EXIT2, RuleId.REDO2):  # a new child slot

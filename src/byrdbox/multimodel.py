@@ -32,6 +32,7 @@ from enum import Enum
 from typing import Optional, Tuple
 
 from .dewey import (
+    child,
     child_count,
     derive_indexes,
     last_in_subtree,
@@ -60,9 +61,6 @@ __all__ = [
     "run_model",
     "compare_models",
 ]
-
-_TRIAL_STAMP = -1
-
 
 class ModelId(Enum):
     M1 = "m1"
@@ -144,7 +142,7 @@ def _is_leaf(state, v):
 
 
 def _children(state, v):
-    return [v + (i,) for i in range(1, child_count(state.tree, v) + 1)]
+    return [child(v, i) for i in range(1, child_count(state.tree, v) + 1)]
 
 
 def _has_next_node(state, v):
@@ -161,7 +159,7 @@ def _gcp(state, v):
 
 def _toward_gcp(state, u):
     """The child of u whose subtree holds the greatest choice point."""
-    return _gcp(state, u)[: len(u) + 1]
+    return child(u, _gcp(state, u)[len(u)])
 
 
 def _reenterable_child(state, u):
@@ -451,8 +449,7 @@ def _fire(state: ExtendedState, model: ModelId, chrono: int, rule: ExtRuleId):
         goal = w.call_preds[u]
         box = list(w.boxes[u])
         while box:
-            trial = rename_clause(box[0], _TRIAL_STAMP)
-            if unify(goal, trial.head, base, resolved=False) is not BOTTOM:
+            if unify(goal, box[0].trial.head, base, resolved=False) is not BOTTOM:
                 w.stamp += 1
                 inst = rename_clause(box[0], w.stamp)
                 w.chosen[u] = inst
@@ -478,13 +475,13 @@ def _fire(state: ExtendedState, model: ModelId, chrono: int, rule: ExtRuleId):
         w.sigmas[u] = w.bindings
         body = w.chosen[u].body
         for i, atom in enumerate(body, start=1):
-            child = u + (i,)
-            w.tree.add(child)
-            w.order = with_node(w.order, child)
-            w.preds[child] = atom
-            w.fresh[child] = True
-            w.boxes[child] = ()
-        w.current = u + (1,)
+            slot = child(u, i)
+            w.tree.add(slot)
+            w.order = with_node(w.order, slot)
+            w.preds[slot] = atom
+            w.fresh[slot] = True
+            w.boxes[slot] = ()
+        w.current = child(u, 1)
 
     elif rule in (ExtRuleId.EXIT1, ExtRuleId.EXIT2):
         if not _is_leaf(state, u):
@@ -496,7 +493,7 @@ def _fire(state: ExtendedState, model: ModelId, chrono: int, rule: ExtRuleId):
             if u == EPSILON:
                 w.complete = True
         else:
-            w.current = parent(u) + (u[-1] + 1,)
+            w.current = child(parent(u), u[-1] + 1)
 
     elif rule is ExtRuleId.LEAFFAIL1:
         event = _event(

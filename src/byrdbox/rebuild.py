@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .dewey import child_count
+from .dewey import child, child_count
 from .engine import EPSILON, NodeId, RuleId, VirtualState, node_str, parent
 from .terms import Term, VarNames, format_term
 from .tracing import Port, TraceEvent
@@ -157,7 +157,7 @@ def _require_node(q: RestrictedState, number: int) -> NodeId:
 
 def _next_child(q: RestrictedState, w: NodeId) -> NodeId:
     # children are numbered from 1 without gaps (see dewey)
-    return w + (child_count(q.tree, w) + 1,)
+    return child(w, child_count(q.tree, w) + 1)
 
 
 def _grow(q, v, number, pred):
@@ -211,7 +211,7 @@ def reconstruct_step(
         u = q.current
         if u == EPSILON:
             raise MalformedTrace("the root cannot acquire a brother")
-        v = parent(u) + (u[-1] + 1,)
+        v = child(parent(u), u[-1] + 1)
         if v in q.tree:
             raise MalformedTrace(f"brother {node_str(v)} already exists")
         return RestrictedState(
@@ -236,12 +236,12 @@ def reconstruct_step(
     tree, numbers, preds, by_number = _pruned(q, v)
     if rule is RuleId.REDO1:
         return RestrictedState(tree, v, numbers, preds, by_number)
-    child = v + (1,)
-    numbers[child] = e_next.r
-    preds[child] = e_next.pred
+    first = child(v, 1)
+    numbers[first] = e_next.r
+    preds[first] = e_next.pred
     if by_number is not None:
-        by_number.setdefault(e_next.r, child)
-    return RestrictedState(tree | {child}, child, numbers, preds, by_number)
+        by_number.setdefault(e_next.r, first)
+    return RestrictedState(tree | {first}, first, numbers, preds, by_number)
 
 
 @dataclass(frozen=True)

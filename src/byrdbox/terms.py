@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Union
 
 __all__ = [
@@ -82,6 +83,12 @@ class Clause:
     @property
     def is_fact(self) -> bool:
         return not self.body
+
+    @cached_property
+    def trial(self) -> "Clause":
+        """The throwaway renaming that tests the head before the clause is
+        chosen; its stamp -1 never collides with the real ones (>= 1)."""
+        return rename_clause(self, -1)
 
     def __repr__(self):
         return f"Clause({self.id})"

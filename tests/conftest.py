@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 from byrdbox import parse_program
+from byrdbox.dewey import child, parent
 
 DATA = Path(__file__).parent / "data"
 
@@ -47,6 +49,29 @@ def normalize_trace(text: str) -> list:
 
 def load_golden(name: str) -> list:
     return normalize_trace((DATA / name).read_text(encoding="utf-8"))
+
+
+def stored_nodes(state):
+    """Every node a machine or rebuilt state stores: its current node,
+    the nodes of its set and tuple fields, the keys of its per-node maps
+    (the shadow's included), and the values of the inverse numbering."""
+    yield state.current
+    holders = [state] + ([state.shadow] if hasattr(state, "shadow") else [])
+    for holder in holders:
+        for f in fields(holder):
+            value = getattr(holder, f.name)
+            if f.name == "by_number":
+                yield from (value or {}).values()
+            elif isinstance(value, dict):
+                yield from (k for k in value if isinstance(k, tuple))
+            elif isinstance(value, (frozenset, tuple)) and f.name != "current":
+                yield from value
+
+
+def assert_nodes_canonical(state):
+    """Every stored node is the one canonical tuple of its Dewey word."""
+    for v in stored_nodes(state):
+        assert v == () or child(parent(v), v[-1]) is v, v
 
 
 @pytest.fixture(scope="session")

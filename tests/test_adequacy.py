@@ -1,3 +1,8 @@
+import dataclasses
+import itertools
+
+import pytest
+
 from byrdbox import (
     HARD_FORBIDDEN,
     Port,
@@ -15,8 +20,9 @@ from byrdbox import (
     restrict,
     run_actual_trace,
 )
+from byrdbox import adequacy
 from byrdbox.corpus import corpus
-from byrdbox.rebuild import matching_conds
+from byrdbox.rebuild import RestrictedState, matching_conds
 
 
 def ev(chrono, r, l, port, pred="x"):
@@ -104,3 +110,64 @@ def test_adequacy_on_undefined_goal():
     report = check_adequacy(parse_program("p(a). :- q."), 10)
     assert report.passed
     assert report.steps_checked == 2
+
+
+# ----------------------------------------------------------------------
+# check_adequacy compares all four restricted fields at every step, by
+# value: a rebuilt state corrupted in one field is caught at its step,
+# and one whose nodes are not the canonical tuples still passes.
+# ----------------------------------------------------------------------
+
+CORRUPTIONS = {
+    "T": ("tree", lambda q: q.tree | {(7, 7)}),
+    "u": ("current", lambda q: (7, 7)),
+    "num": ("numbers", lambda q: {**q.numbers, (): 99}),
+    "pred": ("preds", lambda q: {**q.preds, (): parse_term("corrupted")}),
+}
+
+
+def patch_rebuild(monkeypatch, change):
+    """Make check_adequacy see change(step, q) for every rebuilt q."""
+    real = adequacy.reconstruct_step
+    steps = itertools.count(1)
+
+    def patched(rule, e, e_next, q):
+        return change(next(steps), real(rule, e, e_next, q))
+
+    monkeypatch.setattr(adequacy, "reconstruct_step", patched)
+
+
+@pytest.mark.parametrize("step", range(1, 11))
+@pytest.mark.parametrize("name", CORRUPTIONS)
+def test_a_corrupted_field_is_reported_at_its_step(monkeypatch, ex1_program, name, step):
+    attr, corrupt = CORRUPTIONS[name]
+    patch_rebuild(
+        monkeypatch,
+        lambda t, q: dataclasses.replace(q, **{attr: corrupt(q)}) if t == step else q,
+    )
+    report = check_adequacy(ex1_program, 100)
+    assert report.first_divergence[:2] == (step, name)
+    assert report.steps_checked == step - 1
+    assert report.machine_line("ex1").startswith(f"FAIL ex1 {step - 1} divergence:step{step}:{name}")
+
+
+def fresh_nodes(q):
+    """q rebuilt from new tuples, none of them the canonical node."""
+    new = lambda v: tuple(list(v))
+    return RestrictedState(
+        tree=frozenset(new(v) for v in q.tree),
+        current=new(q.current),
+        numbers={new(v): n for v, n in q.numbers.items()},
+        preds={new(v): p for v, p in q.preds.items()},
+    )
+
+
+def test_non_canonical_nodes_compare_by_value(monkeypatch, ex1_program, ex2_program):
+    programs = [ex1_program, ex2_program] + list(corpus(10))
+    expected = [check_adequacy(p, 120) for p in programs]
+    patch_rebuild(monkeypatch, lambda t, q: fresh_nodes(q))
+    for program, want in zip(programs, expected):
+        report = check_adequacy(program, 120)
+        assert report.passed
+        assert report.machine_line("p") == want.machine_line("p")
+        assert report.steps_checked == want.steps_checked

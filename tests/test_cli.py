@@ -176,3 +176,47 @@ def test_outputs_are_deterministic(tmp_path, capsys, data_dir):
             "--model", "m2", "--output", str(target),
         )
     assert a.read_bytes() == b.read_bytes()
+
+
+# A byte that is never valid in UTF-8 text.
+NOT_UTF8 = b"p(\xff).\n:- p(a).\n"
+
+
+def test_trace_non_utf8_program(tmp_path, capsys):
+    bad = tmp_path / "bad.pl"
+    bad.write_bytes(NOT_UTF8)
+    code = main(["trace", "--program", str(bad)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: {bad}: not UTF-8 text (invalid start byte at byte 2)"
+    ]
+
+
+def test_reconstruct_non_utf8_trace(tmp_path, capsys):
+    bad = tmp_path / "bad.trace"
+    bad.write_bytes(b"1 1 1 Call goal\n2 1 1 Exit g\xc3(\n")
+    code = main(["reconstruct", "--trace", str(bad), "--goal", "goal"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith(f"error: {bad}: not UTF-8 text (")
+
+
+def test_verify_corpus_reports_a_non_utf8_file_and_goes_on(tmp_path, capsys, data_dir):
+    (tmp_path / "a_bad.pl").write_bytes(NOT_UTF8)
+    (tmp_path / "b_good.pl").write_text(
+        (data_dir / "example1.pl").read_text(encoding="utf-8"), encoding="utf-8"
+    )
+    code = main(["verify", "--corpus", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out.splitlines() == [
+        "FAIL a_bad.pl 0 read-error",
+        "PASS b_good.pl 10 -",
+    ]
+    assert captured.err.splitlines() == [
+        f"error: {tmp_path / 'a_bad.pl'}: not UTF-8 text (invalid start byte at byte 2)"
+    ]

@@ -1,6 +1,7 @@
 import dataclasses
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from byrdbox import (
     AmbiguousOrUndecidable,
@@ -18,6 +19,8 @@ from byrdbox import (
     run_actual_trace,
 )
 from byrdbox.rebuild import matching_conds
+
+from conftest import assert_nodes_canonical
 
 
 def ev(chrono, r, l, port, pred):
@@ -192,3 +195,43 @@ def test_depth_attribute_is_never_read(ex1_program, ex2_program):
         mutated = reconstruct_trace(q0, zeroed)
         assert list(mutated.states) == list(reference.states)
         assert mutated.final_known == reference.final_known
+
+
+# ----------------------------------------------------------------------
+# The rebuilder's contract on arbitrary input: it returns, or raises one
+# of its three documented errors.  Every node it stores is canonical.
+# ----------------------------------------------------------------------
+
+def _walk(rows):
+    # r starts at 1 and moves by small steps, so that many traces get
+    # past their first events and grow the tree
+    events, r = [], 1
+    for chrono, (step, l, port, pred) in enumerate(rows, start=1):
+        events.append(TraceEvent(chrono, r, l, port, pred))
+        r = max(0, r + step)
+    return events
+
+
+_events = st.lists(
+    st.tuples(
+        st.integers(-2, 2),
+        st.integers(0, 3),
+        st.sampled_from(list(Port)),
+        st.sampled_from([parse_term(t) for t in ("goal", "p(X)", "p(a)", "q")]),
+    ),
+    max_size=12,
+).map(_walk)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_events)
+def test_reconstruct_trace_raises_only_documented_errors(events):
+    for final_peek in (False, True):
+        try:
+            result = reconstruct_trace(
+                initial_restricted(parse_term("goal")), events, final_peek=final_peek
+            )
+        except (MalformedTrace, CondViolation, AmbiguousOrUndecidable):
+            continue
+        for q in result.states:
+            assert_nodes_canonical(q)

@@ -3,7 +3,8 @@
 Both engines and the rebuilder answer their tree questions (leaf, choice
 points, children, m2 rank, next child slot, node by number) from sorted
 node tuples and the children-are-1..k invariant.  The scans below are the
-reference definitions; every reachable state must answer alike.
+reference definitions; every reachable state must answer alike, and must
+store only canonical nodes.
 """
 
 import pytest
@@ -23,7 +24,7 @@ from byrdbox.engine import greatest_choice_point, has_choice_point, is_leaf
 from byrdbox.multimodel import _children, _gcp, _hcp, _is_leaf, _num_for
 from byrdbox.rebuild import _next_child
 
-from conftest import DATA
+from conftest import DATA, assert_nodes_canonical
 
 FUEL = 120
 
@@ -87,6 +88,7 @@ def test_core_engine_queries_match_scans(index):
     for state in trace.run.states:
         assert_children_gapless(state.tree)
         assert_indexes_exact(state)
+        assert_nodes_canonical(state)
         for v in state.tree:
             gcp = scan_gcp(state.tree, state.boxes, v)
             assert is_leaf(state, v) == (not scan_children(state.tree, v))
@@ -97,6 +99,7 @@ def test_core_engine_queries_match_scans(index):
     goal = trace.run.initial.preds[()]
     for q in reconstruct_trace(initial_restricted(goal), trace.events).states:
         assert_children_gapless(q.tree)
+        assert_nodes_canonical(q)
         for v in q.tree:
             assert _next_child(q, v) == scan_next_child(q.tree, v)
         for number in set(q.numbers.values()) | {0, max(q.numbers.values()) + 1}:
@@ -110,6 +113,7 @@ def test_model_engine_queries_match_scans(index, model):
     for state in [run.initial] + [s for _, s in run.transitions]:
         assert_children_gapless(state.tree)
         assert_indexes_exact(state)
+        assert_nodes_canonical(state)
         for v in state.tree:
             gcp = scan_gcp(state.tree, state.boxes, v)
             children = scan_children(state.tree, v)
