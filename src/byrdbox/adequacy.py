@@ -20,9 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+from .engine import Machine, drive, init_state
 from .rebuild import initial_restricted, matching_conds, reconstruct_step
 from .terms import Program
-from .tracing import Port, run_actual_trace
+from .tracing import Port, extract_event, run_actual_trace
 
 __all__ = [
     "HARD_FORBIDDEN",
@@ -90,36 +91,50 @@ def check_adequacy(program: Program, max_steps: int) -> AdequacyReport:
     and the rebuilt state must equal the machine state restricted to
     {T, u, num, pred}.  On a fuel-exhausted run the last transition has no
     successor event and is not checked.
+
+    The run streams on one live machine and keeps no states: w_{t+1} is
+    extracted from state t before the machine fires transition t+1, and
+    transition t is checked against the machine right then.  After the
+    first failed check the run goes on unchecked, for `halted` and the
+    port checks, which cover every event.
     """
-    trace = run_actual_trace(program, max_steps)
-    run = trace.run
-    report = AdequacyReport(halted=trace.halted)
-    events = trace.events
-
-    report.port_violations = check_port_sequence([e.port for e in events])
-
-    q = initial_restricted(run.initial.preds[()])
-    for t, (rule, state_after) in enumerate(run.transitions):
-        e = events[t]
-        e_next = events[t + 1] if t + 1 < len(events) else None
-        if e_next is None and not trace.halted:
-            break
-        conds = matching_conds(e, e_next)
-        if conds != {rule}:
-            report.cond_violations.append((t + 1, conds))
-            break
-        q = reconstruct_step(rule, e, e_next, q)
-        # Nodes are canonical (see dewey), so comparing the machine's own
-        # tree and maps takes one identity check per node.
-        expected = dict(_restricted_fields(state_after))
-        for name, got_value in _restricted_fields(q):
-            if got_value != expected[name]:
-                report.first_divergence = (t + 1, name, expected[name], got_value)
-                break
-        if report.first_divergence:
-            break
-        report.steps_checked = t + 1
+    machine = Machine(init_state(program))
+    report = AdequacyReport()
+    ports = []
+    q = initial_restricted(machine.preds[()])
+    last = None  # (rule, event) of the transition awaiting its check
+    for chrono, rule in enumerate(drive(machine, max_steps), start=1):
+        e = extract_event(rule, machine, chrono)
+        ports.append(e.port)
+        if q is not None and last is not None:
+            q = _check_transition(report, *last, e, q, machine)
+        last = (rule, e)
+    report.halted = machine.halted
+    if q is not None and last is not None and machine.halted:
+        _check_transition(report, *last, None, q, machine)
+    report.port_violations = check_port_sequence(ports)
     return report
+
+
+def _check_transition(report, rule, e, e_next, q, machine):
+    """Check the transition that fired `rule` and emitted `e` against the
+    machine's state after it; the rebuilt state, or None on a failure."""
+    conds = matching_conds(e, e_next)
+    if conds != {rule}:
+        report.cond_violations.append((e.chrono, conds))
+        return None
+    q = reconstruct_step(rule, e, e_next, q)
+    # Nodes are canonical (see dewey), so comparing the machine's own
+    # tree and maps takes one identity check per node.
+    expected = dict(_restricted_fields(machine))
+    for name, got_value in _restricted_fields(q):
+        if got_value != expected[name]:
+            # a copy: the machine's maps change with its next transition
+            expected = dict(_restricted_fields(machine.snapshot()))[name]
+            report.first_divergence = (e.chrono, name, expected, got_value)
+            return None
+    report.steps_checked = e.chrono
+    return q
 
 
 def check_cond_exclusivity(events) -> list:

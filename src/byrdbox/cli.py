@@ -15,7 +15,7 @@ from .rebuild import (
     initial_restricted,
     reconstruct_trace,
 )
-from .terms import ParseError, VarNames, parse_program, parse_term
+from .terms import CyclicTerm, ParseError, VarNames, parse_program, parse_term
 from .tracing import format_event, parse_trace, run_actual_trace
 
 __all__ = ["main", "cmd_trace", "cmd_reconstruct", "cmd_verify", "cmd_compare"]
@@ -47,12 +47,15 @@ def cmd_trace(args) -> int:
     except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if args.model == "m1":
-        result = run_actual_trace(program, args.max_steps)
-        events, halted = result.events, result.halted
-    else:
-        run = run_model(program, ModelId(args.model), args.max_steps)
-        events, halted = run.events, run.halted
+    try:
+        if args.model == "m1":
+            run = run_actual_trace(program, args.max_steps)
+        else:
+            run = run_model(program, ModelId(args.model), args.max_steps)
+    except CyclicTerm as exc:
+        print(f"error: {args.program}: {exc}", file=sys.stderr)
+        return 1
+    events, halted = run.events, run.halted
     names = VarNames()
     _emit("\n".join(format_event(e, names) for e in events), args.output)
     return 0 if halted else 2
@@ -108,7 +111,13 @@ def cmd_verify(args) -> int:
             lines.append(f"FAIL {path.name} 0 read-error")
             worst = 1
             continue
-        report = check_adequacy(program, args.max_steps)
+        try:
+            report = check_adequacy(program, args.max_steps)
+        except CyclicTerm as exc:
+            print(f"error: {path.name}: {exc}", file=sys.stderr)
+            lines.append(f"FAIL {path.name} 0 cyclic-term")
+            worst = 1
+            continue
         lines.append(report.machine_line(path.name))
         if not report.passed:
             worst = 1
@@ -131,7 +140,11 @@ def cmd_compare(args) -> int:
     except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    comparison = compare_models(program, args.max_steps)
+    try:
+        comparison = compare_models(program, args.max_steps)
+    except CyclicTerm as exc:
+        print(f"error: {args.program}: {exc}", file=sys.stderr)
+        return 1
     _emit(comparison.summary(), args.output)
     ok = comparison.m1_in_m2 and comparison.m2_in_m3 and all(
         comparison.halted.values()

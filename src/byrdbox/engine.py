@@ -15,11 +15,15 @@ Resolution proper (unification, clause choice, bindings) is not part of
 the observable state.  It lives in a per-derivation `Shadow` that the
 rules consult: one global substitution per derivation branch, snapshotted
 at every node's call so that a Redo can roll it back to the choice point.
+
+A run fires its rules in place on one mutable `Machine`.  A frozen
+`VirtualState` is a snapshot of it, made only where states are kept
+(`step`, `run_virtual`); the streaming runs keep none.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import Optional, Tuple
 
@@ -42,6 +46,8 @@ __all__ = [
     "RuleId",
     "Shadow",
     "VirtualState",
+    "Machine",
+    "drive",
     "RunResult",
     "DeterminismViolation",
     "node_str",
@@ -226,20 +232,28 @@ def _peek_visit(state: VirtualState, v: NodeId, base: dict) -> _Peek:
     return _Peek(skipped, None, base)
 
 
-def _peek_fresh(state: VirtualState, v: NodeId) -> _Peek:
-    return _peek_visit(state, v, state.shadow.bindings)
-
-
-def _peek_redo(state: VirtualState, v: NodeId) -> _Peek:
-    # A Redo rolls the substitution back to the choice point's call.
-    return _peek_visit(state, v, state.shadow.call_snaps[v])
-
-
 # ----------------------------------------------------------------------
-# Rule selection
+# Rule selection.  The conditions, like the tree queries above and event
+# extraction, read a VirtualState and a live Machine alike.
 # ----------------------------------------------------------------------
 
-def _conditions(state: VirtualState) -> dict:
+def _pending_visit(state: VirtualState) -> Optional[_Peek]:
+    """The clause scan of the visit that a Call rule (first visit of the
+    current node) or a Redo rule (re-entry of the greatest choice point)
+    would make from `state`; None when neither kind can apply."""
+    u = state.current
+    if state.fresh.get(u, False):
+        if not state.complete:
+            return _peek_visit(state, u, state.shadow.bindings)
+    elif state.failing or state.complete:
+        v = greatest_choice_point(state, u)
+        if v is not None:
+            # A Redo rolls the substitution back to the choice point's call.
+            return _peek_visit(state, v, state.shadow.call_snaps[v])
+    return None
+
+
+def _rule_conditions(state: VirtualState, peek: Optional[_Peek]) -> dict:
     u = state.current
     sh = state.shadow
     fst = state.fresh.get(u, False)
@@ -249,7 +263,6 @@ def _conditions(state: VirtualState) -> dict:
 
     conds = {}
     if fst and not ct:
-        peek = _peek_fresh(state, u)
         conds[RuleId.CALL1] = is_leaf(state, u) and peek.calls_fact
         conds[RuleId.CALL2] = is_leaf(state, u) and not peek.calls_fact
     else:
@@ -262,8 +275,6 @@ def _conditions(state: VirtualState) -> dict:
     conds[RuleId.FAIL2] = (not fst) and not ct and not hcp_u and (failed_here or flr)
 
     if not fst and hcp_u and (flr or ct):
-        v = greatest_choice_point(state, u)
-        peek = _peek_redo(state, v)
         conds[RuleId.REDO1] = peek.calls_fact
         conds[RuleId.REDO2] = not peek.calls_fact
     else:
@@ -271,14 +282,23 @@ def _conditions(state: VirtualState) -> dict:
     return conds
 
 
-def _select(state: VirtualState) -> Optional[RuleId]:
-    conds = _conditions(state)
+def _conditions(state: VirtualState) -> dict:
+    """Rule -> whether its condition holds at `state`."""
+    return _rule_conditions(state, _pending_visit(state))
+
+
+def _select(state: VirtualState) -> Tuple[Optional[RuleId], Optional[_Peek]]:
+    """(the rule that applies, the clause scan of the visit it makes), so
+    that firing the rule does not scan the box again; (None, None) for
+    Halt."""
+    peek = _pending_visit(state)
+    conds = _rule_conditions(state, peek)
     matching = [r for r, ok in conds.items() if ok]
     if len(matching) == 1:
-        return matching[0]
+        return matching[0], peek
     if not matching:
         if state.complete and not has_choice_point(state, EPSILON):
-            return None
+            return None, None
         raise DeterminismViolation(
             f"no rule applies at node {node_str(state.current)} in a live state"
         )
@@ -294,11 +314,11 @@ def applicable_rule(state: VirtualState) -> Optional[RuleId]:
     Raises DeterminismViolation when zero or several rules match a live
     state; that is an internal bug and must surface, never be resolved
     silently."""
-    return _select(state)
+    return _select(state)[0]
 
 
 # ----------------------------------------------------------------------
-# Transitions
+# The machine and its transitions
 # ----------------------------------------------------------------------
 
 def init_state(program: Program) -> VirtualState:
@@ -329,187 +349,184 @@ def init_state(program: Program) -> VirtualState:
     )
 
 
-def _visit(state, v, peek, maps):
+def _thawed(value):
+    """A mutable copy of a state's set or map; any other value as it is."""
+    if isinstance(value, frozenset):
+        return set(value)
+    return dict(value) if isinstance(value, dict) else value
+
+
+def _frozen(value):
+    """A frozen copy of a machine's set or map; any other value as it is."""
+    if isinstance(value, set):
+        return frozenset(value)
+    return dict(value) if isinstance(value, dict) else value
+
+
+class Machine:
+    """The one mutable state that a run fires its rules on, in place.
+
+    It holds the fields of a state and of its shadow side by side;
+    `shadow` is the machine itself.  It owns every set and map it holds:
+    it copies them from the state it starts from, and `snapshot` copies
+    them into a new frozen state.  The other engine's machine is the
+    subclass that names that engine's state and shadow classes."""
+
+    state_class, shadow_class = VirtualState, Shadow
+
+    def __init__(self, state):
+        for holder in (state, state.shadow):
+            for f in fields(holder):
+                if f.name != "shadow":
+                    setattr(self, f.name, _thawed(getattr(holder, f.name)))
+        self.halted = False  # set by the run that drives the machine
+
+    @property
+    def shadow(self):
+        return self
+
+    def snapshot(self):
+        def frozen(cls):
+            return {
+                f.name: _frozen(getattr(self, f.name))
+                for f in fields(cls)
+                if f.name != "shadow"
+            }
+
+        shadow = self.shadow_class(**frozen(self.shadow_class))
+        return self.state_class(**frozen(self.state_class), shadow=shadow)
+
+
+def drive(machine: Machine, max_steps: int):
+    """Yield each rule of a run of at most `max_steps` transitions while
+    the machine still holds the state the rule fires from, and fire it on
+    resumption.  At the end `machine.halted` is True when no rule applies,
+    False when the budget ran out first."""
+    if max_steps < 1:
+        raise ValueError("max_steps must be >= 1")
+    for _ in range(max_steps):
+        rule, peek = _select(machine)
+        if rule is None:
+            machine.halted = True
+            return
+        yield rule
+        _fire(machine, rule, peek)
+    machine.halted = _select(machine)[0] is None
+
+
+def _visit(m: Machine, v: NodeId, peek: _Peek) -> None:
     """Consume the visit decided by `peek` at node v: drop the silently
-    skipped clauses, pop and rename the chosen one, extend the bindings.
-    Returns the updated shadow maps and whether the visit succeeded."""
-    boxes, shadow = maps
-    box = list(boxes[v])[peek.skipped:]
+    skipped clauses, pop and rename the chosen one, extend the bindings."""
     if peek.clause is None:
-        boxes[v] = ()
-        shadow["failed"][v] = True
-        shadow["bindings"] = dict(peek.base)
-        return False
-    stamp = shadow["stamp"] + 1
-    shadow["stamp"] = stamp
-    inst = rename_clause(peek.clause, stamp)
-    new_bindings = unify(state.shadow.call_preds[v], inst.head, peek.base, resolved=False)
-    assert new_bindings is not BOTTOM
-    boxes[v] = tuple(box[1:])
-    shadow["bindings"] = new_bindings
-    shadow["chosen"][v] = inst
-    shadow["failed"][v] = False
-    return True
+        m.boxes[v] = ()
+        m.failed[v] = True
+        m.bindings = dict(peek.base)
+        return
+    m.stamp += 1
+    inst = rename_clause(peek.clause, m.stamp)
+    bindings = unify(m.call_preds[v], inst.head, peek.base, resolved=False)
+    assert bindings is not BOTTOM
+    m.boxes[v] = m.boxes[v][peek.skipped + 1:]
+    m.bindings = bindings
+    m.chosen[v] = inst
+    m.failed[v] = False
 
 
-def _child_slot(state, maps, atom, v, number):
+def _child_slot(m: Machine, atom: Term, v: NodeId) -> None:
     """Create (or re-create) node v labeled with `atom` instantiated by the
-    current substitution, and fill its box."""
-    tree, numbers, preds, boxes, fresh, shadow = maps
-    box, called = box_init(state.program, atom, shadow["bindings"])
-    tree.add(v)
-    numbers[v] = number
-    preds[v] = called
-    boxes[v] = box
-    fresh[v] = True
-    shadow["call_preds"][v] = called
-    shadow["call_snaps"][v] = dict(shadow["bindings"])
-    shadow["failed"].pop(v, None)
-    shadow["chosen"].pop(v, None)
-    return called
+    current substitution, number it, fill its box, and make it current."""
+    box, called = box_init(m.program, atom, m.bindings)
+    m.counter += 1
+    m.current = v
+    m.tree.add(v)
+    m.numbers[v] = m.counter
+    m.preds[v] = called
+    m.boxes[v] = box
+    m.fresh[v] = True
+    m.call_preds[v] = called
+    m.call_snaps[v] = dict(m.bindings)
+    m.failed.pop(v, None)
+    m.chosen.pop(v, None)
+    m.order = with_node(m.order, v)
+    m.cps = with_node(m.cps, v, bool(box))
 
 
-def _prune(doomed, maps):
+def _prune(m: Machine, doomed) -> None:
     """Delete the `doomed` nodes from the tree and every map."""
-    tree, numbers, preds, boxes, fresh, shadow = maps
-    tree.difference_update(doomed)
-    for m in (numbers, preds, boxes, fresh,
-              shadow["call_preds"], shadow["call_snaps"],
-              shadow["chosen"], shadow["failed"]):
+    m.tree.difference_update(doomed)
+    for table in (m.numbers, m.preds, m.boxes, m.fresh,
+                  m.call_preds, m.call_snaps, m.chosen, m.failed):
         for w in doomed:
-            m.pop(w, None)
+            table.pop(w, None)
 
 
 def step(state: VirtualState) -> Tuple[RuleId, VirtualState]:
-    """Fire the unique applicable rule and return (rule, new state)."""
-    rule = _select(state)
+    """Fire the unique applicable rule and return (rule, new state);
+    `state` itself is left as it was."""
+    machine = Machine(state)
+    rule, peek = _select(machine)
     if rule is None:
         raise DeterminismViolation("step called on a halted state")
-    return rule, _fire(state, rule)
+    _fire(machine, rule, peek)
+    return rule, machine.snapshot()
 
 
-def _fire(state: VirtualState, rule: RuleId) -> VirtualState:
-    u = state.current
-    tree = set(state.tree)
-    numbers = dict(state.numbers)
-    preds = dict(state.preds)
-    boxes = dict(state.boxes)
-    fresh = dict(state.fresh)
-    shadow = {
-        "bindings": state.shadow.bindings,
-        "stamp": state.shadow.stamp,
-        "call_preds": dict(state.shadow.call_preds),
-        "call_snaps": dict(state.shadow.call_snaps),
-        "chosen": dict(state.shadow.chosen),
-        "failed": dict(state.shadow.failed),
-    }
-    maps = (tree, numbers, preds, boxes, fresh, shadow)
-    order, cps = state.order, state.cps
-    counter = state.counter
-    current = u
-    complete = state.complete
-    failing = state.failing
-
+def _fire(m: Machine, rule: RuleId, peek: Optional[_Peek]) -> None:
+    """Fire `rule` on the machine in place; `peek` is the clause scan
+    `_select` made for the visit of a Call or Redo rule."""
+    u = m.current
     if rule in (RuleId.CALL1, RuleId.CALL2):
-        peek = _peek_fresh(state, u)
-        ok = _visit(state, u, peek, (boxes, shadow))
-        cps = with_node(cps, u, bool(boxes[u]))
-        fresh[u] = False
-        failing = False
+        _visit(m, u, peek)
+        m.cps = with_node(m.cps, u, bool(m.boxes[u]))
+        m.fresh[u] = False
+        m.failing = False
         if rule is RuleId.CALL2:
-            assert ok
-            counter += 1
-            current = child(u, 1)
-            _child_slot(state, maps, shadow["chosen"][u].body[0], current, counter)
+            _child_slot(m, m.chosen[u].body[0], child(u, 1))
 
     elif rule is RuleId.EXIT1:
-        preds[u] = resolve(shadow["bindings"], shadow["call_preds"][u])
-        current = parent(u)
+        m.preds[u] = resolve(m.bindings, m.call_preds[u])
+        m.current = parent(u)
         if u == EPSILON:
-            complete = True
+            m.complete = True
 
     elif rule is RuleId.EXIT2:
-        preds[u] = resolve(shadow["bindings"], shadow["call_preds"][u])
+        m.preds[u] = resolve(m.bindings, m.call_preds[u])
         w, i = parent(u), u[-1]
-        counter += 1
-        current = child(w, i + 1)
-        _child_slot(state, maps, shadow["chosen"][w].body[i], current, counter)
+        _child_slot(m, m.chosen[w].body[i], child(w, i + 1))
 
     elif rule is RuleId.FAIL2:
-        current = parent(u)
-        failing = True
+        m.current = parent(u)
+        m.failing = True
         # ct is raised when failing at the root itself, and also on
         # arrival at the root while a choice point survives elsewhere;
         # the latter is observable only in the state table, never in the
         # rule selection that follows (a Redo fires on flr alone).
-        if u == EPSILON or (current == EPSILON and has_choice_point(state, EPSILON)):
-            complete = True
+        if u == EPSILON or (m.current == EPSILON and has_choice_point(m, EPSILON)):
+            m.complete = True
 
     elif rule in (RuleId.REDO1, RuleId.REDO2):
-        v = greatest_choice_point(state, u)
+        v = greatest_choice_point(m, u)
         # Backtracking to v deletes every node lexicographically after it.
-        order, doomed = split_after(order, v)
-        cps = split_after(cps, v)[0]
-        _prune(doomed, maps)
-        peek = _peek_redo(state, v)
-        ok = _visit(state, v, peek, (boxes, shadow))
-        cps = with_node(cps, v, bool(boxes[v]))
-        current = v
-        failing = False
-        if complete:
-            complete = False
+        m.order, doomed = split_after(m.order, v)
+        m.cps = split_after(m.cps, v)[0]
+        _prune(m, doomed)
+        _visit(m, v, peek)
+        m.cps = with_node(m.cps, v, bool(m.boxes[v]))
+        m.current = v
+        m.failing = False
+        m.complete = False
         if rule is RuleId.REDO2:
-            assert ok
-            counter += 1
-            current = child(v, 1)
-            _child_slot(state, maps, shadow["chosen"][v].body[0], current, counter)
-
-    if rule in (RuleId.CALL2, RuleId.EXIT2, RuleId.REDO2):  # a new child slot
-        order = with_node(order, current)
-        cps = with_node(cps, current, bool(boxes[current]))
-
-    new_state = VirtualState(
-        tree=frozenset(tree),
-        current=current,
-        counter=counter,
-        numbers=numbers,
-        preds=preds,
-        boxes=boxes,
-        fresh=fresh,
-        complete=complete,
-        failing=failing,
-        program=state.program,
-        shadow=Shadow(
-            bindings=shadow["bindings"],
-            stamp=shadow["stamp"],
-            call_preds=shadow["call_preds"],
-            call_snaps=shadow["call_snaps"],
-            chosen=shadow["chosen"],
-            failed=shadow["failed"],
-        ),
-        order=order,
-        cps=cps,
-    )
-    return new_state
+            _child_slot(m, m.chosen[v].body[0], child(v, 1))
 
 
 def run_virtual(program: Program, max_steps: int) -> RunResult:
     """Iterate the machine from the initial state until Halt or until the
-    step budget runs out.  Traces may be infinite, so the budget is
-    mandatory."""
-    if max_steps < 1:
-        raise ValueError("max_steps must be >= 1")
-    initial = init_state(program)
-    state = initial
-    transitions = []
-    halted = False
-    for _ in range(max_steps):
-        rule = _select(state)
-        if rule is None:
-            halted = True
-            break
-        state = _fire(state, rule)
-        transitions.append((rule, state))
-    else:
-        halted = _select(state) is None
-    return RunResult(initial, tuple(transitions), halted)
+    step budget runs out, keeping every state.  Traces may be infinite, so
+    the budget is mandatory."""
+    machine = Machine(init_state(program))
+    rules, states = [], []
+    for rule in drive(machine, max_steps):
+        rules.append(rule)
+        states.append(machine.snapshot())
+    states.append(machine.snapshot())
+    return RunResult(states[0], tuple(zip(rules, states[1:])), machine.halted)

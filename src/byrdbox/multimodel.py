@@ -29,6 +29,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Optional, Tuple
 
 from .dewey import (
@@ -39,7 +40,9 @@ from .dewey import (
     split_after,
     with_node,
 )
-from .engine import EPSILON, NodeId, parent, node_str, DeterminismViolation
+from .engine import (
+    EPSILON, DeterminismViolation, Machine, NodeId, node_str, parent,
+)
 from .terms import (
     BOTTOM,
     Program,
@@ -53,6 +56,7 @@ __all__ = [
     "ModelId",
     "ExtRuleId",
     "ExtendedState",
+    "ExtMachine",
     "ModelRun",
     "ModelComparison",
     "init_extended",
@@ -180,6 +184,12 @@ def _lp(v) -> int:
 # Rule gates
 # ----------------------------------------------------------------------
 
+# Every gate closed.  `_gates` starts from a copy of it: a dict copy
+# rehashes no key, while a dict built over ExtRuleId runs the Python-level
+# Enum.__hash__ once per rule, on every step.
+_CLOSED = dict.fromkeys(ExtRuleId, False)
+
+
 def _gates(state: ExtendedState, model: ModelId) -> dict:
     u = state.current
     sh = state.shadow
@@ -190,7 +200,7 @@ def _gates(state: ExtendedState, model: ModelId) -> dict:
     cc = state.chosen.get(u)
     m1, m2, m3 = model is ModelId.M1, model is ModelId.M2, model is ModelId.M3
 
-    g = {r: False for r in ExtRuleId}
+    g = _CLOSED.copy()
     g[ExtRuleId.CALLONE] = fst and leaf and not ct and not flr and not bk3
     g[ExtRuleId.CHOICE] = (
         not fst and leaf and not ct and not bk3 and not flr
@@ -233,7 +243,7 @@ def _gates(state: ExtendedState, model: ModelId) -> dict:
     # still-open child first, re-choose at the node only once no child is
     # left to re-enter, and fail it when the clause list is empty too.
     reenter3 = m3 and ct and scs and not bk3 and _hcp(state, u)
-    no_child_left = _reenterable_child(state, u) is None
+    no_child_left = m3 and _reenterable_child(state, u) is None
     g[ExtRuleId.REDO_M3A] = (
         m3 and not fst and bk3 and not ct and bool(box) and no_child_left
     )
@@ -303,64 +313,11 @@ def init_extended(program: Program) -> ExtendedState:
     )
 
 
-class _Work:
-    """Mutable scratch copy of a state while one transition fires."""
+class ExtMachine(Machine):
+    """The live machine of this engine (see engine.Machine), with the
+    pieces its rules share."""
 
-    def __init__(self, state: ExtendedState):
-        self.s = state
-        self.tree = set(state.tree)
-        self.current = state.current
-        self.counter = state.counter
-        self.numbers = dict(state.numbers)
-        self.preds = dict(state.preds)
-        self.chosen = dict(state.chosen)
-        self.boxes = dict(state.boxes)
-        self.sigmas = dict(state.sigmas)
-        self.fresh = dict(state.fresh)
-        self.complete = state.complete
-        self.failing = state.failing
-        self.success = state.success
-        self.reverse = state.reverse
-        self.bindings = state.shadow.bindings
-        self.stamp = state.shadow.stamp
-        self.pending = state.shadow.pending
-        self.call_preds = dict(state.shadow.call_preds)
-        self.call_snaps = dict(state.shadow.call_snaps)
-        self.display = dict(state.shadow.display)
-        self.marks = set(state.shadow.marks)
-        self.order = state.order
-        self.cps = state.cps
-
-    def freeze(self) -> ExtendedState:
-        return ExtendedState(
-            tree=frozenset(self.tree),
-            current=self.current,
-            counter=self.counter,
-            numbers=self.numbers,
-            preds=self.preds,
-            chosen=self.chosen,
-            boxes=self.boxes,
-            sigmas=self.sigmas,
-            fresh=self.fresh,
-            complete=self.complete,
-            failing=self.failing,
-            success=self.success,
-            reverse=self.reverse,
-            program=self.s.program,
-            shadow=ExtShadow(
-                bindings=self.bindings,
-                stamp=self.stamp,
-                pending=self.pending,
-                call_preds=self.call_preds,
-                call_snaps=self.call_snaps,
-                display=self.display,
-                marks=frozenset(self.marks),
-            ),
-            order=self.order,
-            cps=self.cps,
-        )
-
-    # -- shared pieces --------------------------------------------------
+    state_class, shadow_class = ExtendedState, ExtShadow
 
     def set_box(self, v, box):
         self.boxes[v] = box
@@ -416,176 +373,219 @@ def _event(port, r, node, pred, chrono):
     return TraceEvent(chrono=chrono, r=r, l=_lp(node), port=port, pred=pred)
 
 
-def _num_for(work, model, node):
+def _num_for(m, model, node):
     if model is ModelId.M2:
-        return 1 + bisect_left(work.order, node)  # 1 + nodes before it
-    return work.numbers[node]
+        return 1 + bisect_left(m.order, node)  # 1 + nodes before it
+    return m.numbers[node]
 
 
-def _fire(state: ExtendedState, model: ModelId, chrono: int, rule: ExtRuleId):
-    """Fire `rule`; returns (state', event|None)."""
-    w = _Work(state)
-    u = state.current
+def _fire(m: ExtMachine, model: ModelId, chrono: int, rule: ExtRuleId):
+    """Fire `rule` on the machine in place; returns (rule, event|None)."""
+    u = m.current
     event = None
 
     if rule is ExtRuleId.CALLONE:
-        called = resolve(w.bindings, state.preds[u])
-        w.counter += 1
-        w.numbers[u] = w.counter
-        w.set_box(u, state.program.clauses_for(called.functor, called.arity))
-        w.chosen.pop(u, None)
-        w.sigmas[u] = w.bindings
-        w.fresh[u] = False
-        w.success = False
-        w.failing = False
-        w.call_preds[u] = called
-        w.call_snaps[u] = dict(w.bindings)
-        w.display[u] = called
-        w.marks.discard(u)
-        event = _event(Port.CALL, _num_for(w, model, u), u, called, chrono)
+        called = resolve(m.bindings, m.preds[u])
+        m.counter += 1
+        m.numbers[u] = m.counter
+        m.set_box(u, m.program.clauses_for(called.functor, called.arity))
+        m.chosen.pop(u, None)
+        m.sigmas[u] = m.bindings
+        m.fresh[u] = False
+        m.success = False
+        m.failing = False
+        m.call_preds[u] = called
+        m.call_snaps[u] = dict(m.bindings)
+        m.display[u] = called
+        m.marks.discard(u)
+        event = _event(Port.CALL, _num_for(m, model, u), u, called, chrono)
 
     elif rule is ExtRuleId.CHOICE:
-        base = w.call_snaps[u]
-        goal = w.call_preds[u]
-        box = list(w.boxes[u])
+        base = m.call_snaps[u]
+        goal = m.call_preds[u]
+        box = list(m.boxes[u])
         while box:
             if unify(goal, box[0].trial.head, base, resolved=False) is not BOTTOM:
-                w.stamp += 1
-                inst = rename_clause(box[0], w.stamp)
-                w.chosen[u] = inst
-                w.pending = unify(goal, inst.head, base, resolved=False)
+                m.stamp += 1
+                inst = rename_clause(box[0], m.stamp)
+                m.chosen[u] = inst
+                m.pending = unify(goal, inst.head, base, resolved=False)
                 box.pop(0)
                 break
             box.pop(0)
-        w.set_box(u, tuple(box))
+        m.set_box(u, tuple(box))
 
     elif rule is ExtRuleId.FACTSUCCEEDS:
-        w.bindings = w.pending
-        w.pending = None
-        w.sigmas[u] = w.bindings
-        w.success = True
-        w.failing = False
-        shown = resolve(w.bindings, w.call_preds[u])
-        w.display[u] = shown
-        event = _event(Port.EXIT, _num_for(w, model, u), u, shown, chrono)
+        m.bindings = m.pending
+        m.pending = None
+        m.sigmas[u] = m.bindings
+        m.success = True
+        m.failing = False
+        shown = resolve(m.bindings, m.call_preds[u])
+        m.display[u] = shown
+        event = _event(Port.EXIT, _num_for(m, model, u), u, shown, chrono)
 
     elif rule is ExtRuleId.CLAUSSUCCEEDS:
-        w.bindings = w.pending
-        w.pending = None
-        w.sigmas[u] = w.bindings
-        body = w.chosen[u].body
+        m.bindings = m.pending
+        m.pending = None
+        m.sigmas[u] = m.bindings
+        body = m.chosen[u].body
         for i, atom in enumerate(body, start=1):
             slot = child(u, i)
-            w.tree.add(slot)
-            w.order = with_node(w.order, slot)
-            w.preds[slot] = atom
-            w.fresh[slot] = True
-            w.boxes[slot] = ()
-        w.current = child(u, 1)
+            m.tree.add(slot)
+            m.order = with_node(m.order, slot)
+            m.preds[slot] = atom
+            m.fresh[slot] = True
+            m.boxes[slot] = ()
+        m.current = child(u, 1)
 
     elif rule in (ExtRuleId.EXIT1, ExtRuleId.EXIT2):
-        if not _is_leaf(state, u):
-            shown = resolve(w.bindings, w.call_preds[u])
-            w.display[u] = shown
-            event = _event(Port.EXIT, _num_for(w, model, u), u, shown, chrono)
+        if not _is_leaf(m, u):
+            shown = resolve(m.bindings, m.call_preds[u])
+            m.display[u] = shown
+            event = _event(Port.EXIT, _num_for(m, model, u), u, shown, chrono)
         if rule is ExtRuleId.EXIT1:
-            w.current = parent(u)
+            m.current = parent(u)
             if u == EPSILON:
-                w.complete = True
+                m.complete = True
         else:
-            w.current = child(parent(u), u[-1] + 1)
+            m.current = child(parent(u), u[-1] + 1)
 
     elif rule is ExtRuleId.LEAFFAIL1:
         event = _event(
-            Port.FAIL, _num_for(w, model, u), u, w.call_preds[u], chrono
+            Port.FAIL, _num_for(m, model, u), u, m.call_preds[u], chrono
         )
-        w.fail_at(u)
+        m.fail_at(u)
         if model is ModelId.M3:
-            w.reverse = True
+            m.reverse = True
 
     elif rule is ExtRuleId.TREEFAIL_M12:
         event = _event(
-            Port.FAIL, _num_for(w, model, u), u, w.call_preds[u], chrono
+            Port.FAIL, _num_for(m, model, u), u, m.call_preds[u], chrono
         )
-        w.fail_at(u)
+        m.fail_at(u)
 
     elif rule is ExtRuleId.REDO_M1:
-        v = _gcp(state, u)
+        v = _gcp(m, u)
         event = _event(
-            Port.REDO, _num_for(w, model, v), v, w.display[v], chrono
+            Port.REDO, _num_for(m, model, v), v, m.display[v], chrono
         )
-        w.rechoice(v)
-        w.current = v
+        m.rechoice(v)
+        m.current = v
 
     elif rule is ExtRuleId.REDO_M2A:
         # Top level re-enters the root box asking for another solution;
         # the walk down to the choice point is then traced like a failure.
         event = _event(
-            Port.REDO, _num_for(w, model, u), u, w.display[u], chrono
+            Port.REDO, _num_for(m, model, u), u, m.display[u], chrono
         )
-        w.complete = False
-        w.success = False
-        w.failing = True
+        m.complete = False
+        m.success = False
+        m.failing = True
 
     elif rule is ExtRuleId.TREEFAIL_M2:
-        dest = _toward_gcp(state, u)
+        dest = _toward_gcp(m, u)
         event = _event(
-            Port.REDO, _num_for(w, model, dest), dest, w.display[dest], chrono
+            Port.REDO, _num_for(m, model, dest), dest, m.display[dest], chrono
         )
-        w.current = dest
+        m.current = dest
 
     elif rule is ExtRuleId.REDO_M2B:
-        w.rechoice(u)
+        m.rechoice(u)
 
     elif rule is ExtRuleId.REDO_M3A:
-        w.rechoice(u)
-        w.reverse = False
+        m.rechoice(u)
+        m.reverse = False
 
     elif rule is ExtRuleId.REDO_M3B:
-        if state.reverse:
-            dest = _reenterable_child(state, u)
-            w.current = dest
+        if m.reverse:
+            dest = _reenterable_child(m, u)
+            m.current = dest
         else:
             # ct at the root with alternatives left: the reverse sweep
             # starts by re-entering the root box itself.
             dest = u
-            w.reverse = True
-            w.complete = False
-            w.success = False
+            m.reverse = True
+            m.complete = False
+            m.success = False
         event = _event(
-            Port.REDO, _num_for(w, model, dest), dest, w.display[dest], chrono
+            Port.REDO, _num_for(m, model, dest), dest, m.display[dest], chrono
         )
 
     elif rule in (ExtRuleId.REDO_M3C, ExtRuleId.REDO_M3D):
         event = _event(
-            Port.FAIL, _num_for(w, model, u), u, w.call_preds[u], chrono
+            Port.FAIL, _num_for(m, model, u), u, m.call_preds[u], chrono
         )
-        w.fail_at(u)
+        m.fail_at(u)
 
     else:  # pragma: no cover - leaffail2 variants are unreachable
         raise DeterminismViolation(f"rule {rule} cannot fire")
 
-    return w.freeze(), event
+    return rule, event
+
+
+def _drive(machine: ExtMachine, model: ModelId, max_steps: int):
+    """Fire the rules of a run under `model` of at most `max_steps`
+    transitions, yielding (rule, event|None) after each.  At the end
+    `machine.halted` is True when no rule applies, False when the budget
+    ran out first."""
+    if max_steps < 1:
+        raise ValueError("max_steps must be >= 1")
+    chrono = 1
+    for _ in range(max_steps):
+        rule = applicable_extended(machine, model)
+        if rule is None:
+            machine.halted = True
+            return
+        fired = _fire(machine, model, chrono, rule)
+        if fired[1] is not None:
+            chrono += 1
+        yield fired
+    machine.halted = applicable_extended(machine, model) is None
 
 
 def step_extended(
     state: ExtendedState, model: ModelId
 ) -> Tuple[ExtRuleId, ExtendedState]:
-    """Fire the unique applicable rule under `model`."""
+    """Fire the unique applicable rule under `model`; `state` itself is
+    left as it was."""
     rule = applicable_extended(state, model)
     if rule is None:
         raise DeterminismViolation("step called on a halted state")
-    new_state, _ = _fire(state, model, 0, rule)
-    return rule, new_state
+    machine = ExtMachine(state)
+    _fire(machine, model, 0, rule)
+    return rule, machine.snapshot()
 
 
 @dataclass(frozen=True)
 class ModelRun:
+    """A run under one model: its events, and whether it halted.  The run
+    keeps no states; `initial` and `transitions` (rule, state after it)
+    replay it (deterministically) on first access."""
+
     model: ModelId
     events: tuple
     halted: bool
-    transitions: tuple  # of (ExtRuleId, ExtendedState)
-    initial: ExtendedState
+    program: Program = field(compare=False, repr=False)
+    max_steps: int = field(compare=False, repr=False)
+
+    @cached_property
+    def _states(self) -> tuple:
+        initial = init_extended(self.program)
+        machine = ExtMachine(initial)
+        transitions = tuple(
+            (rule, machine.snapshot())
+            for rule, _ in _drive(machine, self.model, self.max_steps)
+        )
+        return initial, transitions
+
+    @property
+    def initial(self) -> ExtendedState:
+        return self._states[0]
+
+    @property
+    def transitions(self) -> tuple:
+        return self._states[1]
 
 
 def run_model(program: Program, model: ModelId, max_steps: int) -> ModelRun:
@@ -593,27 +593,11 @@ def run_model(program: Program, model: ModelId, max_steps: int) -> ModelRun:
 
     `max_steps` bounds machine transitions (silent ones included), so the
     event count is at most the budget."""
-    if max_steps < 1:
-        raise ValueError("max_steps must be >= 1")
-    initial = init_extended(program)
-    state = initial
-    events = []
-    transitions = []
-    chrono = 1
-    halted = False
-    for _ in range(max_steps):
-        rule = applicable_extended(state, model)
-        if rule is None:
-            halted = True
-            break
-        state, event = _fire(state, model, chrono, rule)
-        transitions.append((rule, state))
-        if event is not None:
-            events.append(event)
-            chrono += 1
-    else:
-        halted = applicable_extended(state, model) is None
-    return ModelRun(model, tuple(events), halted, tuple(transitions), initial)
+    machine = ExtMachine(init_extended(program))
+    events = tuple(
+        event for _, event in _drive(machine, model, max_steps) if event is not None
+    )
+    return ModelRun(model, events, machine.halted, program, max_steps)
 
 
 # ----------------------------------------------------------------------

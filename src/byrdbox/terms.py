@@ -20,6 +20,7 @@ __all__ = [
     "Clause",
     "Program",
     "ParseError",
+    "CyclicTerm",
     "BOTTOM",
     "parse_program",
     "parse_term",
@@ -308,14 +309,59 @@ def walk(subst: dict, t: Term) -> Term:
     return t
 
 
+class CyclicTerm(Exception):
+    """A binding contains its own variable (unification has no occur
+    check), so the term it stands for is infinite."""
+
+    def __init__(self, var: Var):
+        super().__init__(f"cyclic term: variable {var.name} is bound to a term containing it")
+        self.var = var
+
+
 def resolve(subst: dict, t: Term) -> Term:
-    """Apply `subst` all the way down.  Only terminates on acyclic bindings,
-    which is all the engine ever creates (no occur check, but resolution
-    only unifies renamed-apart clause heads)."""
+    """Apply `subst` all the way down.
+
+    Raises CyclicTerm when a binding met on the way contains its own
+    variable.  The check runs only once the recursion has failed, so
+    acyclic terms pay nothing for it; an acyclic term too deep for the
+    recursion still raises RecursionError."""
+    try:
+        return _resolve(subst, t)
+    except RecursionError:
+        var = _cyclic_var(subst, t)
+        if var is None:
+            raise
+    raise CyclicTerm(var)
+
+
+def _resolve(subst: dict, t: Term) -> Term:
     t = walk(subst, t)
     if isinstance(t, Var):
         return t
-    return Struct(t.functor, tuple(resolve(subst, a) for a in t.args))
+    return Struct(t.functor, tuple(_resolve(subst, a) for a in t.args))
+
+
+def _cyclic_var(subst: dict, t: Term) -> Optional[Var]:
+    """A variable that `t`'s resolution binds to a term containing it, or
+    None.  Iterative: it runs where the recursion has just failed."""
+    on_path, done = set(), set()
+    stack = [(None, [t])]  # (variable being expanded, terms left in it)
+    while stack:
+        var, pending = stack[-1]
+        if not pending:
+            stack.pop()
+            on_path.discard(var)
+            done.add(var)
+            continue
+        x = pending.pop()
+        if isinstance(x, Struct):
+            pending.extend(x.args)
+        elif x in on_path:
+            return x
+        elif x in subst and x not in done:
+            on_path.add(x)
+            stack.append((x, [subst[x]]))
+    return None
 
 
 def unify(a: Term, b: Term, subst: Optional[dict] = None, resolved: bool = True):

@@ -17,14 +17,18 @@ node and which predication depend on the rule that fired:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 from .engine import (
+    Machine,
     RuleId,
     RunResult,
     VirtualState,
+    drive,
     greatest_choice_point,
+    init_state,
     lpath,
     run_virtual,
     updated_pred,
@@ -78,13 +82,22 @@ class TraceEvent:
 
 @dataclass(frozen=True)
 class TraceResult:
+    """A traced run: its events, and whether it halted.  The run keeps no
+    states; `run` replays it (deterministically) on first access."""
+
     events: tuple
     halted: bool
-    run: RunResult
+    program: Program = field(compare=False, repr=False)
+    max_steps: int = field(compare=False, repr=False)
+
+    @cached_property
+    def run(self) -> RunResult:
+        return run_virtual(self.program, self.max_steps)
 
 
 def extract_event(rule: RuleId, s_before: VirtualState, chrono: int) -> TraceEvent:
-    """The event extracted from firing `rule` out of `s_before`."""
+    """The event extracted from firing `rule` out of `s_before` (a state
+    or the live machine before the rule fires)."""
     u = s_before.current
     if rule in (RuleId.CALL1, RuleId.CALL2):
         node, pred = u, s_before.preds[u]
@@ -107,15 +120,14 @@ def extract_event(rule: RuleId, s_before: VirtualState, chrono: int) -> TraceEve
 
 
 def run_actual_trace(program: Program, max_steps: int) -> TraceResult:
-    """Run the machine and extract one event per transition; chronos count
-    from 1."""
-    run = run_virtual(program, max_steps)
-    events = []
-    before = run.initial
-    for chrono, (rule, after) in enumerate(run.transitions, start=1):
-        events.append(extract_event(rule, before, chrono))
-        before = after
-    return TraceResult(tuple(events), run.halted, run)
+    """Run the machine and extract one event per transition, from the live
+    machine before the transition fires; chronos count from 1."""
+    machine = Machine(init_state(program))
+    events = tuple(
+        extract_event(rule, machine, chrono)
+        for chrono, rule in enumerate(drive(machine, max_steps), start=1)
+    )
+    return TraceResult(events, machine.halted, program, max_steps)
 
 
 # ----------------------------------------------------------------------

@@ -220,3 +220,34 @@ def test_verify_corpus_reports_a_non_utf8_file_and_goes_on(tmp_path, capsys, dat
     assert captured.err.splitlines() == [
         f"error: {tmp_path / 'a_bad.pl'}: not UTF-8 text (invalid start byte at byte 2)"
     ]
+
+
+# Unification has no occur check: p(Y,f(Y)) against p(X,X) binds Y to f(Y).
+CYCLIC = "p(X,X).\n:- p(Y,f(Y)).\n"
+CYCLIC_ERROR = "cyclic term: variable Y is bound to a term containing it"
+
+
+@pytest.mark.parametrize("argv", [["trace"], ["trace", "--model", "m3"], ["compare"]])
+def test_cyclic_binding_is_a_one_line_error(tmp_path, capsys, argv):
+    cyc = tmp_path / "cyc.pl"
+    cyc.write_text(CYCLIC, encoding="utf-8")
+    code = main(argv + ["--program", str(cyc)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {cyc}: {CYCLIC_ERROR}"]
+
+
+def test_verify_reports_a_cyclic_binding_and_goes_on(tmp_path, capsys, data_dir):
+    (tmp_path / "a_cyc.pl").write_text(CYCLIC, encoding="utf-8")
+    (tmp_path / "b_good.pl").write_text(
+        (data_dir / "example1.pl").read_text(encoding="utf-8"), encoding="utf-8"
+    )
+    code = main(["verify", "--corpus", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out.splitlines() == [
+        "FAIL a_cyc.pl 0 cyclic-term",
+        "PASS b_good.pl 10 -",
+    ]
+    assert captured.err.splitlines() == [f"error: a_cyc.pl: {CYCLIC_ERROR}"]

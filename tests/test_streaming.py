@@ -1,0 +1,143 @@
+"""Streaming runs against the runs that keep every state.
+
+The traced run, the model runs and the adequacy check fire their rules
+in place on one live machine and keep no states; `run_virtual`, `step`,
+`step_extended` and the lazy `.run` / `.transitions` make frozen
+snapshots of it.  Both must tell the same story, no snapshot may share a
+map or set with the machine that goes on running, and a step must leave
+its input as it was.
+"""
+
+import copy
+from dataclasses import fields
+
+import pytest
+
+from byrdbox import (
+    ModelId,
+    check_adequacy,
+    compare_models,
+    extract_event,
+    init_extended,
+    init_state,
+    parse_program,
+    run_actual_trace,
+    run_model,
+    run_virtual,
+    step,
+    step_extended,
+)
+from byrdbox.corpus import corpus
+from byrdbox.engine import VirtualState
+from byrdbox.multimodel import ExtendedState
+
+from conftest import DATA
+
+FUEL = 120
+
+
+def programs():
+    examples = [
+        parse_program((DATA / name).read_text(encoding="utf-8"))
+        for name in ("example1.pl", "example2.pl")
+    ]
+    return examples + list(corpus(30))
+
+
+PROGRAMS = programs()
+
+
+def everything(state):
+    """Every field of a state, its shadow's and its indexes included (state
+    equality compares the observable parameters only)."""
+    out = {f.name: getattr(state, f.name) for f in fields(state) if f.name != "program"}
+    out["shadow"] = {f.name: getattr(state.shadow, f.name) for f in fields(state.shadow)}
+    return out
+
+
+def stepped(state, fire, budget):
+    """The states reached by firing one step at a time from `state`, each
+    step starting a fresh machine from the last snapshot; every input is
+    checked to be left as it was."""
+    states = [state]
+    # Shared, so that each term is copied once, not once per state.  Dewey
+    # nodes are tuples of ints, which deepcopy returns as they are, but
+    # only after walking them on every visit: they are entered up front.
+    memo = {}
+    for _ in range(budget):
+        memo.update((id(v), v) for v in state.order)
+        before = copy.deepcopy(state, memo)
+        _, state = fire(state)
+        assert everything(states[-1]) == everything(before)
+        states.append(state)
+    return states
+
+
+@pytest.mark.parametrize("index", range(len(PROGRAMS)))
+def test_core_streams_and_snapshots_agree(index):
+    program = PROGRAMS[index]
+    run = run_virtual(program, FUEL)
+    states = run.states
+    rules = [rule for rule, _ in run.transitions]
+
+    trace = run_actual_trace(program, FUEL)
+    assert trace.halted == run.halted
+    assert list(trace.events) == [
+        extract_event(rule, before, chrono)
+        for chrono, (rule, before) in enumerate(zip(rules, states), start=1)
+    ]
+    assert trace.run.states == states
+    assert [everything(s) for s in trace.run.states] == [everything(s) for s in states]
+
+    # One step at a time from fresh machines reaches the same states, so no
+    # state run_virtual kept was changed by the rest of its run.
+    one_by_one = stepped(init_state(program), step, len(rules))
+    assert [everything(s) for s in one_by_one] == [everything(s) for s in states]
+
+
+@pytest.mark.parametrize("index", range(len(PROGRAMS)))
+def test_model_streams_and_snapshots_agree(index):
+    program = PROGRAMS[index]
+    comparison = compare_models(program, FUEL)
+    for model in ModelId:
+        run = run_model(program, model, FUEL)
+        assert comparison.counts[model] == len(run.events)
+        assert comparison.halted[model] == run.halted
+        assert everything(run.initial) == everything(init_extended(program))
+        states = [run.initial] + [s for _, s in run.transitions]
+        one_by_one = stepped(
+            init_extended(program),
+            lambda s: step_extended(s, model),
+            len(run.transitions),
+        )
+        assert [everything(s) for s in one_by_one] == [everything(s) for s in states]
+
+
+def count_states(monkeypatch):
+    """Count the VirtualStates and ExtendedStates constructed from now on."""
+    made = {VirtualState: 0, ExtendedState: 0}
+    for cls in made:
+        post_init = cls.__post_init__
+
+        def counted(self, cls=cls, post_init=post_init):
+            made[cls] += 1
+            post_init(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    return made
+
+
+def test_streaming_runs_keep_no_states(monkeypatch):
+    made = count_states(monkeypatch)
+    for program in PROGRAMS:
+        made[VirtualState] = made[ExtendedState] = 0
+        trace = run_actual_trace(program, FUEL)
+        check_adequacy(program, FUEL)
+        compare_models(program, FUEL)
+        run = run_model(program, ModelId.M3, FUEL)
+        # one initial state per run, none per step
+        assert made == {VirtualState: 2, ExtendedState: 4}
+        assert len(trace.run.states) == len(trace.events) + 1
+        assert made[VirtualState] == 2 + 1 + len(trace.events) + 1
+        assert len(run.transitions) >= len(run.events)
+        assert made[ExtendedState] == 4 + 1 + len(run.transitions)

@@ -15,7 +15,7 @@ from byrdbox import (
     rename_clause,
     unify,
 )
-from byrdbox.terms import variables
+from byrdbox.terms import CyclicTerm, resolve, variables
 
 
 def term(text):
@@ -162,6 +162,30 @@ def test_compose_applies_in_order():
     second = {Var("Y"): Struct("a")}
     composed = compose(first, second)
     assert apply_subst(composed, Var("X")) == Struct("a")
+
+
+def test_resolve_reports_a_binding_that_contains_its_own_variable():
+    s = unify(term("p(Y,f(Y))"), term("p(X,X)"), resolved=False)
+    with pytest.raises(CyclicTerm) as raised:
+        resolve(s, term("q(Y)"))
+    assert raised.value.var == Var("Y")
+
+
+def test_resolve_reports_a_cycle_through_two_bindings():
+    s = {Var("X"): term("f(Y)"), Var("Y"): term("g(a,X)")}
+    with pytest.raises(CyclicTerm) as raised:
+        resolve(s, term("h(b,X)"))
+    assert raised.value.var in (Var("X"), Var("Y"))
+
+
+def test_resolve_of_a_deep_acyclic_term_is_no_cyclic_term():
+    # a chain of 5000 bindings, each one level deeper: too deep for the
+    # recursion, but without a cycle
+    s = {Var(f"V{i}"): Struct("s", (Var(f"V{i + 1}"),)) for i in range(5000)}
+    with pytest.raises(RecursionError):
+        resolve(s, Var("V0"))
+    shallow = {Var(f"V{i}"): Struct("s", (Var(f"V{i + 1}"),)) for i in range(50)}
+    assert format_term(resolve(shallow, Var("V0"))).count("s(") == 50
 
 
 # ----------------------------------------------------------------------
