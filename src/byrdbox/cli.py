@@ -41,6 +41,18 @@ def _load_program(path: str):
     return parse_program(_read(path))
 
 
+# A run ends in a result or in one of these: a cyclic binding, or a term
+# nested too deeply for Python's recursion.
+_RUN_ERRORS = (CyclicTerm, RecursionError)
+
+
+def _run_error(exc) -> tuple:
+    """(the tag `verify` prints, the message) of a run's error."""
+    if isinstance(exc, CyclicTerm):
+        return "cyclic-term", str(exc)
+    return "too-deep", "term nested too deeply"
+
+
 def cmd_trace(args) -> int:
     try:
         program = _load_program(args.program)
@@ -52,13 +64,13 @@ def cmd_trace(args) -> int:
             run = run_actual_trace(program, args.max_steps)
         else:
             run = run_model(program, ModelId(args.model), args.max_steps)
-    except CyclicTerm as exc:
-        print(f"error: {args.program}: {exc}", file=sys.stderr)
+        names = VarNames()
+        text = "\n".join(format_event(e, names) for e in run.events)
+    except _RUN_ERRORS as exc:
+        print(f"error: {args.program}: {_run_error(exc)[1]}", file=sys.stderr)
         return 1
-    events, halted = run.events, run.halted
-    names = VarNames()
-    _emit("\n".join(format_event(e, names) for e in events), args.output)
-    return 0 if halted else 2
+    _emit(text, args.output)
+    return 0 if run.halted else 2
 
 
 def cmd_reconstruct(args) -> int:
@@ -71,14 +83,17 @@ def cmd_reconstruct(args) -> int:
     q0 = initial_restricted(goal)
     try:
         result = reconstruct_trace(q0, events, final_peek=args.final_peek)
+        names = VarNames()
+        blocks = []
+        for i, q in enumerate(result.states):
+            blocks.append(f"q{i}")
+            blocks.append(format_restricted(q, names))
     except (MalformedTrace, CondViolation) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    names = VarNames()
-    blocks = []
-    for i, q in enumerate(result.states):
-        blocks.append(f"q{i}")
-        blocks.append(format_restricted(q, names))
+    except _RUN_ERRORS as exc:
+        print(f"error: {args.trace}: {_run_error(exc)[1]}", file=sys.stderr)
+        return 1
     if not result.final_known:
         blocks.append(f"q{len(result.states)}")
         blocks.append("  unknown (final event needs a successor)")
@@ -113,9 +128,10 @@ def cmd_verify(args) -> int:
             continue
         try:
             report = check_adequacy(program, args.max_steps)
-        except CyclicTerm as exc:
-            print(f"error: {path.name}: {exc}", file=sys.stderr)
-            lines.append(f"FAIL {path.name} 0 cyclic-term")
+        except _RUN_ERRORS as exc:
+            tag, message = _run_error(exc)
+            print(f"error: {path.name}: {message}", file=sys.stderr)
+            lines.append(f"FAIL {path.name} 0 {tag}")
             worst = 1
             continue
         lines.append(report.machine_line(path.name))
@@ -142,8 +158,8 @@ def cmd_compare(args) -> int:
         return 1
     try:
         comparison = compare_models(program, args.max_steps)
-    except CyclicTerm as exc:
-        print(f"error: {args.program}: {exc}", file=sys.stderr)
+    except _RUN_ERRORS as exc:
+        print(f"error: {args.program}: {_run_error(exc)[1]}", file=sys.stderr)
         return 1
     _emit(comparison.summary(), args.output)
     ok = comparison.m1_in_m2 and comparison.m2_in_m3 and all(

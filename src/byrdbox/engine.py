@@ -12,13 +12,18 @@ is deliberate and preserved.)  At every reachable state exactly one rule
 applies, or the machine halts.
 
 Resolution proper (unification, clause choice, bindings) is not part of
-the observable state.  It lives in a per-derivation `Shadow` that the
-rules consult: one global substitution per derivation branch, snapshotted
-at every node's call so that a Redo can roll it back to the choice point.
+the observable state.  It is bookkeeping that the rules consult, kept in
+fields of the same state that equality and repr skip: one global
+substitution per derivation branch, snapshotted at every node's call so
+that a Redo can roll it back to the choice point.  A binding dict is
+never updated in place (`unify` returns a new one), so a snapshot is the
+dict itself, not a copy.
 
 A run fires its rules in place on one mutable `Machine`.  A frozen
 `VirtualState` is a snapshot of it, made only where states are kept
-(`step`, `run_virtual`); the streaming runs keep none.
+(`step`, `run_virtual`); the streaming runs keep none.  The other engine
+(multimodel) shares this layout, the machine and the clause selection
+(`_peek_visit`, `_take`).
 """
 
 from __future__ import annotations
@@ -44,7 +49,6 @@ __all__ = [
     "NodeId",
     "EPSILON",
     "RuleId",
-    "Shadow",
     "VirtualState",
     "Machine",
     "drive",
@@ -86,26 +90,6 @@ class DeterminismViolation(Exception):
 
 
 @dataclass(frozen=True)
-class Shadow:
-    """Resolution bookkeeping behind the observable state.
-
-    bindings    -- the accumulated substitution of the current branch
-    stamp       -- renaming counter (stamps handed to clause copies)
-    call_preds  -- per node, the predication as called (resolved snapshot)
-    call_snaps  -- per node, the substitution snapshot taken at its call
-    chosen      -- per node, the renamed clause instance in use
-    failed      -- per node, True when its visit found no usable clause
-    """
-
-    bindings: dict
-    stamp: int
-    call_preds: dict
-    call_snaps: dict
-    chosen: dict
-    failed: dict
-
-
-@dataclass(frozen=True)
 class VirtualState:
     tree: frozenset
     current: NodeId
@@ -117,7 +101,13 @@ class VirtualState:
     complete: bool
     failing: bool
     program: Program = field(compare=False, repr=False)
-    shadow: Shadow = field(compare=False, repr=False)
+    # Resolution bookkeeping, not observable: neither compared nor shown.
+    bindings: dict = field(compare=False, repr=False)    # current branch
+    stamp: int = field(compare=False, repr=False)        # renaming counter
+    call_preds: dict = field(compare=False, repr=False)  # node -> as called
+    call_snaps: dict = field(compare=False, repr=False)  # node -> bindings then
+    chosen: dict = field(compare=False, repr=False)      # node -> clause in use
+    failed: dict = field(compare=False, repr=False)      # node -> visit drained
     # Indexes (see dewey): every node, and the choice points, as sorted
     # tuples.  Derived from `tree` and `boxes` when not given.
     order: tuple = field(default=None, compare=False, repr=False)
@@ -174,7 +164,7 @@ def may_have_new_brother(state: VirtualState, v: NodeId) -> bool:
     clause currently chosen at v's parent.  The root has no brother."""
     if v == EPSILON:
         return False
-    chosen = state.shadow.chosen.get(parent(v))
+    chosen = state.chosen.get(parent(v))
     return chosen is not None and v[-1] < len(chosen.body)
 
 
@@ -199,7 +189,7 @@ def box_init(program: Program, atom: Term, bindings: dict):
 def updated_pred(state: VirtualState, v: NodeId) -> Term:
     """The node's predication with all bindings accumulated so far applied
     (the post-success value shown by Exit events)."""
-    return resolve(state.shadow.bindings, state.shadow.call_preds[v])
+    return resolve(state.bindings, state.call_preds[v])
 
 
 # ----------------------------------------------------------------------
@@ -223,7 +213,7 @@ class _Peek:
 
 
 def _peek_visit(state: VirtualState, v: NodeId, base: dict) -> _Peek:
-    goal = state.shadow.call_preds[v]
+    goal = state.call_preds[v]
     skipped = 0
     for c in state.boxes.get(v, ()):
         if unify(goal, c.trial.head, base, resolved=False) is not BOTTOM:
@@ -244,21 +234,20 @@ def _pending_visit(state: VirtualState) -> Optional[_Peek]:
     u = state.current
     if state.fresh.get(u, False):
         if not state.complete:
-            return _peek_visit(state, u, state.shadow.bindings)
+            return _peek_visit(state, u, state.bindings)
     elif state.failing or state.complete:
         v = greatest_choice_point(state, u)
         if v is not None:
             # A Redo rolls the substitution back to the choice point's call.
-            return _peek_visit(state, v, state.shadow.call_snaps[v])
+            return _peek_visit(state, v, state.call_snaps[v])
     return None
 
 
 def _rule_conditions(state: VirtualState, peek: Optional[_Peek]) -> dict:
     u = state.current
-    sh = state.shadow
     fst = state.fresh.get(u, False)
     ct, flr = state.complete, state.failing
-    failed_here = sh.failed.get(u, False)
+    failed_here = state.failed.get(u, False)
     hcp_u = has_choice_point(state, u)
 
     conds = {}
@@ -326,14 +315,6 @@ def init_state(program: Program) -> VirtualState:
     level transition itself is not modeled).  An undefined goal predicate
     simply yields an empty root box and a Call/Fail trace."""
     boxes, called = box_init(program, program.goal, {})
-    shadow = Shadow(
-        bindings={},
-        stamp=0,
-        call_preds={EPSILON: called},
-        call_snaps={EPSILON: {}},
-        chosen={},
-        failed={},
-    )
     return VirtualState(
         tree=frozenset({EPSILON}),
         current=EPSILON,
@@ -345,7 +326,12 @@ def init_state(program: Program) -> VirtualState:
         complete=False,
         failing=False,
         program=program,
-        shadow=shadow,
+        bindings={},
+        stamp=0,
+        call_preds={EPSILON: called},
+        call_snaps={EPSILON: {}},
+        chosen={},
+        failed={},
     )
 
 
@@ -366,35 +352,26 @@ def _frozen(value):
 class Machine:
     """The one mutable state that a run fires its rules on, in place.
 
-    It holds the fields of a state and of its shadow side by side;
-    `shadow` is the machine itself.  It owns every set and map it holds:
+    It holds the fields of a state.  It owns every set and map it holds:
     it copies them from the state it starts from, and `snapshot` copies
     them into a new frozen state.  The other engine's machine is the
-    subclass that names that engine's state and shadow classes."""
+    subclass that names that engine's state class."""
 
-    state_class, shadow_class = VirtualState, Shadow
+    state_class = VirtualState
 
     def __init__(self, state):
-        for holder in (state, state.shadow):
-            for f in fields(holder):
-                if f.name != "shadow":
-                    setattr(self, f.name, _thawed(getattr(holder, f.name)))
+        for f in fields(state):
+            setattr(self, f.name, _thawed(getattr(state, f.name)))
         self.halted = False  # set by the run that drives the machine
 
-    @property
-    def shadow(self):
-        return self
+    def set_box(self, v, box):
+        self.boxes[v] = box
+        self.cps = with_node(self.cps, v, bool(box))
 
     def snapshot(self):
-        def frozen(cls):
-            return {
-                f.name: _frozen(getattr(self, f.name))
-                for f in fields(cls)
-                if f.name != "shadow"
-            }
-
-        shadow = self.shadow_class(**frozen(self.shadow_class))
-        return self.state_class(**frozen(self.state_class), shadow=shadow)
+        return self.state_class(**{
+            f.name: _frozen(getattr(self, f.name)) for f in fields(self.state_class)
+        })
 
 
 def drive(machine: Machine, max_steps: int):
@@ -414,22 +391,30 @@ def drive(machine: Machine, max_steps: int):
     machine.halted = _select(machine)[0] is None
 
 
-def _visit(m: Machine, v: NodeId, peek: _Peek) -> None:
-    """Consume the visit decided by `peek` at node v: drop the silently
-    skipped clauses, pop and rename the chosen one, extend the bindings."""
+def _take(m: Machine, v: NodeId, peek: _Peek):
+    """Consume the visit decided by `peek` at node v, in either engine:
+    drop the silently skipped clauses and the chosen one from v's box, and
+    return (the chosen clause renamed apart, the unifier extending
+    `peek.base`); None when the box is drained."""
+    m.set_box(v, m.boxes[v][peek.skipped + 1:])
     if peek.clause is None:
-        m.boxes[v] = ()
-        m.failed[v] = True
-        m.bindings = dict(peek.base)
-        return
+        return None
     m.stamp += 1
     inst = rename_clause(peek.clause, m.stamp)
     bindings = unify(m.call_preds[v], inst.head, peek.base, resolved=False)
     assert bindings is not BOTTOM
-    m.boxes[v] = m.boxes[v][peek.skipped + 1:]
-    m.bindings = bindings
-    m.chosen[v] = inst
-    m.failed[v] = False
+    return inst, bindings
+
+
+def _visit(m: Machine, v: NodeId, peek: _Peek) -> None:
+    """Consume the visit decided by `peek` at node v and extend the
+    bindings, or roll them back to `peek.base` when the box is drained."""
+    taken = _take(m, v, peek)
+    m.failed[v] = taken is None
+    if taken is None:
+        m.bindings = peek.base
+    else:
+        m.chosen[v], m.bindings = taken
 
 
 def _child_slot(m: Machine, atom: Term, v: NodeId) -> None:
@@ -441,14 +426,13 @@ def _child_slot(m: Machine, atom: Term, v: NodeId) -> None:
     m.tree.add(v)
     m.numbers[v] = m.counter
     m.preds[v] = called
-    m.boxes[v] = box
+    m.set_box(v, box)
     m.fresh[v] = True
     m.call_preds[v] = called
-    m.call_snaps[v] = dict(m.bindings)
+    m.call_snaps[v] = m.bindings
     m.failed.pop(v, None)
     m.chosen.pop(v, None)
     m.order = with_node(m.order, v)
-    m.cps = with_node(m.cps, v, bool(box))
 
 
 def _prune(m: Machine, doomed) -> None:
@@ -477,7 +461,6 @@ def _fire(m: Machine, rule: RuleId, peek: Optional[_Peek]) -> None:
     u = m.current
     if rule in (RuleId.CALL1, RuleId.CALL2):
         _visit(m, u, peek)
-        m.cps = with_node(m.cps, u, bool(m.boxes[u]))
         m.fresh[u] = False
         m.failing = False
         if rule is RuleId.CALL2:
@@ -511,7 +494,6 @@ def _fire(m: Machine, rule: RuleId, peek: Optional[_Peek]) -> None:
         m.cps = split_after(m.cps, v)[0]
         _prune(m, doomed)
         _visit(m, v, peek)
-        m.cps = with_node(m.cps, v, bool(m.boxes[v]))
         m.current = v
         m.failing = False
         m.complete = False

@@ -18,6 +18,11 @@ Three mutually exclusive models select how backtracking is traced:
     m3  original box model: full stepwise undo; every completed box is
         re-entered (Redo) and closed (Fail) in reverse order
 
+State layout, live machine and clause selection are the simplified
+machine's (see engine): the resolution bookkeeping sits in fields that
+equality and repr skip, binding dicts are shared, never copied, and
+`_peek_visit` and `_take` choose each clause.
+
 Which rules emit which events is not prescribed anywhere usable; the
 mapping below is frozen against the three reference traces of the second
 worked example (28, 32 and 44 events) and against the first example,
@@ -41,15 +46,10 @@ from .dewey import (
     with_node,
 )
 from .engine import (
-    EPSILON, DeterminismViolation, Machine, NodeId, node_str, parent,
+    EPSILON, DeterminismViolation, Machine, NodeId, _peek_visit, _take,
+    node_str, parent,
 )
-from .terms import (
-    BOTTOM,
-    Program,
-    rename_clause,
-    resolve,
-    unify,
-)
+from .terms import Program, resolve
 from .tracing import Port, TraceEvent
 
 __all__ = [
@@ -100,17 +100,6 @@ class ExtRuleId(Enum):
 
 
 @dataclass(frozen=True)
-class ExtShadow:
-    bindings: dict
-    stamp: int
-    pending: Optional[dict]  # bindings to adopt when the chosen clause commits
-    call_preds: dict         # node -> predication as (re)called
-    call_snaps: dict         # node -> substitution snapshot at that call
-    display: dict            # node -> last shown instance (call, then exit values)
-    marks: frozenset         # nodes closed during the current reverse sweep (m3)
-
-
-@dataclass(frozen=True)
 class ExtendedState:
     tree: frozenset
     current: NodeId
@@ -119,14 +108,23 @@ class ExtendedState:
     preds: dict        # skeleton predications (raw body atoms)
     chosen: dict       # node -> renamed clause instance currently in use
     boxes: dict
-    sigmas: dict       # node -> substitution active at the node
+    # node -> substitution active at the node: the paper's per-node
+    # substitution parameter, compared in state equality; no rule reads it
+    sigmas: dict
     fresh: dict
     complete: bool     # ct
     failing: bool      # flr
     success: bool      # scs
     reverse: bool      # bk3
     program: Program = field(compare=False, repr=False)
-    shadow: ExtShadow = field(compare=False, repr=False)
+    # Resolution bookkeeping, not observable: neither compared nor shown.
+    bindings: dict = field(compare=False, repr=False)
+    stamp: int = field(compare=False, repr=False)
+    pending: Optional[dict] = field(compare=False, repr=False)  # to commit
+    call_preds: dict = field(compare=False, repr=False)  # node -> as (re)called
+    call_snaps: dict = field(compare=False, repr=False)  # node -> bindings then
+    display: dict = field(compare=False, repr=False)     # node -> last shown
+    marks: frozenset = field(compare=False, repr=False)  # closed by m3's sweep
     # Indexes (see dewey): every node, and the choice points, as sorted
     # tuples.  Derived from `tree` and `boxes` when not given.
     order: tuple = field(default=None, compare=False, repr=False)
@@ -171,13 +169,9 @@ def _reenterable_child(state, u):
     live = [
         w
         for w in _children(state, u)
-        if not state.fresh.get(w, False) and w not in state.shadow.marks
+        if not state.fresh.get(w, False) and w not in state.marks
     ]
     return live[-1] if live else None
-
-
-def _lp(v) -> int:
-    return len(v) + 1
 
 
 # ----------------------------------------------------------------------
@@ -192,7 +186,6 @@ _CLOSED = dict.fromkeys(ExtRuleId, False)
 
 def _gates(state: ExtendedState, model: ModelId) -> dict:
     u = state.current
-    sh = state.shadow
     fst = state.fresh.get(u, False)
     ct, flr, scs, bk3 = state.complete, state.failing, state.success, state.reverse
     leaf = _is_leaf(state, u)
@@ -204,9 +197,9 @@ def _gates(state: ExtendedState, model: ModelId) -> dict:
     g[ExtRuleId.CALLONE] = fst and leaf and not ct and not flr and not bk3
     g[ExtRuleId.CHOICE] = (
         not fst and leaf and not ct and not bk3 and not flr
-        and cc is None and bool(box) and sh.pending is None
+        and cc is None and bool(box) and state.pending is None
     )
-    committed = cc is not None and sh.pending is not None
+    committed = cc is not None and state.pending is not None
     g[ExtRuleId.FACTSUCCEEDS] = (
         not fst and leaf and not ct and committed and cc.is_fact
     )
@@ -217,7 +210,7 @@ def _gates(state: ExtendedState, model: ModelId) -> dict:
     g[ExtRuleId.EXIT2] = not fst and scs and _has_next_node(state, u) and not ct
     g[ExtRuleId.LEAFFAIL1] = (
         not fst and leaf and not ct and not bk3 and not flr and not scs
-        and cc is None and not box and sh.pending is None
+        and cc is None and not box and state.pending is None
     )
     # The two leaffail2 variants cover a chosen clause whose unification
     # fails; clause choice here already skips non-unifying heads silently,
@@ -283,15 +276,6 @@ def applicable_extended(state: ExtendedState, model: ModelId) -> Optional[ExtRul
 
 def init_extended(program: Program) -> ExtendedState:
     called = program.goal
-    shadow = ExtShadow(
-        bindings={},
-        stamp=0,
-        pending=None,
-        call_preds={EPSILON: called},
-        call_snaps={EPSILON: {}},
-        display={EPSILON: called},
-        marks=frozenset(),
-    )
     return ExtendedState(
         tree=frozenset({EPSILON}),
         current=EPSILON,
@@ -309,7 +293,13 @@ def init_extended(program: Program) -> ExtendedState:
         success=False,
         reverse=False,
         program=program,
-        shadow=shadow,
+        bindings={},
+        stamp=0,
+        pending=None,
+        call_preds={EPSILON: called},
+        call_snaps={EPSILON: {}},
+        display={EPSILON: called},
+        marks=frozenset(),
     )
 
 
@@ -317,11 +307,7 @@ class ExtMachine(Machine):
     """The live machine of this engine (see engine.Machine), with the
     pieces its rules share."""
 
-    state_class, shadow_class = ExtendedState, ExtShadow
-
-    def set_box(self, v, box):
-        self.boxes[v] = box
-        self.cps = with_node(self.cps, v, bool(box))
+    state_class = ExtendedState
 
     def prune_after(self, v):
         """Tear down everything behind a resumed choice point: interior
@@ -370,7 +356,8 @@ class ExtMachine(Machine):
 
 
 def _event(port, r, node, pred, chrono):
-    return TraceEvent(chrono=chrono, r=r, l=_lp(node), port=port, pred=pred)
+    # l is engine's lpath: the number of nodes on the root-to-node path
+    return TraceEvent(chrono=chrono, r=r, l=len(node) + 1, port=port, pred=pred)
 
 
 def _num_for(m, model, node):
@@ -395,25 +382,15 @@ def _fire(m: ExtMachine, model: ModelId, chrono: int, rule: ExtRuleId):
         m.success = False
         m.failing = False
         m.call_preds[u] = called
-        m.call_snaps[u] = dict(m.bindings)
+        m.call_snaps[u] = m.bindings
         m.display[u] = called
         m.marks.discard(u)
         event = _event(Port.CALL, _num_for(m, model, u), u, called, chrono)
 
     elif rule is ExtRuleId.CHOICE:
-        base = m.call_snaps[u]
-        goal = m.call_preds[u]
-        box = list(m.boxes[u])
-        while box:
-            if unify(goal, box[0].trial.head, base, resolved=False) is not BOTTOM:
-                m.stamp += 1
-                inst = rename_clause(box[0], m.stamp)
-                m.chosen[u] = inst
-                m.pending = unify(goal, inst.head, base, resolved=False)
-                box.pop(0)
-                break
-            box.pop(0)
-        m.set_box(u, tuple(box))
+        taken = _take(m, u, _peek_visit(m, u, m.call_snaps[u]))
+        if taken is not None:
+            m.chosen[u], m.pending = taken
 
     elif rule is ExtRuleId.FACTSUCCEEDS:
         m.bindings = m.pending

@@ -184,6 +184,15 @@ class _Parser:
             raise ParseError(f"expected {kind!r}, found {tok.text!r}", tok.line, tok.column)
         return tok
 
+    def run(self, method):
+        """Call a parsing method; a term nested too deeply for Python's
+        recursion is a ParseError at the token the recursion stopped at."""
+        try:
+            return method()
+        except RecursionError:
+            tok = self.peek()
+            raise ParseError("term nested too deeply", tok.line, tok.column) from None
+
     def term(self) -> Term:
         tok = self.next()
         if tok.kind == "var":
@@ -238,7 +247,7 @@ class _Parser:
 def parse_term(text: str) -> Term:
     """Parse a single term, e.g. for a goal given on the command line."""
     parser = _Parser(text)
-    t = parser.term()
+    t = parser.run(parser.term)
     tok = parser.peek()
     if tok.kind != "eof":
         raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.column)
@@ -255,7 +264,7 @@ def parse_program(source: str) -> Program:
     clauses = []
     goal = None
     while parser.peek().kind != "eof":
-        kind, payload, tok = parser.clause_or_directive()
+        kind, payload, tok = parser.run(parser.clause_or_directive)
         if kind == "goal":
             if goal is not None:
                 raise ParseError("duplicate goal directive", tok.line, tok.column)
@@ -371,12 +380,17 @@ def unify(a: Term, b: Term, subst: Optional[dict] = None, resolved: bool = True)
     resolved, hence idempotent: applying it twice equals applying it once.
     The engines pass resolved=False to keep the binding store triangular
     (walked on demand), which avoids rebuilding it on every unification.
+    `subst` is never mutated: the result is a new dict, and nothing else
+    updates a binding dict in place, so the engines share them uncopied.
+    Bindings may be cyclic (no occur check): a compound pair reached again
+    through them is skipped, as it is already being unified.
     """
     s = dict(subst) if subst else {}
     stack = [(a, b)]
+    seen = None  # (id, id) of compound pairs reached through a binding
     while stack:
-        x, y = stack.pop()
-        x, y = walk(s, x), walk(s, y)
+        x0, y0 = stack.pop()
+        x, y = walk(s, x0), walk(s, y0)
         if x == y:
             continue
         if isinstance(x, Var) and isinstance(y, Var):
@@ -391,6 +405,13 @@ def unify(a: Term, b: Term, subst: Optional[dict] = None, resolved: bool = True)
         elif isinstance(y, Var):
             s[y] = x
         elif x.functor == y.functor and x.arity == y.arity:
+            if x is not x0 or y is not y0:
+                key = (id(x), id(y))
+                if seen is None:
+                    seen = set()
+                elif key in seen:
+                    continue
+                seen.add(key)
             stack.extend(zip(x.args, y.args))
         else:
             return BOTTOM

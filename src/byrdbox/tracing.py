@@ -106,7 +106,7 @@ def extract_event(rule: RuleId, s_before: VirtualState, chrono: int) -> TraceEve
     elif rule is RuleId.FAIL2:
         # A failing box reports the goal as it was called, not any value a
         # since-undone success may have written into the state.
-        node, pred = u, s_before.shadow.call_preds[u]
+        node, pred = u, s_before.call_preds[u]
     else:
         node = greatest_choice_point(s_before, u)
         pred = s_before.preds[node]

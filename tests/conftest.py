@@ -54,18 +54,16 @@ def load_golden(name: str) -> list:
 def stored_nodes(state):
     """Every node a machine or rebuilt state stores: its current node,
     the nodes of its set and tuple fields, the keys of its per-node maps
-    (the shadow's included), and the values of the inverse numbering."""
+    (the bookkeeping's included), and the values of the inverse numbering."""
     yield state.current
-    holders = [state] + ([state.shadow] if hasattr(state, "shadow") else [])
-    for holder in holders:
-        for f in fields(holder):
-            value = getattr(holder, f.name)
-            if f.name == "by_number":
-                yield from (value or {}).values()
-            elif isinstance(value, dict):
-                yield from (k for k in value if isinstance(k, tuple))
-            elif isinstance(value, (frozenset, tuple)) and f.name != "current":
-                yield from value
+    for f in fields(state):
+        value = getattr(state, f.name)
+        if f.name == "by_number":
+            yield from (value or {}).values()
+        elif isinstance(value, dict):
+            yield from (k for k in value if isinstance(k, tuple))
+        elif isinstance(value, (frozenset, tuple)) and f.name != "current":
+            yield from value
 
 
 def assert_nodes_canonical(state):

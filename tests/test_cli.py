@@ -251,3 +251,89 @@ def test_verify_reports_a_cyclic_binding_and_goes_on(tmp_path, capsys, data_dir)
         "PASS b_good.pl 10 -",
     ]
     assert captured.err.splitlines() == [f"error: a_cyc.pl: {CYCLIC_ERROR}"]
+
+
+# Unification has no occur check: A = f(A) and B = f(f(B)) are both cyclic,
+# and unifying A with B must still return.
+TWO_CYCLES = "p(X,X,Y,Y,Z,Z).\n:- p(A,f(A),B,f(f(B)),A,B).\n"
+
+
+@pytest.mark.parametrize("command", ["trace", "compare"])
+def test_two_cyclic_bindings_end_in_a_one_line_error(tmp_path, capsys, command):
+    cyc = tmp_path / "two.pl"
+    cyc.write_text(TWO_CYCLES, encoding="utf-8")
+    code = main([command, "--program", str(cyc)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: {cyc}: cyclic term: variable B is bound to a term containing it"
+    ]
+
+
+def test_verify_reports_two_cyclic_bindings(tmp_path, capsys):
+    (tmp_path / "two.pl").write_text(TWO_CYCLES, encoding="utf-8")
+    code = main(["verify", "--corpus", str(tmp_path)])
+    assert code == 1
+    assert capsys.readouterr().out.splitlines() == ["FAIL two.pl 0 cyclic-term"]
+
+
+def _nat(depth):
+    return "s(" * depth + "z" + ")" * depth
+
+
+# Parses, but running it recurses deeper than Python allows.
+DEEP_RUN = f"nat(z).\nnat(s(X)) :- nat(X).\n:- nat({_nat(600)}).\n"
+# Too deep for the parser itself.
+DEEP_PARSE = f"nat(z).\nnat(s(X)) :- nat(X).\n:- nat({_nat(2000)}).\n"
+
+
+@pytest.mark.parametrize("argv", [["trace"], ["trace", "--model", "m2"], ["compare"]])
+def test_too_deep_term_is_a_one_line_error(tmp_path, capsys, argv):
+    run, parse = tmp_path / "run.pl", tmp_path / "parse.pl"
+    run.write_text(DEEP_RUN, encoding="utf-8")
+    parse.write_text(DEEP_PARSE, encoding="utf-8")
+    assert main(argv + ["--program", str(run)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {run}: term nested too deeply"]
+    assert main(argv + ["--program", str(parse)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("error: term nested too deeply (line 3, column ")
+
+
+def test_verify_reports_too_deep_terms_and_goes_on(tmp_path, capsys, data_dir):
+    (tmp_path / "a_run.pl").write_text(DEEP_RUN, encoding="utf-8")
+    (tmp_path / "b_parse.pl").write_text(DEEP_PARSE, encoding="utf-8")
+    (tmp_path / "c_good.pl").write_text(
+        (data_dir / "example1.pl").read_text(encoding="utf-8"), encoding="utf-8"
+    )
+    code = main(["verify", "--corpus", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out.splitlines() == [
+        "FAIL a_run.pl 0 too-deep",
+        "FAIL b_parse.pl 0 parse-error",
+        "PASS c_good.pl 10 -",
+    ]
+    err = captured.err.splitlines()
+    assert err[0] == "error: a_run.pl: term nested too deeply"
+    assert err[1].startswith("error: b_parse.pl: term nested too deeply (line 3, ")
+    assert len(err) == 2
+
+
+def test_reconstruct_reports_too_deep_terms(tmp_path, capsys):
+    # parses, but printing the rebuilt states recurses too deeply
+    goal = f"nat({_nat(600)})"
+    trace = tmp_path / "deep.txt"
+    trace.write_text(f"1 1 1 Call {goal}\n", encoding="utf-8")
+    assert main(["reconstruct", "--trace", str(trace), "--goal", goal]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {trace}: term nested too deeply"]
+    trace.write_text(f"1 1 1 Call {_nat(3000)}\n", encoding="utf-8")
+    assert main(["reconstruct", "--trace", str(trace), "--goal", "z"]) == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: term nested too deeply (line 1, column ")

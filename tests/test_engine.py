@@ -209,7 +209,12 @@ def test_greatest_choice_point_takes_lexicographic_max(ex1_program):
         complete=False,
         failing=False,
         program=base.program,
-        shadow=base.shadow,
+        bindings=base.bindings,
+        stamp=base.stamp,
+        call_preds=base.call_preds,
+        call_snaps=base.call_snaps,
+        chosen=base.chosen,
+        failed=base.failed,
     )
     enumerated = sorted(v for v in state.tree if state.boxes.get(v))
     assert greatest_choice_point(state, EPSILON) == (1, 2) == enumerated[-1]
@@ -232,8 +237,8 @@ def test_box_init_examples(ex1_program):
     assert [c.id for c in boxes] == ["c2", "c3"]
     assert alpha_equal([called], [parse_term("p(X)")])
     s3 = run.states[2]
-    atom = s3.shadow.chosen[EPSILON].body[1]
-    boxes, called = box_init(s3.program, atom, s3.shadow.bindings)
+    atom = s3.chosen[EPSILON].body[1]
+    boxes, called = box_init(s3.program, atom, s3.bindings)
     assert [c.id for c in boxes] == ["c4"]
     assert called == parse_term("eq(a,b)")
     boxes, called = box_init(s1.program, Struct("nosuch"), {})

@@ -48,11 +48,9 @@ PROGRAMS = programs()
 
 
 def everything(state):
-    """Every field of a state, its shadow's and its indexes included (state
+    """Every field of a state, its bookkeeping and indexes included (state
     equality compares the observable parameters only)."""
-    out = {f.name: getattr(state, f.name) for f in fields(state) if f.name != "program"}
-    out["shadow"] = {f.name: getattr(state.shadow, f.name) for f in fields(state.shadow)}
-    return out
+    return {f.name: getattr(state, f.name) for f in fields(state) if f.name != "program"}
 
 
 def stepped(state, fire, budget):

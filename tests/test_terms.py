@@ -188,6 +188,32 @@ def test_resolve_of_a_deep_acyclic_term_is_no_cyclic_term():
     assert format_term(resolve(shallow, Var("V0"))).count("s(") == 50
 
 
+def test_unify_returns_on_two_cyclic_bindings_out_of_phase():
+    # A = f(A) and B = f(f(B)) stand for the same infinite term; the pair
+    # (A, B) comes round again through the bindings and is not expanded twice
+    a, b = Var("A"), Var("B")
+    s = {a: term("f(A)"), b: term("f(f(B))")}
+    assert unify(a, b, s, resolved=False) is not BOTTOM
+    assert unify(a, term("g(A)"), s, resolved=False) is BOTTOM
+
+
+def test_unify_leaves_its_input_substitution_alone():
+    s = {Var("X"): term("f(Y)")}
+    out = unify(term("p(X,Y)"), term("p(f(a),Z)"), s, resolved=False)
+    assert s == {Var("X"): term("f(Y)")}
+    assert out is not s and out[Var("Y")] == Struct("a")
+
+
+def test_too_deep_term_is_a_parse_error():
+    deep = "s(" * 3000 + "z" + ")" * 3000
+    with pytest.raises(ParseError, match="term nested too deeply"):
+        parse_term(deep)
+    with pytest.raises(ParseError, match="term nested too deeply") as raised:
+        parse_program(f"nat(z).\n:- nat({deep}).\n")
+    assert raised.value.line == 2
+    assert parse_term("s(" * 100 + "z" + ")" * 100).arity == 1
+
+
 # ----------------------------------------------------------------------
 # Printing
 # ----------------------------------------------------------------------
