@@ -54,46 +54,27 @@ def _run_error(exc) -> tuple:
 
 
 def cmd_trace(args) -> int:
-    try:
-        program = _load_program(args.program)
-    except (ParseError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        if args.model == "m1":
-            run = run_actual_trace(program, args.max_steps)
-        else:
-            run = run_model(program, ModelId(args.model), args.max_steps)
-        names = VarNames()
-        text = "\n".join(format_event(e, names) for e in run.events)
-    except _RUN_ERRORS as exc:
-        print(f"error: {args.program}: {_run_error(exc)[1]}", file=sys.stderr)
-        return 1
-    _emit(text, args.output)
+    program = _load_program(args.program)
+    if args.model == "m1":
+        run = run_actual_trace(program, args.max_steps)
+    else:
+        run = run_model(program, ModelId(args.model), args.max_steps)
+    names = VarNames()
+    _emit("\n".join(format_event(e, names) for e in run.events), args.output)
     return 0 if run.halted else 2
 
 
 def cmd_reconstruct(args) -> int:
-    try:
-        goal = parse_term(args.goal)
-        events = parse_trace(_read(args.trace))
-    except (ParseError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    q0 = initial_restricted(goal)
-    try:
-        result = reconstruct_trace(q0, events, final_peek=args.final_peek)
-        names = VarNames()
-        blocks = []
-        for i, q in enumerate(result.states):
-            blocks.append(f"q{i}")
-            blocks.append(format_restricted(q, names))
-    except (MalformedTrace, CondViolation) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except _RUN_ERRORS as exc:
-        print(f"error: {args.trace}: {_run_error(exc)[1]}", file=sys.stderr)
-        return 1
+    goal = parse_term(args.goal)
+    events = parse_trace(_read(args.trace))
+    result = reconstruct_trace(
+        initial_restricted(goal), events, final_peek=args.final_peek
+    )
+    names = VarNames()
+    blocks = []
+    for i, q in enumerate(result.states):
+        blocks.append(f"q{i}")
+        blocks.append(format_restricted(q, names))
     if not result.final_known:
         blocks.append(f"q{len(result.states)}")
         blocks.append("  unknown (final event needs a successor)")
@@ -151,16 +132,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    try:
-        program = _load_program(args.program)
-    except (ParseError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        comparison = compare_models(program, args.max_steps)
-    except _RUN_ERRORS as exc:
-        print(f"error: {args.program}: {_run_error(exc)[1]}", file=sys.stderr)
-        return 1
+    comparison = compare_models(_load_program(args.program), args.max_steps)
     _emit(comparison.summary(), args.output)
     ok = comparison.m1_in_m2 and comparison.m2_in_m3 and all(
         comparison.halted.values()
@@ -220,7 +192,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "verify" and not args.program and not args.corpus:
         parser.error("verify needs --program or --corpus")
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ParseError, OSError, MalformedTrace, CondViolation) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+    except _RUN_ERRORS as exc:
+        source = args.trace if args.command == "reconstruct" else args.program
+        print(f"error: {source}: {_run_error(exc)[1]}", file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

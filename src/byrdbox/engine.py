@@ -435,8 +435,11 @@ def _child_slot(m: Machine, atom: Term, v: NodeId) -> None:
     m.order = with_node(m.order, v)
 
 
-def _prune(m: Machine, doomed) -> None:
-    """Delete the `doomed` nodes from the tree and every map."""
+def _prune(m: Machine, v: NodeId) -> None:
+    """Backtracking to v deletes every node lexicographically after it,
+    from the tree, both indexes and every map."""
+    m.order, doomed = split_after(m.order, v)
+    m.cps = split_after(m.cps, v)[0]
     m.tree.difference_update(doomed)
     for table in (m.numbers, m.preds, m.boxes, m.fresh,
                   m.call_preds, m.call_snaps, m.chosen, m.failed):
@@ -459,23 +462,15 @@ def _fire(m: Machine, rule: RuleId, peek: Optional[_Peek]) -> None:
     """Fire `rule` on the machine in place; `peek` is the clause scan
     `_select` made for the visit of a Call or Redo rule."""
     u = m.current
-    if rule in (RuleId.CALL1, RuleId.CALL2):
-        _visit(m, u, peek)
-        m.fresh[u] = False
-        m.failing = False
-        if rule is RuleId.CALL2:
-            _child_slot(m, m.chosen[u].body[0], child(u, 1))
-
-    elif rule is RuleId.EXIT1:
+    if rule in (RuleId.EXIT1, RuleId.EXIT2):
         m.preds[u] = resolve(m.bindings, m.call_preds[u])
-        m.current = parent(u)
-        if u == EPSILON:
-            m.complete = True
-
-    elif rule is RuleId.EXIT2:
-        m.preds[u] = resolve(m.bindings, m.call_preds[u])
-        w, i = parent(u), u[-1]
-        _child_slot(m, m.chosen[w].body[i], child(w, i + 1))
+        if rule is RuleId.EXIT1:
+            m.current = parent(u)
+            if u == EPSILON:
+                m.complete = True
+        else:
+            w, i = parent(u), u[-1]
+            _child_slot(m, m.chosen[w].body[i], child(w, i + 1))
 
     elif rule is RuleId.FAIL2:
         m.current = parent(u)
@@ -487,17 +482,18 @@ def _fire(m: Machine, rule: RuleId, peek: Optional[_Peek]) -> None:
         if u == EPSILON or (m.current == EPSILON and has_choice_point(m, EPSILON)):
             m.complete = True
 
-    elif rule in (RuleId.REDO1, RuleId.REDO2):
-        v = greatest_choice_point(m, u)
-        # Backtracking to v deletes every node lexicographically after it.
-        m.order, doomed = split_after(m.order, v)
-        m.cps = split_after(m.cps, v)[0]
-        _prune(m, doomed)
+    else:  # Call1, Call2, Redo1, Redo2: a visit; Call2 and Redo2 enter a body
+        if rule in (RuleId.CALL1, RuleId.CALL2):
+            v = u
+            m.fresh[u] = False
+        else:
+            v = greatest_choice_point(m, u)
+            _prune(m, v)
+            m.current = v
+            m.complete = False
         _visit(m, v, peek)
-        m.current = v
         m.failing = False
-        m.complete = False
-        if rule is RuleId.REDO2:
+        if rule in (RuleId.CALL2, RuleId.REDO2):
             _child_slot(m, m.chosen[v].body[0], child(v, 1))
 
 

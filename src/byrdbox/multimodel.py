@@ -23,6 +23,11 @@ machine's (see engine): the resolution bookkeeping sits in fields that
 equality and repr skip, binding dicts are shared, never copied, and
 `_peek_visit` and `_take` choose each clause.
 
+The rule table has 16 rules.  The paper's leaffail2 is not among them:
+it fails a node whose chosen clause's head does not unify, and
+`_peek_visit` skips such clauses silently before one is chosen, so it
+could never fire.
+
 Which rules emit which events is not prescribed anywhere usable; the
 mapping below is frozen against the three reference traces of the second
 worked example (28, 32 and 44 events) and against the first example,
@@ -83,8 +88,6 @@ class ExtRuleId(Enum):
     EXIT1 = "exit1"
     EXIT2 = "exit2"
     LEAFFAIL1 = "leaffail1"
-    LEAFFAIL2_M12 = "leaffail2_m12"
-    LEAFFAIL2_M3 = "leaffail2_m3"
     TREEFAIL_M12 = "treefail_m12"
     TREEFAIL_M2 = "treefail_m2"
     REDO_M1 = "redo_m1"
@@ -212,11 +215,6 @@ def _gates(state: ExtendedState, model: ModelId) -> dict:
         not fst and leaf and not ct and not bk3 and not flr and not scs
         and cc is None and not box and state.pending is None
     )
-    # The two leaffail2 variants cover a chosen clause whose unification
-    # fails; clause choice here already skips non-unifying heads silently,
-    # so these never fire.  They stay in the rule table for completeness.
-    g[ExtRuleId.LEAFFAIL2_M12] = False
-    g[ExtRuleId.LEAFFAIL2_M3] = False
     g[ExtRuleId.TREEFAIL_M12] = (
         (m1 or m2)
         and not fst and not leaf and flr and not ct and not _hcp(state, u)
@@ -328,13 +326,10 @@ class ExtMachine(Machine):
         self.marks.difference_update(doomed)
         for y in resets:
             self.fresh[y] = True
-            self.numbers.pop(y, None)
             self.boxes[y] = ()
-            self.chosen.pop(y, None)
-            self.sigmas.pop(y, None)
-            self.call_preds.pop(y, None)
-            self.call_snaps.pop(y, None)
-            self.display.pop(y, None)
+            for maps in (self.numbers, self.chosen, self.sigmas,
+                         self.call_preds, self.call_snaps, self.display):
+                maps.pop(y, None)
             self.marks.discard(y)
 
     def rechoice(self, v):
@@ -343,8 +338,7 @@ class ExtMachine(Machine):
         self.pending = None
         self.success = False
         self.failing = False
-        if self.complete:
-            self.complete = False
+        self.complete = False
 
     def fail_at(self, u):
         self.marks.add(u)
@@ -355,11 +349,6 @@ class ExtMachine(Machine):
         self.success = False
 
 
-def _event(port, r, node, pred, chrono):
-    # l is engine's lpath: the number of nodes on the root-to-node path
-    return TraceEvent(chrono=chrono, r=r, l=len(node) + 1, port=port, pred=pred)
-
-
 def _num_for(m, model, node):
     if model is ModelId.M2:
         return 1 + bisect_left(m.order, node)  # 1 + nodes before it
@@ -367,11 +356,18 @@ def _num_for(m, model, node):
 
 
 def _fire(m: ExtMachine, model: ModelId, chrono: int, rule: ExtRuleId):
-    """Fire `rule` on the machine in place; returns (rule, event|None)."""
-    u = m.current
-    event = None
+    """Fire `rule` on the machine in place; returns (rule, event|None).
 
-    if rule is ExtRuleId.CALLONE:
+    A rule that emits names the port, node and predication of its event,
+    and the event is built once the rule has fired.  That is sound
+    because no emitting rule renumbers or re-ranks the node it reports:
+    CALLONE numbers its own node before the event reads it, and a rule
+    that prunes (REDO_M1) keeps its node and every node before it."""
+    u = m.current
+    port = None
+    R = ExtRuleId
+
+    if rule is R.CALLONE:
         called = resolve(m.bindings, m.preds[u])
         m.counter += 1
         m.numbers[u] = m.counter
@@ -385,120 +381,88 @@ def _fire(m: ExtMachine, model: ModelId, chrono: int, rule: ExtRuleId):
         m.call_snaps[u] = m.bindings
         m.display[u] = called
         m.marks.discard(u)
-        event = _event(Port.CALL, _num_for(m, model, u), u, called, chrono)
+        port, node, pred = Port.CALL, u, called
 
-    elif rule is ExtRuleId.CHOICE:
+    elif rule is R.CHOICE:
         taken = _take(m, u, _peek_visit(m, u, m.call_snaps[u]))
         if taken is not None:
             m.chosen[u], m.pending = taken
 
-    elif rule is ExtRuleId.FACTSUCCEEDS:
+    elif rule in (R.FACTSUCCEEDS, R.CLAUSSUCCEEDS):
         m.bindings = m.pending
         m.pending = None
         m.sigmas[u] = m.bindings
-        m.success = True
-        m.failing = False
-        shown = resolve(m.bindings, m.call_preds[u])
-        m.display[u] = shown
-        event = _event(Port.EXIT, _num_for(m, model, u), u, shown, chrono)
+        if rule is R.FACTSUCCEEDS:
+            m.success = True
+            m.failing = False
+            port, node = Port.EXIT, u
+            pred = m.display[u] = resolve(m.bindings, m.call_preds[u])
+        else:
+            for i, atom in enumerate(m.chosen[u].body, start=1):
+                slot = child(u, i)
+                m.tree.add(slot)
+                m.order = with_node(m.order, slot)
+                m.preds[slot] = atom
+                m.fresh[slot] = True
+                m.boxes[slot] = ()
+            m.current = child(u, 1)
 
-    elif rule is ExtRuleId.CLAUSSUCCEEDS:
-        m.bindings = m.pending
-        m.pending = None
-        m.sigmas[u] = m.bindings
-        body = m.chosen[u].body
-        for i, atom in enumerate(body, start=1):
-            slot = child(u, i)
-            m.tree.add(slot)
-            m.order = with_node(m.order, slot)
-            m.preds[slot] = atom
-            m.fresh[slot] = True
-            m.boxes[slot] = ()
-        m.current = child(u, 1)
-
-    elif rule in (ExtRuleId.EXIT1, ExtRuleId.EXIT2):
+    elif rule in (R.EXIT1, R.EXIT2):
         if not _is_leaf(m, u):
-            shown = resolve(m.bindings, m.call_preds[u])
-            m.display[u] = shown
-            event = _event(Port.EXIT, _num_for(m, model, u), u, shown, chrono)
-        if rule is ExtRuleId.EXIT1:
+            port, node = Port.EXIT, u
+            pred = m.display[u] = resolve(m.bindings, m.call_preds[u])
+        if rule is R.EXIT1:
             m.current = parent(u)
             if u == EPSILON:
                 m.complete = True
         else:
             m.current = child(parent(u), u[-1] + 1)
 
-    elif rule is ExtRuleId.LEAFFAIL1:
-        event = _event(
-            Port.FAIL, _num_for(m, model, u), u, m.call_preds[u], chrono
-        )
+    elif rule in (R.LEAFFAIL1, R.TREEFAIL_M12, R.REDO_M3C, R.REDO_M3D):
+        port, node, pred = Port.FAIL, u, m.call_preds[u]
         m.fail_at(u)
-        if model is ModelId.M3:
+        if model is ModelId.M3:  # a failure starts or goes on with the sweep
             m.reverse = True
 
-    elif rule is ExtRuleId.TREEFAIL_M12:
-        event = _event(
-            Port.FAIL, _num_for(m, model, u), u, m.call_preds[u], chrono
-        )
-        m.fail_at(u)
+    elif rule in (R.REDO_M2B, R.REDO_M3A):
+        m.rechoice(u)
+        m.reverse = False  # ends m3's sweep; never set under m2
 
-    elif rule is ExtRuleId.REDO_M1:
-        v = _gcp(m, u)
-        event = _event(
-            Port.REDO, _num_for(m, model, v), v, m.display[v], chrono
-        )
-        m.rechoice(v)
-        m.current = v
+    elif rule is R.REDO_M1:
+        node = _gcp(m, u)
+        port, pred = Port.REDO, m.display[node]
+        m.rechoice(node)
+        m.current = node
 
-    elif rule is ExtRuleId.REDO_M2A:
+    elif rule is R.REDO_M2A:
         # Top level re-enters the root box asking for another solution;
         # the walk down to the choice point is then traced like a failure.
-        event = _event(
-            Port.REDO, _num_for(m, model, u), u, m.display[u], chrono
-        )
+        port, node, pred = Port.REDO, u, m.display[u]
         m.complete = False
         m.success = False
         m.failing = True
 
-    elif rule is ExtRuleId.TREEFAIL_M2:
-        dest = _toward_gcp(m, u)
-        event = _event(
-            Port.REDO, _num_for(m, model, dest), dest, m.display[dest], chrono
-        )
-        m.current = dest
+    elif rule is R.TREEFAIL_M2:
+        node = m.current = _toward_gcp(m, u)
+        port, pred = Port.REDO, m.display[node]
 
-    elif rule is ExtRuleId.REDO_M2B:
-        m.rechoice(u)
-
-    elif rule is ExtRuleId.REDO_M3A:
-        m.rechoice(u)
-        m.reverse = False
-
-    elif rule is ExtRuleId.REDO_M3B:
+    elif rule is R.REDO_M3B:
         if m.reverse:
-            dest = _reenterable_child(m, u)
-            m.current = dest
+            node = m.current = _reenterable_child(m, u)
         else:
             # ct at the root with alternatives left: the reverse sweep
             # starts by re-entering the root box itself.
-            dest = u
+            node = u
             m.reverse = True
             m.complete = False
             m.success = False
-        event = _event(
-            Port.REDO, _num_for(m, model, dest), dest, m.display[dest], chrono
-        )
+        port, pred = Port.REDO, m.display[node]
 
-    elif rule in (ExtRuleId.REDO_M3C, ExtRuleId.REDO_M3D):
-        event = _event(
-            Port.FAIL, _num_for(m, model, u), u, m.call_preds[u], chrono
-        )
-        m.fail_at(u)
-
-    else:  # pragma: no cover - leaffail2 variants are unreachable
-        raise DeterminismViolation(f"rule {rule} cannot fire")
-
-    return rule, event
+    if port is None:
+        return rule, None
+    # l is engine's lpath: the number of nodes on the root-to-node path
+    r, l = _num_for(m, model, node), len(node) + 1
+    return rule, TraceEvent(chrono=chrono, r=r, l=l, port=port, pred=pred)
 
 
 def _drive(machine: ExtMachine, model: ModelId, max_steps: int):

@@ -337,3 +337,21 @@ def test_reconstruct_reports_too_deep_terms(tmp_path, capsys):
     assert main(["reconstruct", "--trace", str(trace), "--goal", "z"]) == 1
     [line] = capsys.readouterr().err.splitlines()
     assert line.startswith("error: term nested too deeply (line 1, column ")
+
+
+@pytest.mark.parametrize("command", ["trace", "reconstruct", "verify", "compare"])
+@pytest.mark.parametrize("where", ["directory", "missing parent"])
+def test_unwritable_output_is_a_one_line_error(tmp_path, capsys, data_dir, command, where):
+    output = tmp_path if where == "directory" else tmp_path / "missing" / "out.txt"
+    if command == "reconstruct":
+        trace = tmp_path / "ex1.txt"
+        main(["trace", "--program", str(data_dir / "example1.pl"), "--output", str(trace)])
+        argv = ["reconstruct", "--trace", str(trace), "--goal", "goal"]
+    else:
+        argv = [command, "--program", str(data_dir / "example1.pl")]
+    assert main(argv + ["--output", str(output)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("error: ") and str(output) in line
+    assert "Traceback" not in captured.err

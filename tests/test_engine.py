@@ -316,3 +316,10 @@ def test_lpath_values(ex1_program):
     assert lpath(s, EPSILON) == 1
     assert lpath(s, (1,)) == 2
     assert lpath(s, (1, 1)) == 3
+
+
+def test_every_rule_fires(ex1_program, ex2_program, corpus_200):
+    fired = set()
+    for program in [ex1_program, ex2_program] + list(corpus_200[:30]):
+        fired.update(rule for rule, _ in run_virtual(program, 120).transitions)
+    assert fired == set(RuleId)

@@ -191,3 +191,11 @@ def test_halted_state_has_no_rule(ex1_program):
     assert applicable_extended(final, ModelId.M3) is None
     with pytest.raises(DeterminismViolation):
         step_extended(final, ModelId.M3)
+
+
+def test_every_rule_fires_under_some_model(ex1_program, ex2_program, corpus_200):
+    fired = set()
+    for program in [ex1_program, ex2_program] + list(corpus_200[:30]):
+        for model in ModelId:
+            fired.update(rule for rule, _ in run_model(program, model, 120).transitions)
+    assert fired == set(ExtRuleId)
