@@ -74,7 +74,12 @@ class AdequacyReport:
 
 
 def _restricted_fields(q):
-    """The four rebuilt parameters of a restricted or a machine state."""
+    """The four rebuilt parameters of a restricted state, a snapshot or
+    the live machine (from its word maps)."""
+    if isinstance(q, Machine):
+        words = q.words
+        return (("T", q.tree), ("u", q.nodes[q.current]),
+                ("num", words["numbers"]), ("pred", words["preds"]))
     return (
         ("T", q.tree),
         ("u", q.current),
@@ -101,7 +106,7 @@ def check_adequacy(program: Program, max_steps: int) -> AdequacyReport:
     machine = Machine(init_state(program))
     report = AdequacyReport()
     ports = []
-    q = initial_restricted(machine.preds[()])
+    q = initial_restricted(machine.preds[0])
     last = None  # (rule, event) of the transition awaiting its check
     for chrono, rule in enumerate(drive(machine, max_steps), start=1):
         e = extract_event(rule, machine, chrono)

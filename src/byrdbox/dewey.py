@@ -4,9 +4,15 @@ Python's tuple order is the Dewey (lexicographic) order, and in it the
 subtree of a node v is one contiguous range [v, succ(v)), where
 succ(v) = v[:-1] + (v[-1] + 1,); the whole tree is the root's subtree.
 A question about a subtree is therefore one bisection of a sorted tuple
-of nodes.  Each engine state keeps two such tuples, `order` (every node)
-and `cps` (the choice points: nodes whose box still holds a clause).
-They are immutable, so states that did not change one share it.
+of nodes.  Three holders keep two such tuples, `order` (every node) and
+`cps` (the choice points: nodes whose box still holds a clause): the
+snapshots of both engines (`VirtualState`, `ExtendedState`) and the
+multimodel engine's live `ExtMachine`.  They are immutable, so states
+that did not change one share it.  The core engine's live `Machine` does
+not bisect: its tree is a node stack of positions (see engine), and it
+builds the two tuples only for its snapshots.  The rebuilder keeps its
+tree as a set of words and answers by probing children (below) and by
+its inverse numbering.
 
 A node's children are numbered 1..k without gaps in every reachable
 state of both engines and in every rebuilt state: children are created

@@ -21,20 +21,45 @@ dict itself, not a copy.
 
 A run fires its rules in place on one mutable `Machine`.  A frozen
 `VirtualState` is a snapshot of it, made only where states are kept
-(`step`, `run_virtual`); the streaming runs keep none.  The other engine
-(multimodel) shares this layout, the machine and the clause selection
-(`_peek_visit`, `_take`).
+(`step`, `run_virtual`); the streaming runs keep none.
+
+The machine holds its tree as a node stack.  Each node is a position in
+parallel lists: its word (`nodes`), its parent's position (`up`; the root,
+at 0, is its own parent) and the per-node bookkeeping the rules read
+(`numbers`, `preds`, `boxes`, `fresh`, `call_preds`, `call_snaps`,
+`chosen`, `failed`).  The choice points `cps` are a list of positions.
+The layout relies on three invariants:
+
+  1. every node created is the Dewey maximum of the tree, so the lists
+     only grow on top and stay in Dewey order;
+  2. the current node is the last node or an ancestor of it, so every
+     node after the current one lies in its subtree;
+  3. `cps` only grows on top: a node enters it only when it is created,
+     and a drained box leaves it from the top.
+
+So node u is a leaf iff it is the last node or the next node's parent is
+not u, the greatest choice point in u's subtree is the top of `cps` when
+that is at or after u, and backtracking to v truncates every list after
+v.  A push that is not the Dewey maximum, and a drained box that is not
+the top of `cps`, raise.  Word-keyed copies of the per-node maps
+(`words`, and the set `tree`) are written once whenever an entry changes,
+so a snapshot is dict copies and the adequacy check compares the maps as
+they are.
+
+The queries below take a snapshot and a Dewey word, or the live machine
+and a position.  The other engine (multimodel) shares the state layout
+and the clause selection (`_peek_visit`, `_take`); its live machine keeps
+the Dewey layout, because its tree is not a stack.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from bisect import bisect_right
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional, Tuple
 
-from .dewey import (
-    child, derive_indexes, last_in_subtree, parent, split_after, with_node,
-)
+from .dewey import child, derive_indexes, last_in_subtree, parent
 from .terms import (
     BOTTOM,
     Clause,
@@ -81,6 +106,9 @@ class RuleId(Enum):
     REDO1 = "Redo1"
     REDO2 = "Redo2"
 
+    # Members are singletons: hash by identity, in C, not by name.
+    __hash__ = object.__hash__
+
     def __str__(self):
         return self.value
 
@@ -117,6 +145,13 @@ class VirtualState:
         derive_indexes(self)
 
 
+# The per-node maps of a state.  The machine holds each one twice: as a
+# list by position, under the same name, and keyed by word in `words`.
+_MAPS = (
+    "numbers", "preds", "boxes", "fresh", "call_preds", "call_snaps", "chosen", "failed",
+)
+
+
 @dataclass(frozen=True)
 class RunResult:
     """A derivation: the initial state plus every fired transition.
@@ -135,10 +170,11 @@ class RunResult:
 
 
 # ----------------------------------------------------------------------
-# Tree utilities.  Dewey words are int tuples; Python's tuple order is
-# exactly the required lexicographic order (a prefix sorts before its
-# extensions, siblings sort by component).  Stored nodes are the
-# canonical tuples made by dewey's `child` and `parent`.
+# Tree utilities.  On a snapshot they take Dewey words: int tuples, whose
+# Python order is exactly the required lexicographic order (a prefix
+# sorts before its extensions, siblings sort by component); stored nodes
+# are the canonical tuples made by dewey's `child` and `parent`.  On the
+# live machine they take positions (see the module docstring).
 # ----------------------------------------------------------------------
 
 def node_str(v: NodeId) -> str:
@@ -149,32 +185,46 @@ def node_str(v: NodeId) -> str:
     return ".".join(str(i) for i in v)
 
 
-def is_leaf(state: VirtualState, v: NodeId) -> bool:
+def is_leaf(state, v) -> bool:
+    if isinstance(state, Machine):
+        # in Dewey order, a node with children is followed by its first child
+        return v + 1 == len(state.nodes) or state.up[v + 1] != v
     # children are numbered from 1 without gaps (see dewey)
     return v + (1,) not in state.tree
 
 
-def lpath(state: VirtualState, v: NodeId) -> int:
+def lpath(state, v) -> int:
     """Number of nodes on the root-to-v path (the recursion depth)."""
+    if isinstance(state, Machine):
+        v = state.nodes[v]
     return len(v) + 1
 
 
-def may_have_new_brother(state: VirtualState, v: NodeId) -> bool:
+def may_have_new_brother(state, v) -> bool:
     """True iff v's predication is not the last one in the body of the
     clause currently chosen at v's parent.  The root has no brother."""
-    if v == EPSILON:
-        return False
-    chosen = state.chosen.get(parent(v))
-    return chosen is not None and v[-1] < len(chosen.body)
+    if isinstance(state, Machine):
+        if v == 0:
+            return False
+        chosen, i = state.chosen[state.up[v]], state.nodes[v][-1]
+    else:
+        if v == EPSILON:
+            return False
+        chosen, i = state.chosen.get(parent(v)), v[-1]
+    return chosen is not None and i < len(chosen.body)
 
 
-def has_choice_point(state: VirtualState, v: NodeId) -> bool:
-    return last_in_subtree(state.cps, v) is not None
+def has_choice_point(state, v) -> bool:
+    return greatest_choice_point(state, v) is not None
 
 
-def greatest_choice_point(state: VirtualState, v: NodeId) -> Optional[NodeId]:
+def greatest_choice_point(state, v):
     """Greatest node (lexicographically) in v's subtree whose box still
     holds a clause; None when there is no choice point."""
+    if isinstance(state, Machine):
+        # every node after v lies in v's subtree (invariant 2)
+        cps = state.cps
+        return cps[-1] if cps and cps[-1] >= v else None
     return last_in_subtree(state.cps, v)
 
 
@@ -186,9 +236,15 @@ def box_init(program: Program, atom: Term, bindings: dict):
     return program.clauses_for(called.functor, called.arity), called
 
 
-def updated_pred(state: VirtualState, v: NodeId) -> Term:
+def updated_pred(state, v) -> Term:
     """The node's predication with all bindings accumulated so far applied
     (the post-success value shown by Exit events)."""
+    if isinstance(state, Machine):
+        # Resolved once per transition, so that an Exit event and the
+        # node's new predication are one object.
+        if state.resolved is None or state.resolved[0] != v:
+            state.resolved = (v, resolve(state.bindings, state.call_preds[v]))
+        return state.resolved[1]
     return resolve(state.bindings, state.call_preds[v])
 
 
@@ -212,10 +268,10 @@ class _Peek:
         return self.clause is None or self.clause.is_fact
 
 
-def _peek_visit(state: VirtualState, v: NodeId, base: dict) -> _Peek:
+def _peek_visit(state, v, base: dict) -> _Peek:
     goal = state.call_preds[v]
     skipped = 0
-    for c in state.boxes.get(v, ()):
+    for c in state.boxes[v]:
         if unify(goal, c.trial.head, base, resolved=False) is not BOTTOM:
             return _Peek(skipped, c, base)
         skipped += 1
@@ -223,42 +279,41 @@ def _peek_visit(state: VirtualState, v: NodeId, base: dict) -> _Peek:
 
 
 # ----------------------------------------------------------------------
-# Rule selection.  The conditions, like the tree queries above and event
-# extraction, read a VirtualState and a live Machine alike.
+# Rule selection, on the live machine.
 # ----------------------------------------------------------------------
 
-def _pending_visit(state: VirtualState) -> Optional[_Peek]:
+def _pending_visit(m: Machine) -> Optional[_Peek]:
     """The clause scan of the visit that a Call rule (first visit of the
     current node) or a Redo rule (re-entry of the greatest choice point)
-    would make from `state`; None when neither kind can apply."""
-    u = state.current
-    if state.fresh.get(u, False):
-        if not state.complete:
-            return _peek_visit(state, u, state.bindings)
-    elif state.failing or state.complete:
-        v = greatest_choice_point(state, u)
+    would make from the machine; None when neither kind can apply."""
+    u = m.current
+    if m.fresh[u]:
+        if not m.complete:
+            return _peek_visit(m, u, m.bindings)
+    elif m.failing or m.complete:
+        v = greatest_choice_point(m, u)
         if v is not None:
             # A Redo rolls the substitution back to the choice point's call.
-            return _peek_visit(state, v, state.call_snaps[v])
+            return _peek_visit(m, v, m.call_snaps[v])
     return None
 
 
-def _rule_conditions(state: VirtualState, peek: Optional[_Peek]) -> dict:
-    u = state.current
-    fst = state.fresh.get(u, False)
-    ct, flr = state.complete, state.failing
-    failed_here = state.failed.get(u, False)
-    hcp_u = has_choice_point(state, u)
+def _rule_conditions(m: Machine, peek: Optional[_Peek]) -> dict:
+    u = m.current
+    fst = m.fresh[u]
+    ct, flr = m.complete, m.failing
+    failed_here = m.failed[u]
+    hcp_u = has_choice_point(m, u)
 
     conds = {}
     if fst and not ct:
-        conds[RuleId.CALL1] = is_leaf(state, u) and peek.calls_fact
-        conds[RuleId.CALL2] = is_leaf(state, u) and not peek.calls_fact
+        conds[RuleId.CALL1] = is_leaf(m, u) and peek.calls_fact
+        conds[RuleId.CALL2] = is_leaf(m, u) and not peek.calls_fact
     else:
         conds[RuleId.CALL1] = conds[RuleId.CALL2] = False
 
     succeeded = not fst and not failed_here
-    mhnb = may_have_new_brother(state, u)
+    mhnb = may_have_new_brother(m, u)
     conds[RuleId.EXIT1] = succeeded and not mhnb and not ct and not flr
     conds[RuleId.EXIT2] = succeeded and mhnb and not ct and not flr
     conds[RuleId.FAIL2] = (not fst) and not ct and not hcp_u and (failed_here or flr)
@@ -273,27 +328,26 @@ def _rule_conditions(state: VirtualState, peek: Optional[_Peek]) -> dict:
 
 def _conditions(state: VirtualState) -> dict:
     """Rule -> whether its condition holds at `state`."""
-    return _rule_conditions(state, _pending_visit(state))
+    m = Machine(state)
+    return _rule_conditions(m, _pending_visit(m))
 
 
-def _select(state: VirtualState) -> Tuple[Optional[RuleId], Optional[_Peek]]:
+def _select(m: Machine) -> Tuple[Optional[RuleId], Optional[_Peek]]:
     """(the rule that applies, the clause scan of the visit it makes), so
     that firing the rule does not scan the box again; (None, None) for
     Halt."""
-    peek = _pending_visit(state)
-    conds = _rule_conditions(state, peek)
+    peek = _pending_visit(m)
+    conds = _rule_conditions(m, peek)
     matching = [r for r, ok in conds.items() if ok]
     if len(matching) == 1:
         return matching[0], peek
+    u = node_str(m.nodes[m.current])
     if not matching:
-        if state.complete and not has_choice_point(state, EPSILON):
+        if m.complete and not has_choice_point(m, 0):
             return None, None
-        raise DeterminismViolation(
-            f"no rule applies at node {node_str(state.current)} in a live state"
-        )
+        raise DeterminismViolation(f"no rule applies at node {u} in a live state")
     raise DeterminismViolation(
-        f"rules {', '.join(str(r) for r in matching)} all apply at node "
-        f"{node_str(state.current)}"
+        f"rules {', '.join(str(r) for r in matching)} all apply at node {u}"
     )
 
 
@@ -303,7 +357,7 @@ def applicable_rule(state: VirtualState) -> Optional[RuleId]:
     Raises DeterminismViolation when zero or several rules match a live
     state; that is an internal bug and must surface, never be resolved
     silently."""
-    return _select(state)[0]
+    return _select(Machine(state))[0]
 
 
 # ----------------------------------------------------------------------
@@ -335,43 +389,58 @@ def init_state(program: Program) -> VirtualState:
     )
 
 
-def _thawed(value):
-    """A mutable copy of a state's set or map; any other value as it is."""
-    if isinstance(value, frozenset):
-        return set(value)
-    return dict(value) if isinstance(value, dict) else value
-
-
-def _frozen(value):
-    """A frozen copy of a machine's set or map; any other value as it is."""
-    if isinstance(value, set):
-        return frozenset(value)
-    return dict(value) if isinstance(value, dict) else value
-
-
 class Machine:
-    """The one mutable state that a run fires its rules on, in place.
+    """The one mutable state that a run fires its rules on, in place, as a
+    node stack (see the module docstring); `current` and `cps` hold
+    positions.  It owns every list, set and map it holds: it builds them
+    from the state it starts from, and `snapshot` copies them into a new
+    frozen state."""
 
-    It holds the fields of a state.  It owns every set and map it holds:
-    it copies them from the state it starts from, and `snapshot` copies
-    them into a new frozen state.  The other engine's machine is the
-    subclass that names that engine's state class."""
-
-    state_class = VirtualState
-
-    def __init__(self, state):
-        for f in fields(state):
-            setattr(self, f.name, _thawed(getattr(state, f.name)))
+    def __init__(self, state: VirtualState):
+        nodes = list(state.order)
+        where = {v: p for p, v in enumerate(nodes)}
+        up = [where.get(parent(v)) for v in nodes]
+        current = where.get(state.current)
+        if current is None or None in up or nodes[0] != EPSILON:
+            raise ValueError("a state's tree must hold the root, every parent and u")
+        if nodes[-1][: len(state.current)] != state.current:
+            raise ValueError("a state's u must be its last node or an ancestor of it")
+        self.nodes, self.up, self.current = nodes, up, current
+        self.cps = [where[v] for v in state.cps]
+        self.tree = set(state.tree)
+        self.words = {name: dict(getattr(state, name)) for name in _MAPS}
+        for name, words in self.words.items():
+            # None where the word map has no entry
+            setattr(self, name, [words.get(v) for v in nodes])
+        self.columns = (nodes, up) + tuple(getattr(self, name) for name in _MAPS)
+        self.counter, self.complete, self.failing = state.counter, state.complete, state.failing
+        self.program, self.bindings, self.stamp = state.program, state.bindings, state.stamp
+        self.resolved = None  # (position, Exit predication), see updated_pred
         self.halted = False  # set by the run that drives the machine
 
-    def set_box(self, v, box):
-        self.boxes[v] = box
-        self.cps = with_node(self.cps, v, bool(box))
+    def set_box(self, p: int, box: tuple) -> None:
+        """Shrink the box at position p; a drained choice point leaves
+        `cps`, whose top it must be (invariant 3)."""
+        if self.boxes[p] and not box:
+            top = self.cps.pop()
+            assert top == p, "a drained choice point is not the top of cps"
+        self.boxes[p] = self.words["boxes"][self.nodes[p]] = box
 
-    def snapshot(self):
-        return self.state_class(**{
-            f.name: _frozen(getattr(self, f.name)) for f in fields(self.state_class)
-        })
+    def snapshot(self) -> VirtualState:
+        nodes = self.nodes
+        return VirtualState(
+            tree=frozenset(self.tree),
+            current=nodes[self.current],
+            counter=self.counter,
+            complete=self.complete,
+            failing=self.failing,
+            program=self.program,
+            bindings=self.bindings,
+            stamp=self.stamp,
+            order=tuple(nodes),
+            cps=tuple([nodes[p] for p in self.cps]),
+            **{name: dict(words) for name, words in self.words.items()},
+        )
 
 
 def drive(machine: Machine, max_steps: int):
@@ -391,7 +460,7 @@ def drive(machine: Machine, max_steps: int):
     machine.halted = _select(machine)[0] is None
 
 
-def _take(m: Machine, v: NodeId, peek: _Peek):
+def _take(m, v, peek: _Peek):
     """Consume the visit decided by `peek` at node v, in either engine:
     drop the silently skipped clauses and the chosen one from v's box, and
     return (the chosen clause renamed apart, the unifier extending
@@ -406,45 +475,57 @@ def _take(m: Machine, v: NodeId, peek: _Peek):
     return inst, bindings
 
 
-def _visit(m: Machine, v: NodeId, peek: _Peek) -> None:
-    """Consume the visit decided by `peek` at node v and extend the
+def _visit(m: Machine, v: int, peek: _Peek) -> None:
+    """Consume the visit decided by `peek` at position v and extend the
     bindings, or roll them back to `peek.base` when the box is drained."""
     taken = _take(m, v, peek)
-    m.failed[v] = taken is None
+    w, words = m.nodes[v], m.words
+    m.failed[v] = words["failed"][w] = taken is None
     if taken is None:
         m.bindings = peek.base
     else:
-        m.chosen[v], m.bindings = taken
+        clause, m.bindings = taken
+        m.chosen[v] = words["chosen"][w] = clause
 
 
-def _child_slot(m: Machine, atom: Term, v: NodeId) -> None:
-    """Create (or re-create) node v labeled with `atom` instantiated by the
-    current substitution, number it, fill its box, and make it current."""
+def _child_slot(m: Machine, atom: Term, p: int, i: int) -> None:
+    """Push child i of the node at position p, labeled with `atom`
+    instantiated by the current substitution: number it, fill its box, and
+    make it current."""
+    v = child(m.nodes[p], i)
+    assert v > m.nodes[-1], f"node {node_str(v)} is not the Dewey maximum"
     box, called = box_init(m.program, atom, m.bindings)
     m.counter += 1
-    m.current = v
+    m.current = len(m.nodes)
+    if box:
+        m.cps.append(m.current)
+    # nodes, up, then the maps in _MAPS order.  No map holds the new node
+    # yet, since it is the maximum: it gets no chosen or failed entry until
+    # its visit.
+    row = (v, p, m.counter, called, box, True, called, m.bindings, None, None)
+    for column, value in zip(m.columns, row):
+        column.append(value)
     m.tree.add(v)
-    m.numbers[v] = m.counter
-    m.preds[v] = called
-    m.set_box(v, box)
-    m.fresh[v] = True
-    m.call_preds[v] = called
-    m.call_snaps[v] = m.bindings
-    m.failed.pop(v, None)
-    m.chosen.pop(v, None)
-    m.order = with_node(m.order, v)
+    words = m.words
+    words["numbers"][v] = m.counter
+    words["preds"][v] = called
+    words["boxes"][v] = box
+    words["fresh"][v] = True
+    words["call_preds"][v] = called
+    words["call_snaps"][v] = m.bindings
 
 
-def _prune(m: Machine, v: NodeId) -> None:
-    """Backtracking to v deletes every node lexicographically after it,
-    from the tree, both indexes and every map."""
-    m.order, doomed = split_after(m.order, v)
-    m.cps = split_after(m.cps, v)[0]
+def _prune(m: Machine, v: int) -> None:
+    """Backtracking to position v deletes every node after it: from every
+    list, from `cps`, and from the tree and the word maps."""
+    doomed = m.nodes[v + 1:]
+    for column in m.columns:
+        del column[v + 1:]
+    del m.cps[bisect_right(m.cps, v):]
     m.tree.difference_update(doomed)
-    for table in (m.numbers, m.preds, m.boxes, m.fresh,
-                  m.call_preds, m.call_snaps, m.chosen, m.failed):
+    for words in m.words.values():
         for w in doomed:
-            table.pop(w, None)
+            words.pop(w, None)
 
 
 def step(state: VirtualState) -> Tuple[RuleId, VirtualState]:
@@ -463,29 +544,29 @@ def _fire(m: Machine, rule: RuleId, peek: Optional[_Peek]) -> None:
     `_select` made for the visit of a Call or Redo rule."""
     u = m.current
     if rule in (RuleId.EXIT1, RuleId.EXIT2):
-        m.preds[u] = resolve(m.bindings, m.call_preds[u])
+        m.preds[u] = m.words["preds"][m.nodes[u]] = updated_pred(m, u)
         if rule is RuleId.EXIT1:
-            m.current = parent(u)
-            if u == EPSILON:
+            m.current = m.up[u]
+            if u == 0:
                 m.complete = True
         else:
-            w, i = parent(u), u[-1]
-            _child_slot(m, m.chosen[w].body[i], child(w, i + 1))
+            w, i = m.up[u], m.nodes[u][-1]
+            _child_slot(m, m.chosen[w].body[i], w, i + 1)
 
     elif rule is RuleId.FAIL2:
-        m.current = parent(u)
+        m.current = m.up[u]
         m.failing = True
         # ct is raised when failing at the root itself, and also on
         # arrival at the root while a choice point survives elsewhere;
         # the latter is observable only in the state table, never in the
         # rule selection that follows (a Redo fires on flr alone).
-        if u == EPSILON or (m.current == EPSILON and has_choice_point(m, EPSILON)):
+        if u == 0 or (m.current == 0 and has_choice_point(m, 0)):
             m.complete = True
 
     else:  # Call1, Call2, Redo1, Redo2: a visit; Call2 and Redo2 enter a body
         if rule in (RuleId.CALL1, RuleId.CALL2):
             v = u
-            m.fresh[u] = False
+            m.fresh[u] = m.words["fresh"][m.nodes[u]] = False
         else:
             v = greatest_choice_point(m, u)
             _prune(m, v)
@@ -494,7 +575,8 @@ def _fire(m: Machine, rule: RuleId, peek: Optional[_Peek]) -> None:
         _visit(m, v, peek)
         m.failing = False
         if rule in (RuleId.CALL2, RuleId.REDO2):
-            _child_slot(m, m.chosen[v].body[0], child(v, 1))
+            _child_slot(m, m.chosen[v].body[0], v, 1)
+    m.resolved = None
 
 
 def run_virtual(program: Program, max_steps: int) -> RunResult:

@@ -18,10 +18,13 @@ Three mutually exclusive models select how backtracking is traced:
     m3  original box model: full stepwise undo; every completed box is
         re-entered (Redo) and closed (Fail) in reverse order
 
-State layout, live machine and clause selection are the simplified
-machine's (see engine): the resolution bookkeeping sits in fields that
-equality and repr skip, binding dicts are shared, never copied, and
-`_peek_visit` and `_take` choose each clause.
+State layout and clause selection are the simplified machine's (see
+engine): the resolution bookkeeping sits in fields that equality and repr
+skip, binding dicts are shared, never copied, and `_peek_visit` and
+`_take` choose each clause.  The live machine keeps the snapshots' Dewey
+indexes (see dewey), not engine's node stack: CLAUSSUCCEEDS creates all
+of a clause's body slots at once, before the subtrees of the earlier
+slots grow, so nodes are not created in Dewey order.
 
 The rule table has 16 rules.  The paper's leaffail2 is not among them:
 it fails a node whose chosen clause's head does not unify, and
@@ -37,7 +40,7 @@ which all three models must trace identically up to the m2 numbering.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from functools import cached_property
 from typing import Optional, Tuple
@@ -51,8 +54,7 @@ from .dewey import (
     with_node,
 )
 from .engine import (
-    EPSILON, DeterminismViolation, Machine, NodeId, _peek_visit, _take,
-    node_str, parent,
+    EPSILON, DeterminismViolation, NodeId, _peek_visit, _take, node_str, parent,
 )
 from .terms import Program, resolve
 from .tracing import Port, TraceEvent
@@ -76,6 +78,9 @@ class ModelId(Enum):
     M2 = "m2"
     M3 = "m3"
 
+    # Members are singletons: hash by identity, in C, not by name.
+    __hash__ = object.__hash__
+
     def __str__(self):
         return self.value
 
@@ -97,6 +102,9 @@ class ExtRuleId(Enum):
     REDO_M3B = "redo_m3b"
     REDO_M3C = "redo_m3c"
     REDO_M3D = "redo_m3d"
+
+    # Members are singletons: hash by identity, in C, not by name.
+    __hash__ = object.__hash__
 
     def __str__(self):
         return self.value
@@ -182,8 +190,7 @@ def _reenterable_child(state, u):
 # ----------------------------------------------------------------------
 
 # Every gate closed.  `_gates` starts from a copy of it: a dict copy
-# rehashes no key, while a dict built over ExtRuleId runs the Python-level
-# Enum.__hash__ once per rule, on every step.
+# rehashes no key.
 _CLOSED = dict.fromkeys(ExtRuleId, False)
 
 
@@ -301,11 +308,40 @@ def init_extended(program: Program) -> ExtendedState:
     )
 
 
-class ExtMachine(Machine):
-    """The live machine of this engine (see engine.Machine), with the
-    pieces its rules share."""
+def _thawed(value):
+    """A mutable copy of a state's set or map; any other value as it is."""
+    if isinstance(value, frozenset):
+        return set(value)
+    return dict(value) if isinstance(value, dict) else value
 
-    state_class = ExtendedState
+
+def _frozen(value):
+    """A frozen copy of a machine's set or map; any other value as it is."""
+    if isinstance(value, set):
+        return frozenset(value)
+    return dict(value) if isinstance(value, dict) else value
+
+
+class ExtMachine:
+    """The one mutable state that a run of this engine fires its rules on,
+    in place, with the pieces its rules share.  It holds the fields of an
+    ExtendedState and owns every set and map it holds: it copies them from
+    the state it starts from, and `snapshot` copies them into a new frozen
+    state."""
+
+    def __init__(self, state: ExtendedState):
+        for f in fields(state):
+            setattr(self, f.name, _thawed(getattr(state, f.name)))
+        self.halted = False  # set by the run that drives the machine
+
+    def set_box(self, v, box):
+        self.boxes[v] = box
+        self.cps = with_node(self.cps, v, bool(box))
+
+    def snapshot(self) -> ExtendedState:
+        return ExtendedState(**{
+            f.name: _frozen(getattr(self, f.name)) for f in fields(ExtendedState)
+        })
 
     def prune_after(self, v):
         """Tear down everything behind a resumed choice point: interior

@@ -56,6 +56,9 @@ class Port(Enum):
     FAIL = "Fail"
     REDO = "Redo"
 
+    # Members are singletons: hash by identity, in C, not by name.
+    __hash__ = object.__hash__
+
     def __str__(self):
         return self.value
 
@@ -97,7 +100,8 @@ class TraceResult:
 
 def extract_event(rule: RuleId, s_before: VirtualState, chrono: int) -> TraceEvent:
     """The event extracted from firing `rule` out of `s_before` (a state
-    or the live machine before the rule fires)."""
+    or the live machine before the rule fires).  The node is a word in a
+    state and a position in the machine; either way, l is its lpath."""
     u = s_before.current
     if rule in (RuleId.CALL1, RuleId.CALL2):
         node, pred = u, s_before.preds[u]

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from byrdbox import (
@@ -17,7 +19,7 @@ from byrdbox import (
     step,
     updated_pred,
 )
-from byrdbox.engine import EPSILON, has_choice_point, is_leaf
+from byrdbox.engine import EPSILON, Machine, _fire, has_choice_point, is_leaf
 
 
 def alpha_equal(pairs_a, pairs_b):
@@ -323,3 +325,18 @@ def test_every_rule_fires(ex1_program, ex2_program, corpus_200):
     for program in [ex1_program, ex2_program] + list(corpus_200[:30]):
         fired.update(rule for rule, _ in run_virtual(program, 120).transitions)
     assert fired == set(RuleId)
+
+
+def test_a_break_of_the_node_stack_raises(ex1_program):
+    # The fourth reference state: tree {eps, 1, 2}, u = 2.  A state whose
+    # u is not the last node or an ancestor of it is refused, and a live
+    # machine whose u is moved off that path cannot push a node that is
+    # not the Dewey maximum.
+    state = run_virtual(ex1_program, 100).states[3]
+    assert (state.current, state.order) == (N2, (E, N1, N2))
+    with pytest.raises(ValueError):
+        step(dataclasses.replace(state, current=N1))
+    m = Machine(state)
+    m.current = 1  # node 1, whose brother 2 exists already
+    with pytest.raises(AssertionError):
+        _fire(m, RuleId.EXIT2, None)

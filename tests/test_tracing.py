@@ -15,7 +15,8 @@ from byrdbox import (
     run_actual_trace,
     run_virtual,
 )
-from byrdbox.engine import RuleId
+from byrdbox.corpus import corpus
+from byrdbox.engine import Machine, RuleId, drive, init_state
 
 from conftest import load_golden, normalize_trace
 
@@ -56,6 +57,28 @@ def test_one_event_per_transition(ex1_program, ex2_program):
         assert [e.chrono for e in result.events] == list(
             range(1, len(result.events) + 1)
         )
+
+
+def test_exit_events_share_the_predication_the_machine_stores(ex1_program, ex2_program):
+    # An Exit is resolved once: its event and the exited node's new
+    # predication are one object, so the adequacy check compares them by
+    # identity.
+    def assert_shared(m, exited):
+        if exited is not None:
+            p, word, e = exited
+            assert m.preds[p] is e.pred is m.words["preds"][word]
+
+    exits = 0
+    for program in [ex1_program, ex2_program] + list(corpus(10)):
+        m = Machine(init_state(program))
+        exited = None
+        for chrono, rule in enumerate(drive(m, 300), start=1):
+            assert_shared(m, exited)
+            e = extract_event(rule, m, chrono)
+            exited = (m.current, m.nodes[m.current], e) if e.port is Port.EXIT else None
+            exits += exited is not None
+        assert_shared(m, exited)
+    assert exits > 100
 
 
 def test_two_event_trace_for_single_fact():

@@ -1,10 +1,12 @@
 """The tree indexes against the full-tree scans they replaced.
 
-Both engines and the rebuilder answer their tree questions (leaf, choice
-points, children, m2 rank, next child slot, node by number) from sorted
-node tuples and the children-are-1..k invariant.  The scans below are the
-reference definitions; every reachable state must answer alike, and must
-store only canonical nodes.
+Snapshots of both engines and the rebuilder answer their tree questions
+(leaf, choice points, children, m2 rank, next child slot, node by number)
+from sorted node tuples and the children-are-1..k invariant; the live
+core machine answers from positions in its node stack.  The scans below
+are the reference definitions; every reachable state, and the live
+machine at every step, must answer alike, and states must store only
+canonical nodes.
 """
 
 import pytest
@@ -20,7 +22,9 @@ from byrdbox import (
     run_model,
 )
 from byrdbox.corpus import corpus
-from byrdbox.engine import greatest_choice_point, has_choice_point, is_leaf
+from byrdbox.engine import (
+    Machine, RuleId, drive, greatest_choice_point, has_choice_point, init_state, is_leaf,
+)
 from byrdbox.multimodel import _children, _gcp, _hcp, _is_leaf, _num_for
 from byrdbox.rebuild import _next_child
 
@@ -104,6 +108,56 @@ def test_core_engine_queries_match_scans(index):
             assert _next_child(q, v) == scan_next_child(q.tree, v)
         for number in set(q.numbers.values()) | {0, max(q.numbers.values()) + 1}:
             assert q.node_of(number) == scan_node_of(q.numbers, number)
+
+
+def assert_stack_layout(m):
+    """The live core machine is a node stack: its lists are parallel and
+    in Dewey order (invariant 1), the current node is the last node or an
+    ancestor of it (invariant 2), `cps` is exactly the positions whose box
+    holds a clause, in order (invariant 3), and the word maps mirror the
+    lists."""
+    nodes = m.nodes
+    assert nodes == sorted(m.tree) and len(m.tree) == len(nodes)
+    where = {v: p for p, v in enumerate(nodes)}
+    assert m.up == [where[v[:-1]] for v in nodes]
+    current = nodes[m.current]
+    assert nodes[-1][: len(current)] == current
+    assert m.cps == [p for p in range(len(nodes)) if m.boxes[p]]
+    for name, words in m.words.items():
+        column = getattr(m, name)
+        assert len(column) == len(nodes)
+        assert all(column[where[v]] is value for v, value in words.items())
+
+
+@pytest.mark.parametrize("index", range(len(PROGRAMS)))
+def test_live_machine_answers_as_scans_of_its_snapshot(index):
+    # At every step the machine's position answers for the current node
+    # name the same Dewey words as reference scans of a snapshot, and a
+    # Redo resumes the node its choice-point answer named: Redo1 makes it
+    # current, Redo2 its new first child.
+    m = Machine(init_state(PROGRAMS[index]))
+    resumed = None
+    for rule in drive(m, FUEL):
+        assert_resumed(m, resumed)
+        assert_stack_layout(m)
+        s = m.snapshot()
+        u = m.current
+        assert m.nodes[u] == s.current
+        assert is_leaf(m, u) == (not scan_children(s.tree, s.current))
+        gcp = scan_gcp(s.tree, s.boxes, s.current)
+        p = greatest_choice_point(m, u)
+        assert (None if p is None else m.nodes[p]) == gcp
+        assert has_choice_point(m, u) == (gcp is not None)
+        resumed = (rule, gcp) if rule in (RuleId.REDO1, RuleId.REDO2) else None
+    assert_resumed(m, resumed)
+    assert_stack_layout(m)
+
+
+def assert_resumed(m, resumed):
+    if resumed is not None:
+        rule, v = resumed
+        expected = v if rule is RuleId.REDO1 else v + (1,)
+        assert m.nodes[m.current] == expected == m.nodes[-1]
 
 
 @pytest.mark.parametrize("model", list(ModelId), ids=str)
