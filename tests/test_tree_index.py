@@ -129,12 +129,20 @@ def assert_stack_layout(m):
         assert all(column[where[v]] is value for v, value in words.items())
 
 
+def assert_resumed(m, resumed):
+    """After a Redo of node v: Redo1 makes v current, Redo2 its new first
+    child, and either is the last node."""
+    if resumed is not None:
+        rule, v = resumed
+        expected = v if rule is RuleId.REDO1 else v + (1,)
+        assert m.nodes[m.current] == expected == m.nodes[-1]
+
+
 @pytest.mark.parametrize("index", range(len(PROGRAMS)))
 def test_live_machine_answers_as_scans_of_its_snapshot(index):
     # At every step the machine's position answers for the current node
     # name the same Dewey words as reference scans of a snapshot, and a
-    # Redo resumes the node its choice-point answer named: Redo1 makes it
-    # current, Redo2 its new first child.
+    # Redo resumes the node its choice-point answer named.
     m = Machine(init_state(PROGRAMS[index]))
     resumed = None
     for rule in drive(m, FUEL):
@@ -151,13 +159,6 @@ def test_live_machine_answers_as_scans_of_its_snapshot(index):
         resumed = (rule, gcp) if rule in (RuleId.REDO1, RuleId.REDO2) else None
     assert_resumed(m, resumed)
     assert_stack_layout(m)
-
-
-def assert_resumed(m, resumed):
-    if resumed is not None:
-        rule, v = resumed
-        expected = v if rule is RuleId.REDO1 else v + (1,)
-        assert m.nodes[m.current] == expected == m.nodes[-1]
 
 
 @pytest.mark.parametrize("model", list(ModelId), ids=str)
