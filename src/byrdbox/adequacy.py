@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .engine import Machine, drive, init_state
-from .rebuild import initial_restricted, matching_conds, reconstruct_step
+from .rebuild import Rebuilder, initial_restricted, matching_conds
 from .terms import Program
 from .tracing import Port, extract_event, run_actual_trace
 
@@ -44,7 +44,10 @@ HARD_FORBIDDEN = frozenset(
 class AdequacyReport:
     steps_checked: int = 0
     halted: bool = False
-    # (step, field name, expected, got) for the first rebuilt/actual mismatch
+    # (step, field name, expected, got) for the first rebuilt/actual
+    # mismatch; expected and got hold only the difference: for T the nodes
+    # one side lacks, for num and pred the entries that one side lacks or
+    # holds otherwise, for u both nodes
     first_divergence: Optional[tuple] = None
     # (step, set of matching rules) whenever that set has size != 1,
     # plus identification/fired mismatches
@@ -73,21 +76,6 @@ class AdequacyReport:
         return f"{status} {name} {self.steps_checked} {detail}"
 
 
-def _restricted_fields(q):
-    """The four rebuilt parameters of a restricted state, a snapshot or
-    the live machine (from its word maps)."""
-    if isinstance(q, Machine):
-        words = q.words
-        return (("T", q.tree), ("u", q.nodes[q.current]),
-                ("num", words["numbers"]), ("pred", words["preds"]))
-    return (
-        ("T", q.tree),
-        ("u", q.current),
-        ("num", q.numbers),
-        ("pred", q.preds),
-    )
-
-
 def check_adequacy(program: Program, max_steps: int) -> AdequacyReport:
     """Run machine, extraction and rebuilding side by side.
 
@@ -97,49 +85,64 @@ def check_adequacy(program: Program, max_steps: int) -> AdequacyReport:
     {T, u, num, pred}.  On a fuel-exhausted run the last transition has no
     successor event and is not checked.
 
-    The run streams on one live machine and keeps no states: w_{t+1} is
-    extracted from state t before the machine fires transition t+1, and
-    transition t is checked against the machine right then.  After the
-    first failed check the run goes on unchecked, for `halted` and the
-    port checks, which cover every event.
+    The run streams on one live machine and one live rebuilder and keeps
+    no states: w_{t+1} is extracted from state t before the machine fires
+    transition t+1, and transition t is rebuilt and checked against the
+    machine right then.  After the first failed check the run goes on
+    unchecked, for `halted` and the port checks, which cover every event.
     """
     machine = Machine(init_state(program))
     report = AdequacyReport()
     ports = []
-    q = initial_restricted(machine.preds[0])
+    rebuilder = Rebuilder(initial_restricted(machine.preds[0]))
     last = None  # (rule, event) of the transition awaiting its check
     for chrono, rule in enumerate(drive(machine, max_steps), start=1):
         e = extract_event(rule, machine, chrono)
         ports.append(e.port)
-        if q is not None and last is not None:
-            q = _check_transition(report, *last, e, q, machine)
+        if rebuilder is not None and last is not None:
+            rebuilder = _check_transition(report, *last, e, rebuilder, machine)
         last = (rule, e)
     report.halted = machine.halted
-    if q is not None and last is not None and machine.halted:
-        _check_transition(report, *last, None, q, machine)
+    if rebuilder is not None and last is not None and machine.halted:
+        _check_transition(report, *last, None, rebuilder, machine)
     report.port_violations = check_port_sequence(ports)
     return report
 
 
-def _check_transition(report, rule, e, e_next, q, machine):
-    """Check the transition that fired `rule` and emitted `e` against the
-    machine's state after it; the rebuilt state, or None on a failure."""
+def _check_transition(report, rule, e, e_next, rebuilder, machine):
+    """Check the transition that fired `rule` and emitted `e`: step the
+    rebuilder and compare it with the machine's state after it; the
+    rebuilder, or None on a failure."""
     conds = matching_conds(e, e_next)
     if conds != {rule}:
         report.cond_violations.append((e.chrono, conds))
         return None
-    q = reconstruct_step(rule, e, e_next, q)
+    rebuilder.step(rule, e, e_next)
     # Nodes are canonical (see dewey), so comparing the machine's own
     # tree and maps takes one identity check per node.
-    expected = dict(_restricted_fields(machine))
-    for name, got_value in _restricted_fields(q):
-        if got_value != expected[name]:
-            # a copy: the machine's maps change with its next transition
-            expected = dict(_restricted_fields(machine.snapshot()))[name]
-            report.first_divergence = (e.chrono, name, expected, got_value)
+    words = machine.words
+    for name, want, got in (
+        ("T", machine.tree, rebuilder.tree),
+        ("u", machine.nodes[machine.current], rebuilder.current),
+        ("num", words["numbers"], rebuilder.numbers),
+        ("pred", words["preds"], rebuilder.preds),
+    ):
+        if got != want:
+            # copies: both sides change with the next transition
+            report.first_divergence = (e.chrono, name, *_difference(name, want, got))
             return None
     report.steps_checked = e.chrono
-    return q
+    return rebuilder
+
+
+def _difference(name, want, got) -> tuple:
+    """The part of each of two differing fields that the other lacks."""
+    if name == "u":
+        return want, got
+    if name == "T":
+        return frozenset(want - got), frozenset(got - want)
+    lacks = lambda a, b: {v: x for v, x in a.items() if v not in b or b[v] != x}
+    return lacks(want, got), lacks(got, want)
 
 
 def check_cond_exclusivity(events) -> list:

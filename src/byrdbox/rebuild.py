@@ -7,6 +7,15 @@ the pair (event, next event) by its port and by how the r attribute moves,
 then a local rebuilding step updates Q.  The depth attribute l is never
 read.
 
+A rebuild steps one live `Rebuilder` in place, as the engines fire their
+rules on one live machine: it holds the tree as a set, the current node,
+the numbering, the predications and the inverse numbering, and its
+`snapshot` copies the four rebuilt parameters into a frozen
+`RestrictedState`.  `reconstruct_trace` takes one snapshot per committed
+event, `adequacy.check_adequacy` compares the rebuilder itself with the
+machine and takes none, and `reconstruct_step` is one step from a given
+state, which it leaves as it was.
+
 Identification table (nd is the inverse of the numbering; the root's
 number is 1 for the whole run, so `nd(r) = root` is just `r = 1`):
 
@@ -21,7 +30,8 @@ number is 1 for the whole run, so `nd(r) = root` is just `r = 1`):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from .dewey import child, child_count
@@ -31,6 +41,7 @@ from .tracing import Port, TraceEvent
 
 __all__ = [
     "RestrictedState",
+    "Rebuilder",
     "MalformedTrace",
     "AmbiguousOrUndecidable",
     "CondViolation",
@@ -63,28 +74,20 @@ class RestrictedState:
     current: NodeId
     numbers: dict
     preds: dict
-    # The inverse of `numbers`; where several nodes carry one number (only
-    # a malformed trace numbers so), the first of them in `numbers`.
-    # Derived on first use when not given.
-    by_number: Optional[dict] = field(default=None, compare=False, repr=False)
+
+    @cached_property
+    def _by_number(self) -> dict:
+        return _first_carriers(self.numbers)
 
     def node_of(self, number: int) -> Optional[NodeId]:
-        return _inverse(self).get(number)
+        return self._by_number.get(number)
 
 
-def _inverse(q: RestrictedState) -> dict:
-    if q.by_number is None:
-        # built back to front, so the first node of a number is set last
-        nodes, numbers = reversed(q.numbers.keys()), reversed(q.numbers.values())
-        object.__setattr__(q, "by_number", dict(zip(numbers, nodes)))
-    return q.by_number
-
-
-def _numbered(q: RestrictedState, v: NodeId, number: int) -> dict:
-    """q's inverse numbering once the new node v carries `number`."""
-    inverse = dict(_inverse(q))
-    inverse.setdefault(number, v)
-    return inverse
+def _first_carriers(numbers: dict) -> dict:
+    """The inverse of a numbering; where several nodes carry one number
+    (only a malformed trace numbers so), the first of them in `numbers`."""
+    # built back to front, so the first node of a number is set last
+    return dict(zip(reversed(numbers.values()), reversed(numbers.keys())))
 
 
 def initial_restricted(goal: Term) -> RestrictedState:
@@ -148,100 +151,84 @@ def identify_rule(e: TraceEvent, e_next: Optional[TraceEvent]) -> RuleId:
     )
 
 
-def _require_node(q: RestrictedState, number: int) -> NodeId:
-    v = q.node_of(number)
-    if v is None:
-        raise MalformedTrace(f"no live node carries creation number {number}")
-    return v
-
-
-def _next_child(q: RestrictedState, w: NodeId) -> NodeId:
+def _next_child(q, w: NodeId) -> NodeId:
+    """The slot of w's next child in the tree of q, a rebuilt state or the
+    rebuilder."""
     # children are numbered from 1 without gaps (see dewey)
     return child(w, child_count(q.tree, w) + 1)
 
 
-def _grow(q, v, number, pred):
-    return RestrictedState(
-        tree=q.tree | {v},
-        current=v,
-        numbers={**q.numbers, v: number},
-        preds={**q.preds, v: pred},
-        by_number=_numbered(q, v, number),
-    )
+class Rebuilder:
+    """The one mutable restricted state that a rebuild steps in place.  It
+    owns the set and maps it holds: it copies them from the state it starts
+    from, and `snapshot` copies them into a new RestrictedState.  Beside the
+    four rebuilt parameters it keeps the inverse numbering, updated as
+    nodes are numbered and derived again after a Redo prunes."""
 
+    def __init__(self, q: RestrictedState):
+        self.tree, self.current = set(q.tree), q.current
+        self.numbers, self.preds = dict(q.numbers), dict(q.preds)
+        self.by_number = _first_carriers(self.numbers)
 
-def _pruned(q, keep_upto):
-    """q's tree, numbering, predications and inverse numbering without the
-    nodes after `keep_upto`; the three maps are fresh copies."""
-    doomed = {w for w in q.tree if w > keep_upto}
-    numbers, preds, by_number = dict(q.numbers), dict(q.preds), dict(_inverse(q))
-    for w in doomed:
-        n = numbers.pop(w, None)
-        preds.pop(w, None)
-        if by_number.get(n) == w:
-            del by_number[n]
-    if len(by_number) != len(numbers):
-        # some number is carried twice: derive the inverse again when used
-        by_number = None
-    return q.tree - doomed, numbers, preds, by_number
+    def snapshot(self) -> RestrictedState:
+        return RestrictedState(
+            frozenset(self.tree), self.current, dict(self.numbers), dict(self.preds)
+        )
+
+    def node_of(self, number: int) -> NodeId:
+        v = self.by_number.get(number)
+        if v is None:
+            raise MalformedTrace(f"no live node carries creation number {number}")
+        return v
+
+    def step(self, rule: RuleId, e: TraceEvent, e_next: Optional[TraceEvent]) -> None:
+        """One local rebuilding step: Q_t from Q_{t-1} and the event pair."""
+        if rule is RuleId.CALL1:
+            return
+        u = self.current
+        if rule is RuleId.CALL2:
+            self._add(_next_child(self, self.node_of(e.r)), e_next)
+        elif rule is RuleId.EXIT1:
+            self.preds[u] = e.pred
+            self.current = parent(u)
+        elif rule is RuleId.EXIT2:
+            if u == EPSILON:
+                raise MalformedTrace("the root cannot acquire a brother")
+            v = child(parent(u), u[-1] + 1)
+            if v in self.tree:
+                raise MalformedTrace(f"brother {node_str(v)} already exists")
+            self.preds[u] = e.pred
+            self._add(v, e_next)
+        elif rule is RuleId.FAIL2:
+            self.current = parent(u)
+        else:
+            assert rule in (RuleId.REDO1, RuleId.REDO2)
+            v = self.current = self.node_of(e.r)
+            doomed = [w for w in self.tree if w > v]
+            self.tree.difference_update(doomed)
+            for w in doomed:
+                self.numbers.pop(w, None)
+                self.preds.pop(w, None)
+            self.by_number = _first_carriers(self.numbers)
+            if rule is RuleId.REDO2:
+                self._add(child(v, 1), e_next)
+
+    def _add(self, v: NodeId, e_next: TraceEvent) -> None:
+        """Make v, numbered and predicated as e_next says, the current node."""
+        self.tree.add(v)
+        self.current = v
+        self.numbers[v] = e_next.r
+        self.preds[v] = e_next.pred
+        self.by_number.setdefault(e_next.r, v)
 
 
 def reconstruct_step(
     rule: RuleId, e: TraceEvent, e_next: Optional[TraceEvent], q: RestrictedState
 ) -> RestrictedState:
-    """One local rebuilding step: Q_t from Q_{t-1} and the event pair."""
-    if rule is RuleId.CALL1:
-        return q
-
-    if rule is RuleId.CALL2:
-        w = _require_node(q, e.r)
-        v = _next_child(q, w)
-        return _grow(q, v, e_next.r, e_next.pred)
-
-    if rule is RuleId.EXIT1:
-        return RestrictedState(
-            tree=q.tree,
-            current=parent(q.current),
-            numbers=q.numbers,
-            preds={**q.preds, q.current: e.pred},
-            by_number=q.by_number,
-        )
-
-    if rule is RuleId.EXIT2:
-        u = q.current
-        if u == EPSILON:
-            raise MalformedTrace("the root cannot acquire a brother")
-        v = child(parent(u), u[-1] + 1)
-        if v in q.tree:
-            raise MalformedTrace(f"brother {node_str(v)} already exists")
-        return RestrictedState(
-            tree=q.tree | {v},
-            current=v,
-            numbers={**q.numbers, v: e_next.r},
-            preds={**q.preds, u: e.pred, v: e_next.pred},
-            by_number=_numbered(q, v, e_next.r),
-        )
-
-    if rule is RuleId.FAIL2:
-        return RestrictedState(
-            tree=q.tree,
-            current=parent(q.current),
-            numbers=q.numbers,
-            preds=q.preds,
-            by_number=q.by_number,
-        )
-
-    assert rule in (RuleId.REDO1, RuleId.REDO2)
-    v = _require_node(q, e.r)
-    tree, numbers, preds, by_number = _pruned(q, v)
-    if rule is RuleId.REDO1:
-        return RestrictedState(tree, v, numbers, preds, by_number)
-    first = child(v, 1)
-    numbers[first] = e_next.r
-    preds[first] = e_next.pred
-    if by_number is not None:
-        by_number.setdefault(e_next.r, first)
-    return RestrictedState(tree | {first}, first, numbers, preds, by_number)
+    """One local rebuilding step from q, which is left as it was."""
+    rebuilder = Rebuilder(q)
+    rebuilder.step(rule, e, e_next)
+    return rebuilder.snapshot()
 
 
 @dataclass(frozen=True)
@@ -273,7 +260,7 @@ def reconstruct_trace(
     """
     events = list(events)
     states = [q0]
-    q = q0
+    rebuilder = Rebuilder(q0)
     for i, e in enumerate(events):
         e_next = events[i + 1] if i + 1 < len(events) else None
         try:
@@ -286,8 +273,8 @@ def reconstruct_trace(
                     f"a complete trace cannot end with a {e.port} event"
                 ) from None
             rule = RuleId.EXIT1
-        q = reconstruct_step(rule, e, e_next, q)
-        states.append(q)
+        rebuilder.step(rule, e, e_next)
+        states.append(rebuilder.snapshot())
     return ReconstructionResult(tuple(states), None)
 
 

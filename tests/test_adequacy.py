@@ -20,9 +20,8 @@ from byrdbox import (
     restrict,
     run_actual_trace,
 )
-from byrdbox import adequacy
 from byrdbox.corpus import corpus
-from byrdbox.rebuild import RestrictedState, matching_conds
+from byrdbox.rebuild import Rebuilder, RestrictedState, matching_conds
 
 
 def ev(chrono, r, l, port, pred="x"):
@@ -128,13 +127,15 @@ CORRUPTIONS = {
 
 def patch_rebuild(monkeypatch, change):
     """Make check_adequacy see change(step, q) for every rebuilt q."""
-    real = adequacy.reconstruct_step
+    real = Rebuilder.step
     steps = itertools.count(1)
 
-    def patched(rule, e, e_next, q):
-        return change(next(steps), real(rule, e, e_next, q))
+    def patched(rebuilder, rule, e, e_next):
+        real(rebuilder, rule, e, e_next)
+        q = change(next(steps), rebuilder.snapshot())
+        vars(rebuilder).update(vars(Rebuilder(q)))
 
-    monkeypatch.setattr(adequacy, "reconstruct_step", patched)
+    monkeypatch.setattr(Rebuilder, "step", patched)
 
 
 @pytest.mark.parametrize("step", range(1, 11))
@@ -149,6 +150,26 @@ def test_a_corrupted_field_is_reported_at_its_step(monkeypatch, ex1_program, nam
     assert report.first_divergence[:2] == (step, name)
     assert report.steps_checked == step - 1
     assert report.machine_line("ex1").startswith(f"FAIL ex1 {step - 1} divergence:step{step}:{name}")
+
+
+EVIDENCE = {
+    "T": (frozenset(), frozenset({(7, 7)})),
+    "u": ((2,), (7, 7)),
+    "num": ({(): 1}, {(): 99}),
+    "pred": ({(): parse_term("goal")}, {(): parse_term("corrupted")}),
+}
+
+
+@pytest.mark.parametrize("name", CORRUPTIONS)
+def test_a_divergence_names_only_the_differing_nodes(monkeypatch, ex1_program, name):
+    # step 3 (Exit2) makes (2,) current; the other nodes agree
+    attr, corrupt = CORRUPTIONS[name]
+    patch_rebuild(
+        monkeypatch,
+        lambda t, q: dataclasses.replace(q, **{attr: corrupt(q)}) if t == 3 else q,
+    )
+    report = check_adequacy(ex1_program, 100)
+    assert report.first_divergence == (3, name, *EVIDENCE[name])
 
 
 def fresh_nodes(q):

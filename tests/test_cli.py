@@ -167,6 +167,19 @@ def test_compare_example2(capsys, data_dir):
     assert out.strip() == "m1:28 m2:32 m3:44 subseq:yes,yes"
 
 
+def test_compare_exits_1_when_m1_is_no_subsequence_of_m2(tmp_path, capsys):
+    # The program halts in all three models, but m1 announces a Redo at a
+    # resumed choice point whose clauses then all fail, where m2 re-chooses
+    # silently: a correct run whose check fails.
+    program = tmp_path / "redo.pl"
+    program.write_text(
+        "p0(c,X1) :- p0(X1,a). p0(a,a) :- p0(Y1,b). :- p0(c,c).\n", encoding="utf-8"
+    )
+    code, out = run_cli(capsys, "compare", "--program", str(program))
+    assert out.strip() == "m1:13 m2:10 m3:10 subseq:no,yes"
+    assert code == 1
+
+
 def test_outputs_are_deterministic(tmp_path, capsys, data_dir):
     a, b = tmp_path / "a.txt", tmp_path / "b.txt"
     for target in (a, b):

@@ -1,7 +1,8 @@
 """Streaming runs against the runs that keep every state.
 
 The traced run, the model runs and the adequacy check fire their rules
-in place on one live machine and keep no states; `run_virtual`, `step`,
+in place on one live machine and keep no states (the adequacy check also
+steps one live rebuilder); `run_virtual`, `step`,
 `step_extended` and the lazy `.run` / `.transitions` make frozen
 snapshots of it.  Both must tell the same story, no snapshot may share a
 map or set with the machine that goes on running, and a step must leave
@@ -30,6 +31,7 @@ from byrdbox import (
 from byrdbox.corpus import corpus
 from byrdbox.engine import VirtualState
 from byrdbox.multimodel import ExtendedState
+from byrdbox.rebuild import RestrictedState
 
 from conftest import DATA
 
@@ -139,3 +141,20 @@ def test_streaming_runs_keep_no_states(monkeypatch):
         assert made[VirtualState] == 2 + 1 + len(trace.events) + 1
         assert len(run.transitions) >= len(run.events)
         assert made[ExtendedState] == 4 + 1 + len(run.transitions)
+
+
+def test_adequacy_check_keeps_no_rebuilt_states(monkeypatch):
+    made = []
+    init = RestrictedState.__init__
+
+    def counted(self, *args, **kwargs):
+        made.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(RestrictedState, "__init__", counted)
+    for program in PROGRAMS:
+        made.clear()
+        report = check_adequacy(program, FUEL)
+        assert report.passed and report.steps_checked > 1
+        # the initial state, and none per step
+        assert len(made) == 1
