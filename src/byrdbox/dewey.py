@@ -4,15 +4,15 @@ Python's tuple order is the Dewey (lexicographic) order, and in it the
 subtree of a node v is one contiguous range [v, succ(v)), where
 succ(v) = v[:-1] + (v[-1] + 1,); the whole tree is the root's subtree.
 A question about a subtree is therefore one bisection of a sorted tuple
-of nodes.  Three holders keep two such tuples, `order` (every node) and
-`cps` (the choice points: nodes whose box still holds a clause): the
-snapshots of both engines (`VirtualState`, `ExtendedState`) and the
-multimodel engine's live `ExtMachine`.  They are immutable, so states
-that did not change one share it.  The core engine's live `Machine` does
-not bisect: its tree is a node stack of positions (see engine), and it
-builds the two tuples only for its snapshots.  The rebuilder keeps its
-tree as a set of words and answers by probing children (below) and by
-its inverse numbering.
+of nodes.  The snapshots of both engines (`VirtualState`,
+`ExtendedState`) keep two such tuples, `order` (every node) and `cps`
+(the choice points: nodes whose box still holds a clause).  They are
+immutable, so states that did not change one share it.  Neither live
+machine bisects: the core engine's `Machine` is a node stack of
+positions and the multimodel engine's `ExtMachine` a layout of integer
+node slots (see engine and multimodel); each builds the two tuples only
+for its snapshots.  The rebuilder keeps its tree as a set of words and
+answers by probing children (below) and by its inverse numbering.
 
 A node's children are numbered 1..k without gaps in every reachable
 state of both engines and in every rebuilt state: children are created
@@ -30,7 +30,7 @@ one step per node, not one per node component.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from typing import Optional
 
 __all__ = [
@@ -39,8 +39,6 @@ __all__ = [
     "derive_indexes",
     "child_count",
     "last_in_subtree",
-    "with_node",
-    "split_after",
 ]
 
 
@@ -95,20 +93,3 @@ def last_in_subtree(nodes: tuple, v: tuple) -> Optional[tuple]:
     if i and nodes[i - 1] >= v:
         return nodes[i - 1]
     return None
-
-
-def with_node(nodes: tuple, v: tuple, present: bool = True) -> tuple:
-    """Sorted `nodes` with v in it when `present`, without v otherwise."""
-    i = bisect_left(nodes, v)
-    there = i < len(nodes) and nodes[i] == v
-    if present and not there:
-        return nodes[:i] + (v,) + nodes[i:]
-    if there and not present:
-        return nodes[:i] + nodes[i + 1:]
-    return nodes
-
-
-def split_after(nodes: tuple, v: tuple) -> tuple:
-    """(the nodes <= v, the nodes > v) of sorted `nodes`."""
-    i = bisect_right(nodes, v)
-    return nodes[:i], nodes[i:]

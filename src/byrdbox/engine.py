@@ -48,8 +48,8 @@ they are.
 
 The queries below take a snapshot and a Dewey word, or the live machine
 and a position.  The other engine (multimodel) shares the state layout
-and the clause selection (`_peek_visit`, `_take`); its live machine keeps
-the Dewey layout, because its tree is not a stack.
+and the clause selection (`_peek_visit`, `_take`); its live machine holds
+integer node slots, because it creates a clause's body slots at once.
 """
 
 from __future__ import annotations
@@ -114,7 +114,12 @@ class RuleId(Enum):
 
 
 class DeterminismViolation(Exception):
-    """Raised when zero or several transition rules apply to a live state."""
+    """Raised when zero or several transition rules apply to a live state;
+    `table` maps every rule, in rule order, to whether it applies."""
+
+    def __init__(self, message: str, table: Optional[dict] = None):
+        super().__init__(message)
+        self.table = table
 
 
 @dataclass(frozen=True)
@@ -345,9 +350,9 @@ def _select(m: Machine) -> Tuple[Optional[RuleId], Optional[_Peek]]:
     if not matching:
         if m.complete and not has_choice_point(m, 0):
             return None, None
-        raise DeterminismViolation(f"no rule applies at node {u} in a live state")
+        raise DeterminismViolation(f"no rule applies at node {u} in a live state", conds)
     raise DeterminismViolation(
-        f"rules {', '.join(str(r) for r in matching)} all apply at node {u}"
+        f"rules {', '.join(str(r) for r in matching)} all apply at node {u}", conds
     )
 
 

@@ -21,10 +21,30 @@ Three mutually exclusive models select how backtracking is traced:
 State layout and clause selection are the simplified machine's (see
 engine): the resolution bookkeeping sits in fields that equality and repr
 skip, binding dicts are shared, never copied, and `_peek_visit` and
-`_take` choose each clause.  The live machine keeps the snapshots' Dewey
-indexes (see dewey), not engine's node stack: CLAUSSUCCEEDS creates all
-of a clause's body slots at once, before the subtrees of the earlier
-slots grow, so nodes are not created in Dewey order.
+`_take` choose each clause.
+
+The live machine holds its tree as integer node slots: parallel lists by
+slot of each node's word (`nodes`, made once by dewey's `child`), its
+parent's slot (`up`; the root, at 0, is its own), its children's slots
+(`kids`, a range) and the per-node maps and bookkeeping under their state
+names.  `order` lists the slots in Dewey order, updated in place (a
+node's m2 rank is its place in it), and `cps` the choice points' slots.
+Three invariants hold:
+
+  1. a node's children are one block of slots, made at once by
+     CLAUSSUCCEEDS at a leaf after which every node is a leaf, so blocks
+     are made in the Dewey order of their parents and a prune drops the
+     last slots;
+  2. no choice point lies after the current node's subtree, so the
+     greatest one in the subtree of the current node or an ancestor is
+     the top of `cps` when that is at or after it;
+  3. `cps` grows only on top and loses only a suffix.
+
+A push or a drain off the top of `cps`, and a prune of slots that are not
+the last, raise.  The live path never hashes a word: it compares words
+only for those checks and in the choice-point query, and snapshots and
+events read them.  The queries take a snapshot and a word, or the live
+machine and the slot of the current node or one of its ancestors.
 
 The rule table has 16 rules.  The paper's leaffail2 is not among them:
 it fails a node whose chosen clause's head does not unify, and
@@ -40,22 +60,13 @@ which all three models must trace identically up to the m2 numbering.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from typing import Optional, Tuple
 
-from .dewey import (
-    child,
-    child_count,
-    derive_indexes,
-    last_in_subtree,
-    split_after,
-    with_node,
-)
-from .engine import (
-    EPSILON, DeterminismViolation, NodeId, _peek_visit, _take, node_str, parent,
-)
+from .dewey import child, child_count, derive_indexes, last_in_subtree
+from .engine import EPSILON, DeterminismViolation, NodeId, _peek_visit, _take, node_str
 from .terms import Program, resolve
 from .tracing import Port, TraceEvent
 
@@ -146,43 +157,58 @@ class ExtendedState:
 
 
 # ----------------------------------------------------------------------
-# Tree helpers on the extended state.  Children are numbered from 1
-# without gaps (see dewey).
+# Tree helpers: on a snapshot they take Dewey words, whose children are
+# numbered from 1 without gaps (see dewey), on the live machine slots.
 # ----------------------------------------------------------------------
 
 def _is_leaf(state, v):
+    if isinstance(state, ExtMachine):
+        return not state.kids[v]
     return v + (1,) not in state.tree
 
 
 def _children(state, v):
+    if isinstance(state, ExtMachine):
+        return state.kids[v]
     return [child(v, i) for i in range(1, child_count(state.tree, v) + 1)]
 
 
-def _has_next_node(state, v):
-    return v != EPSILON and parent(v) + (v[-1] + 1,) in state.tree
+def _has_next_node(m, u):
+    return u != 0 and u + 1 in m.kids[m.up[u]]
 
 
 def _hcp(state, v):
-    return last_in_subtree(state.cps, v) is not None
+    return _gcp(state, v) is not None
 
 
 def _gcp(state, v):
+    if isinstance(state, ExtMachine):
+        # nothing after v's subtree is a choice point (invariant 2)
+        cps, nodes = state.cps, state.nodes
+        return cps[-1] if cps and nodes[cps[-1]] >= nodes[v] else None
     return last_in_subtree(state.cps, v)
 
 
-def _toward_gcp(state, u):
+def _toward_gcp(m, u):
     """The child of u whose subtree holds the greatest choice point."""
-    return child(u, _gcp(state, u)[len(u)])
+    nodes = m.nodes
+    return m.kids[u][nodes[_gcp(m, u)][len(nodes[u])] - 1]
 
 
-def _reenterable_child(state, u):
+def _reenterable_child(m, u):
     """Rightmost child already visited and not yet closed by the sweep."""
-    live = [
-        w
-        for w in _children(state, u)
-        if not state.fresh.get(w, False) and w not in state.marks
-    ]
-    return live[-1] if live else None
+    for w in reversed(_children(m, u)):
+        if not m.fresh[w] and not m.marks[w]:
+            return w
+    return None
+
+
+def _num_for(m, model, node):
+    if model is not ModelId.M2:
+        return m.numbers[node]
+    if isinstance(m, ExtMachine):
+        return 1 + m.order.index(node)  # 1 + nodes before it
+    return 1 + bisect_left(m.order, node)
 
 
 # ----------------------------------------------------------------------
@@ -194,84 +220,72 @@ def _reenterable_child(state, u):
 _CLOSED = dict.fromkeys(ExtRuleId, False)
 
 
-def _gates(state: ExtendedState, model: ModelId) -> dict:
-    u = state.current
-    fst = state.fresh.get(u, False)
-    ct, flr, scs, bk3 = state.complete, state.failing, state.success, state.reverse
-    leaf = _is_leaf(state, u)
-    box = state.boxes.get(u, ())
-    cc = state.chosen.get(u)
-    m1, m2, m3 = model is ModelId.M1, model is ModelId.M2, model is ModelId.M3
+def _gates(state, model: ModelId) -> dict:
+    """Rule -> whether its gate is open, for all 16 rules, on a state or
+    the live machine.  Only the shared rules and `model`'s own are
+    evaluated (the others stay closed), and each tree query is made at
+    most once."""
+    m = state if isinstance(state, ExtMachine) else ExtMachine(state)
+    R = ExtRuleId
+    u = m.current
+    fst, leaf, box, cc = m.fresh[u], _is_leaf(m, u), m.boxes[u], m.chosen[u]
+    ct, flr, scs, bk3 = m.complete, m.failing, m.success, m.reverse
+    idle = m.pending is None
 
     g = _CLOSED.copy()
-    g[ExtRuleId.CALLONE] = fst and leaf and not ct and not flr and not bk3
-    g[ExtRuleId.CHOICE] = (
-        not fst and leaf and not ct and not bk3 and not flr
-        and cc is None and bool(box) and state.pending is None
-    )
-    committed = cc is not None and state.pending is not None
-    g[ExtRuleId.FACTSUCCEEDS] = (
-        not fst and leaf and not ct and committed and cc.is_fact
-    )
-    g[ExtRuleId.CLAUSSUCCEEDS] = (
-        not fst and leaf and not ct and committed and not cc.is_fact
-    )
-    g[ExtRuleId.EXIT1] = not fst and scs and not _has_next_node(state, u) and not ct
-    g[ExtRuleId.EXIT2] = not fst and scs and _has_next_node(state, u) and not ct
-    g[ExtRuleId.LEAFFAIL1] = (
-        not fst and leaf and not ct and not bk3 and not flr and not scs
-        and cc is None and not box and state.pending is None
-    )
-    g[ExtRuleId.TREEFAIL_M12] = (
-        (m1 or m2)
-        and not fst and not leaf and flr and not ct and not _hcp(state, u)
-    )
-    g[ExtRuleId.REDO_M1] = m1 and not fst and _hcp(state, u) and (flr or ct)
-    g[ExtRuleId.REDO_M2A] = m2 and ct and scs and _hcp(state, u)
-    g[ExtRuleId.TREEFAIL_M2] = (
-        m2 and not fst and flr and not ct
-        and _hcp(state, u) and _gcp(state, u) != u
-    )
-    g[ExtRuleId.REDO_M2B] = (
-        m2 and not fst and flr and not ct
-        and _hcp(state, u) and _gcp(state, u) == u
-    )
-    # The reverse sweep undoes the subtree of a node completely before the
-    # node's own clause list is consulted again: re-enter the rightmost
-    # still-open child first, re-choose at the node only once no child is
-    # left to re-enter, and fail it when the clause list is empty too.
-    reenter3 = m3 and ct and scs and not bk3 and _hcp(state, u)
-    no_child_left = m3 and _reenterable_child(state, u) is None
-    g[ExtRuleId.REDO_M3A] = (
-        m3 and not fst and bk3 and not ct and bool(box) and no_child_left
-    )
-    g[ExtRuleId.REDO_M3B] = reenter3 or (
-        m3 and not fst and bk3 and not ct and not no_child_left
-    )
-    g[ExtRuleId.REDO_M3C] = (
-        m3 and not fst and bk3 and not ct and not box and leaf and no_child_left
-    )
-    g[ExtRuleId.REDO_M3D] = (
-        m3 and not fst and bk3 and not ct and not box and not leaf and no_child_left
-    )
+    g[R.CALLONE] = fst and leaf and not ct and not flr and not bk3
+    if not fst and not ct:
+        if leaf and cc is None and idle and not bk3 and not flr:
+            g[R.CHOICE] = bool(box)
+            g[R.LEAFFAIL1] = not scs and not box
+        elif leaf and cc is not None and not idle:
+            g[R.FACTSUCCEEDS] = cc.is_fact
+            g[R.CLAUSSUCCEEDS] = not cc.is_fact
+        if scs:
+            g[R.EXIT2] = nxt = _has_next_node(m, u)
+            g[R.EXIT1] = not nxt
+    cp = _gcp(m, u) if flr or ct else None
+    if model is ModelId.M3:
+        # The reverse sweep undoes the subtree of a node completely before
+        # the node's own clause list is consulted again: re-enter the
+        # rightmost still-open child first, re-choose at the node only once
+        # no child is left to re-enter, and fail it when the clause list is
+        # empty too.
+        g[R.REDO_M3B] = ct and scs and not bk3 and cp is not None
+        if not fst and bk3 and not ct:
+            open_child = _reenterable_child(m, u) is not None
+            g[R.REDO_M3A] = bool(box) and not open_child
+            g[R.REDO_M3B] = open_child
+            g[R.REDO_M3C] = not box and leaf and not open_child
+            g[R.REDO_M3D] = not box and not leaf and not open_child
+        return g
+    g[R.TREEFAIL_M12] = not fst and not leaf and flr and not ct and cp is None
+    if model is ModelId.M1:
+        g[R.REDO_M1] = not fst and cp is not None  # cp is None unless flr or ct
+    else:
+        g[R.REDO_M2A] = ct and scs and cp is not None
+        if not fst and flr and not ct and cp is not None:
+            g[R.TREEFAIL_M2] = cp != u
+            g[R.REDO_M2B] = cp == u
     return g
 
 
-def applicable_extended(state: ExtendedState, model: ModelId) -> Optional[ExtRuleId]:
-    """The unique applicable rule under `model`, or None for Halt."""
-    gates = _gates(state, model)
+def applicable_extended(state, model: ModelId) -> Optional[ExtRuleId]:
+    """The unique applicable rule under `model` at a state or the live
+    machine, or None for Halt."""
+    m = state if isinstance(state, ExtMachine) else ExtMachine(state)
+    gates = _gates(m, model)
     live = [r for r, on in gates.items() if on]
     if len(live) == 1:
         return live[0]
+    where = node_str(m.nodes[m.current])
     if not live:
-        if state.complete and not _hcp(state, EPSILON):
+        if m.complete and not _hcp(m, 0):
             return None
-        raise DeterminismViolation(
-            f"[{model}] no rule applies at node {node_str(state.current)}"
-        )
+        raise DeterminismViolation(f"[{model}] no rule applies at node {where}", gates)
     raise DeterminismViolation(
-        f"[{model}] rules {', '.join(str(r) for r in live)} all apply at node "
-        f"{node_str(state.current)}"
+        f"[{model}] rules {', '.join(str(r) for r in live)} all apply at node {where}",
+        gates,
     )
 
 
@@ -308,87 +322,125 @@ def init_extended(program: Program) -> ExtendedState:
     )
 
 
-def _thawed(value):
-    """A mutable copy of a state's set or map; any other value as it is."""
-    if isinstance(value, frozenset):
-        return set(value)
-    return dict(value) if isinstance(value, dict) else value
-
-
-def _frozen(value):
-    """A frozen copy of a machine's set or map; any other value as it is."""
-    if isinstance(value, set):
-        return frozenset(value)
-    return dict(value) if isinstance(value, dict) else value
+# The per-node maps of a state, which the machine holds as lists by slot
+# (None where the map has no entry), and its other fields but the sets.
+_MAPS = (
+    "numbers", "preds", "chosen", "boxes", "sigmas", "fresh",
+    "call_preds", "call_snaps", "display",
+)
+_SCALARS = (
+    "counter", "complete", "failing", "success", "reverse",
+    "program", "bindings", "stamp", "pending",
+)
+_LEAF = range(0)
+# A body slot as CLAUSSUCCEEDS makes it and a prune resets it, apart from
+# its word, parent and predication: unvisited, childless, unnumbered.
+_SKELETON = (
+    ("kids", _LEAF), ("numbers", None), ("chosen", None), ("boxes", ()),
+    ("sigmas", None), ("fresh", True), ("call_preds", None),
+    ("call_snaps", None), ("display", None), ("marks", False),
+)
 
 
 class ExtMachine:
     """The one mutable state that a run of this engine fires its rules on,
-    in place, with the pieces its rules share.  It holds the fields of an
-    ExtendedState and owns every set and map it holds: it copies them from
-    the state it starts from, and `snapshot` copies them into a new frozen
-    state."""
+    in place, as integer node slots (see the module docstring); `current`,
+    `order` and `cps` hold slots.  It builds every list from the state it
+    starts from, and `snapshot` copies them into a new frozen state."""
 
     def __init__(self, state: ExtendedState):
-        for f in fields(state):
-            setattr(self, f.name, _thawed(getattr(state, f.name)))
+        nodes, up, kids, slot = [EPSILON], [0], [_LEAF], {EPSILON: 0}
+        for v in state.order:  # each node's children as one block (invariant 1)
+            p, start = slot[v], len(nodes)
+            for i in range(1, child_count(state.tree, v) + 1):
+                w = child(v, i)
+                slot[w] = len(nodes)
+                nodes.append(w)
+                up.append(p)
+                kids.append(_LEAF)
+            kids[p] = range(start, len(nodes))
+        self.nodes, self.up, self.kids = nodes, up, kids
+        self.current = slot[state.current]
+        self.order = [slot[v] for v in state.order]
+        self.cps = [slot[v] for v in state.cps]
+        for name in _MAPS:
+            words = getattr(state, name)
+            setattr(self, name, [words.get(v) for v in nodes])
+        self.marks = [v in state.marks for v in nodes]
+        self.skeleton = [(getattr(self, name), value) for name, value in _SKELETON]
+        self.columns = (nodes, up, self.preds, *(column for column, _ in self.skeleton))
+        for name in _SCALARS:
+            setattr(self, name, getattr(state, name))
         self.halted = False  # set by the run that drives the machine
 
-    def set_box(self, v, box):
-        self.boxes[v] = box
-        self.cps = with_node(self.cps, v, bool(box))
+    def set_box(self, p, box):
+        """Fill or shrink the box at slot p: a box that fills pushes p on
+        `cps`, whose greatest node it must be, and one that drains pops p,
+        which must be the top (invariant 3)."""
+        cps = self.cps
+        if box and not self.boxes[p]:
+            assert not cps or self.nodes[p] > self.nodes[cps[-1]], "a push below the top of cps"
+            cps.append(p)
+        elif self.boxes[p] and not box:
+            top = cps.pop()
+            assert top == p, "a drained choice point is not the top of cps"
+        self.boxes[p] = box
 
     def snapshot(self) -> ExtendedState:
-        return ExtendedState(**{
-            f.name: _frozen(getattr(self, f.name)) for f in fields(ExtendedState)
-        })
+        nodes, order = self.nodes, self.order
+        words = tuple([nodes[p] for p in order])
+        maps = {
+            name: {nodes[p]: x for p in order if (x := column[p]) is not None}
+            for name in _MAPS for column in (getattr(self, name),)
+        }
+        return ExtendedState(
+            tree=frozenset(words),
+            current=nodes[self.current],
+            marks=frozenset([nodes[p] for p in order if self.marks[p]]),
+            order=words,
+            cps=tuple([nodes[p] for p in self.cps]),
+            **maps,
+            **{name: getattr(self, name) for name in _SCALARS},
+        )
 
     def prune_after(self, v):
         """Tear down everything behind a resumed choice point: interior
         nodes vanish, later body slots of still-standing clauses revert to
-        unvisited skeleton nodes awaiting a fresh number."""
-        kept, after = split_after(self.order, v)
-        doomed = [y for y in after if parent(y) >= v]
-        resets = tuple(y for y in after if parent(y) < v)
-        self.order = kept + resets
-        # every box behind v is gone or emptied
-        self.cps = split_after(self.cps, v)[0]
-        self.tree.difference_update(doomed)
-        for maps in (self.numbers, self.preds, self.chosen, self.boxes,
-                     self.sigmas, self.fresh, self.call_preds,
-                     self.call_snaps, self.display):
-            for y in doomed:
-                maps.pop(y, None)
-        self.marks.difference_update(doomed)
-        for y in resets:
-            self.fresh[y] = True
-            self.boxes[y] = ()
-            for maps in (self.numbers, self.chosen, self.sigmas,
-                         self.call_preds, self.call_snaps, self.display):
-                maps.pop(y, None)
-            self.marks.discard(y)
+        unvisited skeleton nodes awaiting a fresh number.  The nodes that
+        vanish are the last slots (invariant 1), so every list is cut."""
+        nodes, order, up = self.nodes, self.order, self.up
+        i = order.index(v)
+        gone, doomed, resets = {v}, [], []
+        for y in order[i + 1:]:
+            # a parent before v is an ancestor of v: y is a later body slot
+            (doomed if up[y] in gone else resets).append(y)
+            gone.add(y)
+        cut = len(nodes) - len(doomed)
+        assert min(doomed, default=cut) == cut, "the pruned nodes are not the last slots"
+        cps = self.cps
+        while cps and nodes[cps[-1]] > nodes[v]:  # every box behind v is gone or emptied
+            cps.pop()
+        for column in self.columns:
+            del column[cut:]
+        order[i + 1:] = resets
+        self.kids[v] = _LEAF
+        for column, value in self.skeleton:
+            for y in resets:
+                column[y] = value
 
     def rechoice(self, v):
         self.prune_after(v)
-        self.chosen.pop(v, None)
+        self.chosen[v] = None
         self.pending = None
-        self.success = False
-        self.failing = False
-        self.complete = False
+        self.success = self.failing = self.complete = False
 
     def fail_at(self, u):
-        self.marks.add(u)
-        self.current = parent(u)
-        if u == EPSILON:
+        self.marks[u] = True
+        self.current = self.up[u]
+        if u == 0:
             self.complete = True
         self.failing = True
         self.success = False
-
-
-def _num_for(m, model, node):
-    if model is ModelId.M2:
-        return 1 + bisect_left(m.order, node)  # 1 + nodes before it
-    return m.numbers[node]
 
 
 def _fire(m: ExtMachine, model: ModelId, chrono: int, rule: ExtRuleId):
@@ -408,15 +460,14 @@ def _fire(m: ExtMachine, model: ModelId, chrono: int, rule: ExtRuleId):
         m.counter += 1
         m.numbers[u] = m.counter
         m.set_box(u, m.program.clauses_for(called.functor, called.arity))
-        m.chosen.pop(u, None)
+        m.chosen[u] = None
         m.sigmas[u] = m.bindings
         m.fresh[u] = False
-        m.success = False
-        m.failing = False
+        m.success = m.failing = False
         m.call_preds[u] = called
         m.call_snaps[u] = m.bindings
         m.display[u] = called
-        m.marks.discard(u)
+        m.marks[u] = False
         port, node, pred = Port.CALL, u, called
 
     elif rule is R.CHOICE:
@@ -434,25 +485,30 @@ def _fire(m: ExtMachine, model: ModelId, chrono: int, rule: ExtRuleId):
             port, node = Port.EXIT, u
             pred = m.display[u] = resolve(m.bindings, m.call_preds[u])
         else:
+            # one block of new slots after every other (invariant 1), in
+            # Dewey order right after u, a leaf
+            start, word = len(m.nodes), m.nodes[u]
             for i, atom in enumerate(m.chosen[u].body, start=1):
-                slot = child(u, i)
-                m.tree.add(slot)
-                m.order = with_node(m.order, slot)
-                m.preds[slot] = atom
-                m.fresh[slot] = True
-                m.boxes[slot] = ()
-            m.current = child(u, 1)
+                m.nodes.append(child(word, i))
+                m.up.append(u)
+                m.preds.append(atom)
+                for column, value in m.skeleton:
+                    column.append(value)
+            m.kids[u] = block = range(start, len(m.nodes))
+            at = m.order.index(u) + 1
+            m.order[at:at] = block
+            m.current = start
 
     elif rule in (R.EXIT1, R.EXIT2):
         if not _is_leaf(m, u):
             port, node = Port.EXIT, u
             pred = m.display[u] = resolve(m.bindings, m.call_preds[u])
         if rule is R.EXIT1:
-            m.current = parent(u)
-            if u == EPSILON:
+            m.current = m.up[u]
+            if u == 0:
                 m.complete = True
         else:
-            m.current = child(parent(u), u[-1] + 1)
+            m.current = u + 1
 
     elif rule in (R.LEAFFAIL1, R.TREEFAIL_M12, R.REDO_M3C, R.REDO_M3D):
         port, node, pred = Port.FAIL, u, m.call_preds[u]
@@ -474,8 +530,7 @@ def _fire(m: ExtMachine, model: ModelId, chrono: int, rule: ExtRuleId):
         # Top level re-enters the root box asking for another solution;
         # the walk down to the choice point is then traced like a failure.
         port, node, pred = Port.REDO, u, m.display[u]
-        m.complete = False
-        m.success = False
+        m.complete = m.success = False
         m.failing = True
 
     elif rule is R.TREEFAIL_M2:
@@ -490,16 +545,14 @@ def _fire(m: ExtMachine, model: ModelId, chrono: int, rule: ExtRuleId):
             # starts by re-entering the root box itself.
             node = u
             m.reverse = True
-            m.complete = False
-            m.success = False
+            m.complete = m.success = False
         port, pred = Port.REDO, m.display[node]
 
     if port is None:
         return rule, None
     # l is engine's lpath: the number of nodes on the root-to-node path
-    r, l = _num_for(m, model, node), len(node) + 1
+    r, l = _num_for(m, model, node), len(m.nodes[node]) + 1
     return rule, TraceEvent(chrono=chrono, r=r, l=l, port=port, pred=pred)
-
 
 def _drive(machine: ExtMachine, model: ModelId, max_steps: int):
     """Fire the rules of a run under `model` of at most `max_steps`
@@ -526,10 +579,10 @@ def step_extended(
 ) -> Tuple[ExtRuleId, ExtendedState]:
     """Fire the unique applicable rule under `model`; `state` itself is
     left as it was."""
-    rule = applicable_extended(state, model)
+    machine = ExtMachine(state)
+    rule = applicable_extended(machine, model)
     if rule is None:
         raise DeterminismViolation("step called on a halted state")
-    machine = ExtMachine(state)
     _fire(machine, model, 0, rule)
     return rule, machine.snapshot()
 

@@ -54,13 +54,13 @@ def load_golden(name: str) -> list:
 def stored_nodes(state):
     """Every node a machine or rebuilt state stores: its current node,
     the nodes of its set and tuple fields, the keys of its per-node maps
-    (the bookkeeping's included), and the values of the inverse numbering."""
+    (the bookkeeping's included), and the values of a rebuilt state's
+    inverse numbering once it has derived it."""
     yield state.current
+    yield from state.__dict__.get("_by_number", {}).values()
     for f in fields(state):
         value = getattr(state, f.name)
-        if f.name == "by_number":
-            yield from (value or {}).values()
-        elif isinstance(value, dict):
+        if isinstance(value, dict):
             yield from (k for k in value if isinstance(k, tuple))
         elif isinstance(value, (frozenset, tuple)) and f.name != "current":
             yield from value

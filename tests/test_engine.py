@@ -19,7 +19,7 @@ from byrdbox import (
     step,
     updated_pred,
 )
-from byrdbox.engine import EPSILON, Machine, _fire, has_choice_point, is_leaf
+from byrdbox.engine import EPSILON, Machine, _fire, _select, has_choice_point, is_leaf
 
 
 def alpha_equal(pairs_a, pairs_b):
@@ -340,3 +340,14 @@ def test_a_break_of_the_node_stack_raises(ex1_program):
     m.current = 1  # node 1, whose brother 2 exists already
     with pytest.raises(AssertionError):
         _fire(m, RuleId.EXIT2, None)
+
+
+def test_a_violation_carries_the_condition_table(ex1_program):
+    # A forged live state: the root is still fresh while ct is up and its
+    # box holds clauses, so no rule applies and the machine has not halted.
+    m = Machine(init_state(ex1_program))
+    m.complete = True
+    with pytest.raises(DeterminismViolation) as caught:
+        _select(m)
+    assert str(caught.value) == "no rule applies at node eps in a live state"
+    assert list(caught.value.table.items()) == [(rule, False) for rule in RuleId]

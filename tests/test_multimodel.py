@@ -13,7 +13,7 @@ from byrdbox import (
     run_model,
     step_extended,
 )
-from byrdbox.multimodel import applicable_extended
+from byrdbox.multimodel import ExtMachine, ExtRuleId, applicable_extended, init_extended
 
 from conftest import load_golden, normalize_trace
 
@@ -199,3 +199,15 @@ def test_every_rule_fires_under_some_model(ex1_program, ex2_program, corpus_200)
         for model in ModelId:
             fired.update(rule for rule, _ in run_model(program, model, 120).transitions)
     assert fired == set(ExtRuleId)
+
+
+@pytest.mark.parametrize("model", list(ModelId), ids=str)
+def test_a_violation_carries_the_gate_table(ex1_program, model):
+    # A forged live state: the root is still fresh while ct is up and its
+    # box holds clauses, so no gate is open and the machine has not halted.
+    m = ExtMachine(init_extended(ex1_program))
+    m.complete = True
+    with pytest.raises(DeterminismViolation) as caught:
+        applicable_extended(m, model)
+    assert str(caught.value) == f"[{model}] no rule applies at node eps"
+    assert list(caught.value.table.items()) == [(rule, False) for rule in ExtRuleId]

@@ -3,11 +3,14 @@
 Snapshots of both engines and the rebuilder answer their tree questions
 (leaf, choice points, children, m2 rank, next child slot, node by number)
 from sorted node tuples and the children-are-1..k invariant; the live
-core machine answers from positions in its node stack.  The scans below
+core machine answers from positions in its node stack, and the live
+multimodel machine from its integer node slots.  The scans below
 are the reference definitions; every reachable state, and the live
 machine at every step, must answer alike, and states must store only
 canonical nodes.
 """
+
+from itertools import chain
 
 import pytest
 
@@ -25,7 +28,19 @@ from byrdbox.corpus import corpus
 from byrdbox.engine import (
     Machine, RuleId, drive, greatest_choice_point, has_choice_point, init_state, is_leaf,
 )
-from byrdbox.multimodel import _children, _gcp, _hcp, _is_leaf, _num_for
+from byrdbox.multimodel import (
+    ExtMachine,
+    _children,
+    _drive,
+    _gates,
+    _gcp,
+    _has_next_node,
+    _hcp,
+    _is_leaf,
+    _num_for,
+    _reenterable_child,
+    init_extended,
+)
 from byrdbox.rebuild import _next_child
 
 from conftest import DATA, assert_nodes_canonical
@@ -103,11 +118,12 @@ def test_core_engine_queries_match_scans(index):
     goal = trace.run.initial.preds[()]
     for q in reconstruct_trace(initial_restricted(goal), trace.events).states:
         assert_children_gapless(q.tree)
-        assert_nodes_canonical(q)
         for v in q.tree:
             assert _next_child(q, v) == scan_next_child(q.tree, v)
         for number in set(q.numbers.values()) | {0, max(q.numbers.values()) + 1}:
             assert q.node_of(number) == scan_node_of(q.numbers, number)
+        assert "_by_number" in q.__dict__
+        assert_nodes_canonical(q)  # with the inverse numbering node_of derived
 
 
 def assert_stack_layout(m):
@@ -177,6 +193,68 @@ def test_model_engine_queries_match_scans(index, model):
             assert _gcp(state, v) == gcp
             assert _hcp(state, v) == (gcp is not None)
             assert _num_for(state, ModelId.M2, v) == scan_rank(state.tree, v)
+
+
+def scan_reenterable(s, v):
+    live = [w for w in scan_children(s.tree, v) if not s.fresh[w] and w not in s.marks]
+    return live[-1] if live else None
+
+
+def scan_next_node(tree, v):
+    w = v[:-1] + (v[-1] + 1,) if v else None
+    return w if w in tree else None
+
+
+def assert_slot_layout(m, s):
+    """The live multimodel machine holds exactly the snapshot's nodes, one
+    slot each: a node's children are one block of slots, blocks are made
+    in the Dewey order of their parents, so a prune cuts the last slots
+    (invariant 1); `order` is Dewey order; no choice point lies after the
+    current node's subtree (invariant 2); `cps` is exactly the nodes whose
+    box holds a clause, in Dewey order (invariant 3)."""
+    nodes = m.nodes
+    assert len(nodes) == len(m.order) == len(s.tree)
+    assert s.order == tuple(sorted(s.tree)) and set(nodes) == s.tree
+    for p in range(len(nodes)):
+        assert len(m.kids[p]) == len(scan_children(s.tree, nodes[p]))
+        if p:
+            block = m.kids[m.up[p]]
+            assert p in block and nodes[p] == nodes[m.up[p]] + (p - block.start + 1,)
+    parents = [p for p in range(len(nodes)) if m.kids[p]]
+    assert sorted(parents, key=lambda p: m.kids[p].start) == sorted(parents, key=nodes.__getitem__)
+    assert s.cps == tuple(sorted(v for v in s.tree if s.boxes.get(v)))
+    current = s.current
+    assert all(w < current or w[: len(current)] == current for w in s.cps)
+
+
+@pytest.mark.parametrize("model", list(ModelId), ids=str)
+@pytest.mark.parametrize("index", range(len(PROGRAMS)))
+def test_live_model_machine_answers_as_scans_of_its_snapshot(index, model):
+    # At every step the machine's slot answers for the current node and
+    # its ancestors name the same Dewey words as reference scans of a
+    # snapshot, and its gate table is the snapshot's.
+    m = ExtMachine(init_extended(PROGRAMS[index]))
+    word = lambda p: None if p is None else m.nodes[p]
+    for _ in chain([None], _drive(m, model, FUEL)):  # before each step and after the last
+        s = m.snapshot()
+        assert_slot_layout(m, s)
+        assert _gates(m, model) == _gates(s, model)
+        u, v = m.current, s.current
+        assert m.nodes[u] == v
+        children = scan_children(s.tree, v)
+        assert [m.nodes[w] for w in _children(m, u)] == children
+        assert _is_leaf(m, u) == (not children)
+        assert (m.nodes[u + 1] if _has_next_node(m, u) else None) == scan_next_node(s.tree, v)
+        assert word(_reenterable_child(m, u)) == scan_reenterable(s, v)
+        assert _num_for(m, ModelId.M2, u) == scan_rank(s.tree, v)
+        p = u
+        while True:  # the current node and each of its ancestors
+            gcp = scan_gcp(s.tree, s.boxes, m.nodes[p])
+            assert word(_gcp(m, p)) == gcp
+            assert _hcp(m, p) == (gcp is not None)
+            if p == 0:
+                break
+            p = m.up[p]
 
 
 # Forged traces can give two live nodes one number.  node_of must then
