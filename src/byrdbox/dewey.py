@@ -1,18 +1,14 @@
-"""Tree queries on Dewey nodes, answered without scanning the tree.
+"""Dewey nodes: canonical words, and the gapless numbering of children.
 
-Python's tuple order is the Dewey (lexicographic) order, and in it the
-subtree of a node v is one contiguous range [v, succ(v)), where
-succ(v) = v[:-1] + (v[-1] + 1,); the whole tree is the root's subtree.
-A question about a subtree is therefore one bisection of a sorted tuple
-of nodes.  The snapshots of both engines (`VirtualState`,
-`ExtendedState`) keep two such tuples, `order` (every node) and `cps`
-(the choice points: nodes whose box still holds a clause).  They are
-immutable, so states that did not change one share it.  Neither live
-machine bisects: the core engine's `Machine` is a node stack of
-positions and the multimodel engine's `ExtMachine` a layout of integer
-node slots (see engine and multimodel); each builds the two tuples only
-for its snapshots.  The rebuilder keeps its tree as a set of words and
-answers by probing children (below) and by its inverse numbering.
+A node is named by its Dewey word, a tuple of ints whose Python order is
+the Dewey (lexicographic) order: a prefix sorts before its extensions,
+siblings by component.  Neither live machine answers a tree question
+from words: the core engine's `Machine` is a node stack of positions and
+the multimodel engine's `ExtMachine` a layout of integer node slots (see
+engine and multimodel).  Words are built where they are observed: in
+snapshots, in `node_str`, in the word maps that the adequacy check
+compares, and in the rebuilder, which keeps its tree as a set of words
+and answers by probing children (below) and by its inverse numbering.
 
 A node's children are numbered 1..k without gaps in every reachable
 state of both engines and in every rebuilt state: children are created
@@ -30,15 +26,10 @@ one step per node, not one per node component.
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from typing import Optional
-
 __all__ = [
     "child",
     "parent",
-    "derive_indexes",
     "child_count",
-    "last_in_subtree",
 ]
 
 
@@ -70,26 +61,9 @@ def parent(v: tuple) -> tuple:
     return p
 
 
-def derive_indexes(state) -> None:
-    """Fill in the `order` and `cps` of a state built without them (an
-    initial state, or one made by hand), from its `tree` and `boxes`."""
-    if state.order is None:
-        object.__setattr__(state, "order", tuple(sorted(state.tree)))
-    if state.cps is None:
-        cps = tuple(v for v in state.order if state.boxes.get(v))
-        object.__setattr__(state, "cps", cps)
-
-
 def child_count(tree, v: tuple) -> int:
     k = 0
     while v + (k + 1,) in tree:
         k += 1
     return k
 
-
-def last_in_subtree(nodes: tuple, v: tuple) -> Optional[tuple]:
-    """The greatest node of sorted `nodes` in v's subtree, or None."""
-    i = bisect_left(nodes, v[:-1] + (v[-1] + 1,)) if v else len(nodes)
-    if i and nodes[i - 1] >= v:
-        return nodes[i - 1]
-    return None

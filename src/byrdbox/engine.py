@@ -46,8 +46,11 @@ the top of `cps`, raise.  Word-keyed copies of the per-node maps
 so a snapshot is dict copies and the adequacy check compares the maps as
 they are.
 
-The queries below take a snapshot and a Dewey word, or the live machine
-and a position.  The other engine (multimodel) shares the state layout
+The tree queries below take the live machine and a position; a caller
+that holds a snapshot builds `Machine(state)` first, as `step`,
+`applicable_rule` and `tracing.extract_event` do.  The machine derives
+its Dewey order from the snapshot's tree and its choice points from the
+boxes.  The other engine (multimodel) shares the state layout
 and the clause selection (`_peek_visit`, `_take`); its live machine holds
 integer node slots, because it creates a clause's body slots at once.
 """
@@ -59,7 +62,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional, Tuple
 
-from .dewey import child, derive_indexes, last_in_subtree, parent
+from .dewey import child, parent
 from .terms import (
     BOTTOM,
     Clause,
@@ -141,13 +144,6 @@ class VirtualState:
     call_snaps: dict = field(compare=False, repr=False)  # node -> bindings then
     chosen: dict = field(compare=False, repr=False)      # node -> clause in use
     failed: dict = field(compare=False, repr=False)      # node -> visit drained
-    # Indexes (see dewey): every node, and the choice points, as sorted
-    # tuples.  Derived from `tree` and `boxes` when not given.
-    order: tuple = field(default=None, compare=False, repr=False)
-    cps: tuple = field(default=None, compare=False, repr=False)
-
-    def __post_init__(self):
-        derive_indexes(self)
 
 
 # The per-node maps of a state.  The machine holds each one twice: as a
@@ -175,11 +171,8 @@ class RunResult:
 
 
 # ----------------------------------------------------------------------
-# Tree utilities.  On a snapshot they take Dewey words: int tuples, whose
-# Python order is exactly the required lexicographic order (a prefix
-# sorts before its extensions, siblings sort by component); stored nodes
-# are the canonical tuples made by dewey's `child` and `parent`.  On the
-# live machine they take positions (see the module docstring).
+# Tree utilities.  They take the live machine and a position (see the
+# module docstring); only `node_str` takes a Dewey word.
 # ----------------------------------------------------------------------
 
 def node_str(v: NodeId) -> str:
@@ -190,47 +183,38 @@ def node_str(v: NodeId) -> str:
     return ".".join(str(i) for i in v)
 
 
-def is_leaf(state, v) -> bool:
-    if isinstance(state, Machine):
-        # in Dewey order, a node with children is followed by its first child
-        return v + 1 == len(state.nodes) or state.up[v + 1] != v
-    # children are numbered from 1 without gaps (see dewey)
-    return v + (1,) not in state.tree
+def is_leaf(m: Machine, p: int) -> bool:
+    # in Dewey order, a node with children is followed by its first child
+    return p + 1 == len(m.nodes) or m.up[p + 1] != p
 
 
-def lpath(state, v) -> int:
-    """Number of nodes on the root-to-v path (the recursion depth)."""
-    if isinstance(state, Machine):
-        v = state.nodes[v]
-    return len(v) + 1
+def lpath(m: Machine, p: int) -> int:
+    """Number of nodes on the root-to-p path (the recursion depth)."""
+    return len(m.nodes[p]) + 1
 
 
-def may_have_new_brother(state, v) -> bool:
-    """True iff v's predication is not the last one in the body of the
-    clause currently chosen at v's parent.  The root has no brother."""
-    if isinstance(state, Machine):
-        if v == 0:
-            return False
-        chosen, i = state.chosen[state.up[v]], state.nodes[v][-1]
-    else:
-        if v == EPSILON:
-            return False
-        chosen, i = state.chosen.get(parent(v)), v[-1]
-    return chosen is not None and i < len(chosen.body)
+def may_have_new_brother(m: Machine, p: int) -> bool:
+    """True iff p's predication is not the last one in the body of the
+    clause currently chosen at p's parent.  The root has no brother."""
+    if p == 0:
+        return False
+    chosen = m.chosen[m.up[p]]
+    return chosen is not None and m.nodes[p][-1] < len(chosen.body)
 
 
-def has_choice_point(state, v) -> bool:
-    return greatest_choice_point(state, v) is not None
+def has_choice_point(m: Machine, p: int) -> bool:
+    return greatest_choice_point(m, p) is not None
 
 
-def greatest_choice_point(state, v):
-    """Greatest node (lexicographically) in v's subtree whose box still
-    holds a clause; None when there is no choice point."""
-    if isinstance(state, Machine):
-        # every node after v lies in v's subtree (invariant 2)
-        cps = state.cps
-        return cps[-1] if cps and cps[-1] >= v else None
-    return last_in_subtree(state.cps, v)
+def greatest_choice_point(m: Machine, p: int) -> Optional[int]:
+    """The position of the greatest node (lexicographically) in p's
+    subtree whose box still holds a clause; None when there is none.
+
+    p is the current node or an ancestor of it, the only nodes after
+    which every node lies in p's subtree (invariant 2): so the answer is
+    the top of `cps` when that is at or after p."""
+    cps = m.cps
+    return cps[-1] if cps and cps[-1] >= p else None
 
 
 def box_init(program: Program, atom: Term, bindings: dict):
@@ -241,16 +225,14 @@ def box_init(program: Program, atom: Term, bindings: dict):
     return program.clauses_for(called.functor, called.arity), called
 
 
-def updated_pred(state, v) -> Term:
+def updated_pred(m: Machine, p: int) -> Term:
     """The node's predication with all bindings accumulated so far applied
-    (the post-success value shown by Exit events)."""
-    if isinstance(state, Machine):
-        # Resolved once per transition, so that an Exit event and the
-        # node's new predication are one object.
-        if state.resolved is None or state.resolved[0] != v:
-            state.resolved = (v, resolve(state.bindings, state.call_preds[v]))
-        return state.resolved[1]
-    return resolve(state.bindings, state.call_preds[v])
+    (the post-success value shown by Exit events).  Resolved once per
+    transition, so that an Exit event and the node's new predication are
+    one object."""
+    if m.resolved is None or m.resolved[0] != p:
+        m.resolved = (p, resolve(m.bindings, m.call_preds[p]))
+    return m.resolved[1]
 
 
 # ----------------------------------------------------------------------
@@ -398,11 +380,11 @@ class Machine:
     """The one mutable state that a run fires its rules on, in place, as a
     node stack (see the module docstring); `current` and `cps` hold
     positions.  It owns every list, set and map it holds: it builds them
-    from the state it starts from, and `snapshot` copies them into a new
-    frozen state."""
+    from the state it starts from (its Dewey order, and the choice points
+    from the boxes), and `snapshot` copies them into a new frozen state."""
 
     def __init__(self, state: VirtualState):
-        nodes = list(state.order)
+        nodes = sorted(state.tree)
         where = {v: p for p, v in enumerate(nodes)}
         up = [where.get(parent(v)) for v in nodes]
         current = where.get(state.current)
@@ -411,7 +393,7 @@ class Machine:
         if nodes[-1][: len(state.current)] != state.current:
             raise ValueError("a state's u must be its last node or an ancestor of it")
         self.nodes, self.up, self.current = nodes, up, current
-        self.cps = [where[v] for v in state.cps]
+        self.cps = [p for p, v in enumerate(nodes) if state.boxes.get(v)]
         self.tree = set(state.tree)
         self.words = {name: dict(getattr(state, name)) for name in _MAPS}
         for name, words in self.words.items():
@@ -442,8 +424,6 @@ class Machine:
             program=self.program,
             bindings=self.bindings,
             stamp=self.stamp,
-            order=tuple(nodes),
-            cps=tuple([nodes[p] for p in self.cps]),
             **{name: dict(words) for name, words in self.words.items()},
         )
 

@@ -43,8 +43,11 @@ Three invariants hold:
 A push or a drain off the top of `cps`, and a prune of slots that are not
 the last, raise.  The live path never hashes a word: it compares words
 only for those checks and in the choice-point query, and snapshots and
-events read them.  The queries take a snapshot and a word, or the live
-machine and the slot of the current node or one of its ancestors.
+events read them.  The queries take the live machine and the slot of the
+current node or one of its ancestors; a caller that holds a snapshot
+builds `ExtMachine(state)` first, as `_gates`, `applicable_extended` and
+`step_extended` do.  The machine derives its Dewey order from the
+snapshot's tree and its choice points from the boxes.
 
 The rule table has 16 rules.  The paper's leaffail2 is not among them:
 it fails a node whose chosen clause's head does not unify, and
@@ -59,13 +62,12 @@ which all three models must trace identically up to the m2 numbering.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from typing import Optional, Tuple
 
-from .dewey import child, child_count, derive_indexes, last_in_subtree
+from .dewey import child, child_count
 from .engine import EPSILON, DeterminismViolation, NodeId, _peek_visit, _take, node_str
 from .terms import Program, resolve
 from .tracing import Port, TraceEvent
@@ -147,46 +149,37 @@ class ExtendedState:
     call_snaps: dict = field(compare=False, repr=False)  # node -> bindings then
     display: dict = field(compare=False, repr=False)     # node -> last shown
     marks: frozenset = field(compare=False, repr=False)  # closed by m3's sweep
-    # Indexes (see dewey): every node, and the choice points, as sorted
-    # tuples.  Derived from `tree` and `boxes` when not given.
-    order: tuple = field(default=None, compare=False, repr=False)
-    cps: tuple = field(default=None, compare=False, repr=False)
-
-    def __post_init__(self):
-        derive_indexes(self)
 
 
 # ----------------------------------------------------------------------
-# Tree helpers: on a snapshot they take Dewey words, whose children are
-# numbered from 1 without gaps (see dewey), on the live machine slots.
+# Tree helpers: they take the live machine and a slot.
 # ----------------------------------------------------------------------
 
-def _is_leaf(state, v):
-    if isinstance(state, ExtMachine):
-        return not state.kids[v]
-    return v + (1,) not in state.tree
+def _is_leaf(m, v):
+    return not m.kids[v]
 
 
-def _children(state, v):
-    if isinstance(state, ExtMachine):
-        return state.kids[v]
-    return [child(v, i) for i in range(1, child_count(state.tree, v) + 1)]
+def _children(m, v):
+    return m.kids[v]
 
 
 def _has_next_node(m, u):
     return u != 0 and u + 1 in m.kids[m.up[u]]
 
 
-def _hcp(state, v):
-    return _gcp(state, v) is not None
+def _hcp(m, v):
+    return _gcp(m, v) is not None
 
 
-def _gcp(state, v):
-    if isinstance(state, ExtMachine):
-        # nothing after v's subtree is a choice point (invariant 2)
-        cps, nodes = state.cps, state.nodes
-        return cps[-1] if cps and nodes[cps[-1]] >= nodes[v] else None
-    return last_in_subtree(state.cps, v)
+def _gcp(m, v):
+    """The slot of the greatest node (lexicographically) in v's subtree
+    whose box still holds a clause; None when there is none.
+
+    v is the current node or an ancestor of it, the only nodes after
+    whose subtree no choice point lies (invariant 2): so the answer is
+    the top of `cps` when that is at or after v."""
+    cps, nodes = m.cps, m.nodes
+    return cps[-1] if cps and nodes[cps[-1]] >= nodes[v] else None
 
 
 def _toward_gcp(m, u):
@@ -206,9 +199,7 @@ def _reenterable_child(m, u):
 def _num_for(m, model, node):
     if model is not ModelId.M2:
         return m.numbers[node]
-    if isinstance(m, ExtMachine):
-        return 1 + m.order.index(node)  # 1 + nodes before it
-    return 1 + bisect_left(m.order, node)
+    return 1 + m.order.index(node)  # 1 + nodes before it
 
 
 # ----------------------------------------------------------------------
@@ -346,11 +337,13 @@ class ExtMachine:
     """The one mutable state that a run of this engine fires its rules on,
     in place, as integer node slots (see the module docstring); `current`,
     `order` and `cps` hold slots.  It builds every list from the state it
-    starts from, and `snapshot` copies them into a new frozen state."""
+    starts from (its Dewey order, and the choice points from the boxes),
+    and `snapshot` copies them into a new frozen state."""
 
     def __init__(self, state: ExtendedState):
         nodes, up, kids, slot = [EPSILON], [0], [_LEAF], {EPSILON: 0}
-        for v in state.order:  # each node's children as one block (invariant 1)
+        order = sorted(state.tree)
+        for v in order:  # each node's children as one block (invariant 1)
             p, start = slot[v], len(nodes)
             for i in range(1, child_count(state.tree, v) + 1):
                 w = child(v, i)
@@ -361,8 +354,8 @@ class ExtMachine:
             kids[p] = range(start, len(nodes))
         self.nodes, self.up, self.kids = nodes, up, kids
         self.current = slot[state.current]
-        self.order = [slot[v] for v in state.order]
-        self.cps = [slot[v] for v in state.cps]
+        self.order = [slot[v] for v in order]
+        self.cps = [slot[v] for v in order if state.boxes.get(v)]
         for name in _MAPS:
             words = getattr(state, name)
             setattr(self, name, [words.get(v) for v in nodes])
@@ -388,17 +381,14 @@ class ExtMachine:
 
     def snapshot(self) -> ExtendedState:
         nodes, order = self.nodes, self.order
-        words = tuple([nodes[p] for p in order])
         maps = {
             name: {nodes[p]: x for p in order if (x := column[p]) is not None}
             for name in _MAPS for column in (getattr(self, name),)
         }
         return ExtendedState(
-            tree=frozenset(words),
+            tree=frozenset(nodes),
             current=nodes[self.current],
             marks=frozenset([nodes[p] for p in order if self.marks[p]]),
-            order=words,
-            cps=tuple([nodes[p] for p in self.cps]),
             **maps,
             **{name: getattr(self, name) for name in _SCALARS},
         )

@@ -98,26 +98,26 @@ class TraceResult:
         return run_virtual(self.program, self.max_steps)
 
 
-def extract_event(rule: RuleId, s_before: VirtualState, chrono: int) -> TraceEvent:
-    """The event extracted from firing `rule` out of `s_before` (a state
-    or the live machine before the rule fires).  The node is a word in a
-    state and a position in the machine; either way, l is its lpath."""
-    u = s_before.current
+def extract_event(rule: RuleId, s_before, chrono: int) -> TraceEvent:
+    """The event extracted from firing `rule` out of `s_before`, the live
+    machine (or a state) before the rule fires."""
+    m = s_before if isinstance(s_before, Machine) else Machine(s_before)
+    u = m.current
     if rule in (RuleId.CALL1, RuleId.CALL2):
-        node, pred = u, s_before.preds[u]
+        node, pred = u, m.preds[u]
     elif rule in (RuleId.EXIT1, RuleId.EXIT2):
-        node, pred = u, updated_pred(s_before, u)
+        node, pred = u, updated_pred(m, u)
     elif rule is RuleId.FAIL2:
         # A failing box reports the goal as it was called, not any value a
         # since-undone success may have written into the state.
-        node, pred = u, s_before.call_preds[u]
+        node, pred = u, m.call_preds[u]
     else:
-        node = greatest_choice_point(s_before, u)
-        pred = s_before.preds[node]
+        node = greatest_choice_point(m, u)
+        pred = m.preds[node]
     return TraceEvent(
         chrono=chrono,
-        r=s_before.numbers[node],
-        l=lpath(s_before, node),
+        r=m.numbers[node],
+        l=lpath(m, node),
         port=PORT_OF_RULE[rule],
         pred=pred,
     )

@@ -53,7 +53,7 @@ def load_golden(name: str) -> list:
 
 def stored_nodes(state):
     """Every node a machine or rebuilt state stores: its current node,
-    the nodes of its set and tuple fields, the keys of its per-node maps
+    the nodes of its set fields, the keys of its per-node maps
     (the bookkeeping's included), and the values of a rebuilt state's
     inverse numbering once it has derived it."""
     yield state.current
@@ -62,14 +62,18 @@ def stored_nodes(state):
         value = getattr(state, f.name)
         if isinstance(value, dict):
             yield from (k for k in value if isinstance(k, tuple))
-        elif isinstance(value, (frozenset, tuple)) and f.name != "current":
+        elif isinstance(value, frozenset):
             yield from value
 
 
-def assert_nodes_canonical(state):
-    """Every stored node is the one canonical tuple of its Dewey word."""
-    for v in stored_nodes(state):
+def assert_canonical(nodes):
+    """Every node is the one canonical tuple of its Dewey word."""
+    for v in nodes:
         assert v == () or child(parent(v), v[-1]) is v, v
+
+
+def assert_nodes_canonical(state):
+    assert_canonical(stored_nodes(state))
 
 
 @pytest.fixture(scope="session")

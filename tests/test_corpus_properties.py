@@ -8,7 +8,7 @@ exercising, on smaller samples.
 
 from byrdbox import ModelId, run_actual_trace, run_model
 from byrdbox.corpus import corpus, program_source
-from byrdbox.engine import EPSILON, is_leaf
+from byrdbox.engine import EPSILON, Machine, is_leaf
 from byrdbox.terms import parse_program
 
 
@@ -45,9 +45,10 @@ def test_tree_shape_invariants_hold_on_corpus(corpus_200):
             assert EPSILON in state.tree
             for v in state.tree:
                 assert v == EPSILON or v[:-1] in state.tree
-            for v, fresh in state.fresh.items():
+            m = Machine(state)
+            for p, fresh in enumerate(m.fresh):
                 if fresh:
-                    assert is_leaf(state, v)
+                    assert is_leaf(m, p)
 
 
 def test_m1_model_matches_core_engine_on_corpus(corpus_200):

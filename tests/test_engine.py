@@ -187,13 +187,18 @@ def test_run_virtual_rejects_zero_fuel(ex1_program):
         run_virtual(ex1_program, 0)
 
 
+def at(m, v):
+    """The position of the node with Dewey word v in the machine."""
+    return m.nodes.index(v)
+
+
 def test_greatest_choice_point(ex1_program):
     run = run_virtual(ex1_program, 100)
-    s6 = run.states[5]
-    assert greatest_choice_point(s6, EPSILON) == N1
-    s11 = run.states[10]
-    assert greatest_choice_point(s11, EPSILON) is None
-    assert not has_choice_point(s11, EPSILON)
+    m6 = Machine(run.states[5])
+    assert m6.nodes[greatest_choice_point(m6, at(m6, EPSILON))] == N1
+    m11 = Machine(run.states[10])
+    assert greatest_choice_point(m11, at(m11, EPSILON)) is None
+    assert not has_choice_point(m11, at(m11, EPSILON))
 
 
 def test_greatest_choice_point_takes_lexicographic_max(ex1_program):
@@ -219,16 +224,17 @@ def test_greatest_choice_point_takes_lexicographic_max(ex1_program):
         failed=base.failed,
     )
     enumerated = sorted(v for v in state.tree if state.boxes.get(v))
-    assert greatest_choice_point(state, EPSILON) == (1, 2) == enumerated[-1]
+    m = Machine(state)
+    assert m.nodes[greatest_choice_point(m, at(m, EPSILON))] == (1, 2) == enumerated[-1]
 
 
 def test_may_have_new_brother(ex1_program):
     run = run_virtual(ex1_program, 100)
-    s3 = run.states[2]
-    assert may_have_new_brother(s3, N1)  # p(X) is first of two body atoms
-    assert not may_have_new_brother(s3, EPSILON)  # the root has no brother
-    s9 = run.states[8]
-    assert not may_have_new_brother(s9, N2)  # eq(X,b) is the last body atom
+    m3 = Machine(run.states[2])
+    assert may_have_new_brother(m3, at(m3, N1))  # p(X) is first of two body atoms
+    assert not may_have_new_brother(m3, at(m3, EPSILON))  # the root has no brother
+    m9 = Machine(run.states[8])
+    assert not may_have_new_brother(m9, at(m9, N2))  # eq(X,b) is the last body atom
 
 
 def test_box_init_examples(ex1_program):
@@ -249,11 +255,11 @@ def test_box_init_examples(ex1_program):
 
 def test_updated_pred_examples(ex1_program):
     run = run_virtual(ex1_program, 100)
-    s3 = run.states[2]  # after c2 was used at node 1
-    assert updated_pred(s3, N1) == parse_term("p(a)")
-    s10 = run.states[9]
-    assert updated_pred(s10, EPSILON) == Struct("goal")
-    assert updated_pred(s10, N2) == parse_term("eq(b,b)")  # ground stays itself
+    m3 = Machine(run.states[2])  # after c2 was used at node 1
+    assert updated_pred(m3, at(m3, N1)) == parse_term("p(a)")
+    m10 = Machine(run.states[9])
+    assert updated_pred(m10, at(m10, EPSILON)) == Struct("goal")
+    assert updated_pred(m10, at(m10, N2)) == parse_term("eq(b,b)")  # ground stays itself
 
 
 def test_undefined_goal_fails_in_two_steps():
@@ -265,9 +271,10 @@ def test_undefined_goal_fails_in_two_steps():
 
 def test_first_implies_leaf_everywhere(ex2_program):
     for state in run_virtual(ex2_program, 100).states:
-        for v, fresh in state.fresh.items():
+        m = Machine(state)
+        for p, fresh in enumerate(m.fresh):
             if fresh:
-                assert is_leaf(state, v)
+                assert is_leaf(m, p)
 
 
 def test_tree_prefix_closed_and_current_in_tree(ex2_program):
@@ -313,11 +320,12 @@ def test_rule_preconditions_hold_on_fired_transitions(ex1_program, ex2_program):
             before = after
 
 
-def test_lpath_values(ex1_program):
-    s = init_state(ex1_program)
-    assert lpath(s, EPSILON) == 1
-    assert lpath(s, (1,)) == 2
-    assert lpath(s, (1, 1)) == 3
+def test_lpath_values(ex2_program):
+    state = next(s for s in run_virtual(ex2_program, 100).states if (1, 1) in s.tree)
+    m = Machine(state)
+    assert lpath(m, at(m, EPSILON)) == 1
+    assert lpath(m, at(m, (1,))) == 2
+    assert lpath(m, at(m, (1, 1))) == 3
 
 
 def test_every_rule_fires(ex1_program, ex2_program, corpus_200):
@@ -333,7 +341,7 @@ def test_a_break_of_the_node_stack_raises(ex1_program):
     # machine whose u is moved off that path cannot push a node that is
     # not the Dewey maximum.
     state = run_virtual(ex1_program, 100).states[3]
-    assert (state.current, state.order) == (N2, (E, N1, N2))
+    assert (state.current, tuple(sorted(state.tree))) == (N2, (E, N1, N2))
     with pytest.raises(ValueError):
         step(dataclasses.replace(state, current=N1))
     m = Machine(state)

@@ -50,8 +50,8 @@ PROGRAMS = programs()
 
 
 def everything(state):
-    """Every field of a state, its bookkeeping and indexes included (state
-    equality compares the observable parameters only)."""
+    """Every field of a state, its bookkeeping included (state equality
+    compares the observable parameters only)."""
     return {f.name: getattr(state, f.name) for f in fields(state) if f.name != "program"}
 
 
@@ -65,7 +65,7 @@ def stepped(state, fire, budget):
     # only after walking them on every visit: they are entered up front.
     memo = {}
     for _ in range(budget):
-        memo.update((id(v), v) for v in state.order)
+        memo.update((id(v), v) for v in state.tree)
         before = copy.deepcopy(state, memo)
         _, state = fire(state)
         assert everything(states[-1]) == everything(before)
@@ -117,13 +117,13 @@ def count_states(monkeypatch):
     """Count the VirtualStates and ExtendedStates constructed from now on."""
     made = {VirtualState: 0, ExtendedState: 0}
     for cls in made:
-        post_init = cls.__post_init__
+        init = cls.__init__
 
-        def counted(self, cls=cls, post_init=post_init):
+        def counted(self, *args, cls=cls, init=init, **kwargs):
             made[cls] += 1
-            post_init(self)
+            init(self, *args, **kwargs)
 
-        monkeypatch.setattr(cls, "__post_init__", counted)
+        monkeypatch.setattr(cls, "__init__", counted)
     return made
 
 

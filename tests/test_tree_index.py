@@ -1,20 +1,25 @@
-"""The tree indexes against the full-tree scans they replaced.
+"""The tree queries against the full-tree scans they replaced.
 
-Snapshots of both engines and the rebuilder answer their tree questions
-(leaf, choice points, children, m2 rank, next child slot, node by number)
-from sorted node tuples and the children-are-1..k invariant; the live
-core machine answers from positions in its node stack, and the live
-multimodel machine from its integer node slots.  The scans below
-are the reference definitions; every reachable state, and the live
-machine at every step, must answer alike, and states must store only
-canonical nodes.
+The live core machine answers its tree questions (leaf, choice points)
+from positions in its node stack, and the live multimodel machine (leaf,
+children, choice points, m2 rank) from its integer node slots; a
+snapshot is asked through the machine built from it, which derives the
+Dewey order from the tree and the choice points from the boxes.  The
+rebuilder answers (next child slot, node by number) from the
+children-are-1..k invariant and its inverse numbering.  The scans below
+are the reference definitions; the machine built from every reachable
+state, the live machine at every step and every rebuilt state must
+answer alike, a machine built from a state must give that state back,
+and states and the live rebuilder must store only canonical nodes.
 """
 
+from dataclasses import fields
 from itertools import chain
 
 import pytest
 
 from byrdbox import (
+    AmbiguousOrUndecidable,
     ModelId,
     initial_restricted,
     parse_program,
@@ -23,6 +28,7 @@ from byrdbox import (
     reconstruct_trace,
     run_actual_trace,
     run_model,
+    run_virtual,
 )
 from byrdbox.corpus import corpus
 from byrdbox.engine import (
@@ -41,9 +47,9 @@ from byrdbox.multimodel import (
     _reenterable_child,
     init_extended,
 )
-from byrdbox.rebuild import _next_child
+from byrdbox.rebuild import Rebuilder, _next_child, identify_rule
 
-from conftest import DATA, assert_nodes_canonical
+from conftest import DATA, assert_canonical, assert_nodes_canonical
 
 FUEL = 120
 
@@ -96,9 +102,50 @@ def assert_children_gapless(tree):
             assert v[-1] == 1 or v[:-1] + (v[-1] - 1,) in tree, v
 
 
-def assert_indexes_exact(state):
-    assert state.order == tuple(sorted(state.tree))
-    assert state.cps == tuple(sorted(v for v in state.tree if state.boxes.get(v)))
+def word(m, p):
+    """The Dewey word of a machine's position or slot p, or None."""
+    return None if p is None else m.nodes[p]
+
+
+def path_to_root(m):
+    """The slots (or positions) of the current node and its ancestors."""
+    p = m.current
+    while p:
+        yield p
+        p = m.up[p]
+    yield 0
+
+
+def assert_round_trip(state, live, rebuilt, layout):
+    """The machine `rebuilt` from `state` holds the layout of the `live`
+    machine that `state` was taken from: the Dewey order and the choice
+    points it derives from the tree and the boxes are the live ones.  And
+    it gives back a snapshot equal to `state` in every field, bookkeeping
+    included."""
+    for name in layout:
+        assert getattr(rebuilt, name) == getattr(live, name), name
+    again = rebuilt.snapshot()
+    for f in fields(state):
+        assert getattr(again, f.name) == getattr(state, f.name), f.name
+
+
+@pytest.mark.parametrize("index", range(len(PROGRAMS)))
+def test_machines_give_back_the_states_they_are_built_from(index):
+    program = PROGRAMS[index]
+    # drive yields before each rule fires, and ends holding the last state
+    m = Machine(init_state(program))
+    states = run_virtual(program, FUEL).states
+    for state, _ in zip(states, chain(drive(m, FUEL), [None]), strict=True):
+        layout = ("nodes", "up", "cps", "current")
+        assert_round_trip(state, m, Machine(state), layout)
+    for model in ModelId:
+        # _drive yields after each rule fires
+        m = ExtMachine(init_extended(program))
+        run = run_model(program, model, FUEL)
+        states = [run.initial] + [s for _, s in run.transitions]
+        for state, _ in zip(states, chain([None], _drive(m, model, FUEL)), strict=True):
+            layout = ("nodes", "up", "kids", "order", "cps", "current")
+            assert_round_trip(state, m, ExtMachine(state), layout)
 
 
 @pytest.mark.parametrize("index", range(len(PROGRAMS)))
@@ -106,13 +153,14 @@ def test_core_engine_queries_match_scans(index):
     trace = run_actual_trace(PROGRAMS[index], FUEL)
     for state in trace.run.states:
         assert_children_gapless(state.tree)
-        assert_indexes_exact(state)
         assert_nodes_canonical(state)
-        for v in state.tree:
-            gcp = scan_gcp(state.tree, state.boxes, v)
-            assert is_leaf(state, v) == (not scan_children(state.tree, v))
-            assert greatest_choice_point(state, v) == gcp
-            assert has_choice_point(state, v) == (gcp is not None)
+        m = Machine(state)
+        for p, v in enumerate(m.nodes):
+            assert is_leaf(m, p) == (not scan_children(state.tree, v))
+        for p in path_to_root(m):
+            gcp = scan_gcp(state.tree, state.boxes, m.nodes[p])
+            assert word(m, greatest_choice_point(m, p)) == gcp
+            assert has_choice_point(m, p) == (gcp is not None)
 
     # the rebuilt states of the same trace
     goal = trace.run.initial.preds[()]
@@ -124,6 +172,26 @@ def test_core_engine_queries_match_scans(index):
             assert q.node_of(number) == scan_node_of(q.numbers, number)
         assert "_by_number" in q.__dict__
         assert_nodes_canonical(q)  # with the inverse numbering node_of derived
+
+
+@pytest.mark.parametrize("index", range(len(PROGRAMS)))
+def test_live_rebuilder_stores_canonical_nodes(index):
+    # Stepped as reconstruct_trace steps it, the live rebuilder stores only
+    # canonical nodes at every step: the current node, the tree, the keys
+    # of the numbering and the predications, and the inverse numbering.
+    program = PROGRAMS[index]
+    events = run_actual_trace(program, FUEL).events
+    rebuilder = Rebuilder(initial_restricted(init_state(program).preds[()]))
+    for e, e_next in zip(events, list(events[1:]) + [None]):
+        try:
+            rule = identify_rule(e, e_next)
+        except AmbiguousOrUndecidable:
+            break  # the last event of a run that did not halt
+        rebuilder.step(rule, e, e_next)
+        assert_canonical(chain(
+            [rebuilder.current], rebuilder.tree, rebuilder.numbers,
+            rebuilder.preds, rebuilder.by_number.values(),
+        ))
 
 
 def assert_stack_layout(m):
@@ -156,9 +224,9 @@ def assert_resumed(m, resumed):
 
 @pytest.mark.parametrize("index", range(len(PROGRAMS)))
 def test_live_machine_answers_as_scans_of_its_snapshot(index):
-    # At every step the machine's position answers for the current node
-    # name the same Dewey words as reference scans of a snapshot, and a
-    # Redo resumes the node its choice-point answer named.
+    # At every step the machine's positions answer for the current node
+    # and its ancestors name the same Dewey words as reference scans of a
+    # snapshot, and a Redo resumes the node its choice-point answer named.
     m = Machine(init_state(PROGRAMS[index]))
     resumed = None
     for rule in drive(m, FUEL):
@@ -168,10 +236,11 @@ def test_live_machine_answers_as_scans_of_its_snapshot(index):
         u = m.current
         assert m.nodes[u] == s.current
         assert is_leaf(m, u) == (not scan_children(s.tree, s.current))
+        for p in path_to_root(m):  # the current node and each of its ancestors
+            gcp = scan_gcp(s.tree, s.boxes, m.nodes[p])
+            assert word(m, greatest_choice_point(m, p)) == gcp
+            assert has_choice_point(m, p) == (gcp is not None)
         gcp = scan_gcp(s.tree, s.boxes, s.current)
-        p = greatest_choice_point(m, u)
-        assert (None if p is None else m.nodes[p]) == gcp
-        assert has_choice_point(m, u) == (gcp is not None)
         resumed = (rule, gcp) if rule in (RuleId.REDO1, RuleId.REDO2) else None
     assert_resumed(m, resumed)
     assert_stack_layout(m)
@@ -183,16 +252,17 @@ def test_model_engine_queries_match_scans(index, model):
     run = run_model(PROGRAMS[index], model, FUEL)
     for state in [run.initial] + [s for _, s in run.transitions]:
         assert_children_gapless(state.tree)
-        assert_indexes_exact(state)
         assert_nodes_canonical(state)
-        for v in state.tree:
-            gcp = scan_gcp(state.tree, state.boxes, v)
+        m = ExtMachine(state)
+        for p, v in enumerate(m.nodes):
             children = scan_children(state.tree, v)
-            assert _children(state, v) == children
-            assert _is_leaf(state, v) == (not children)
-            assert _gcp(state, v) == gcp
-            assert _hcp(state, v) == (gcp is not None)
-            assert _num_for(state, ModelId.M2, v) == scan_rank(state.tree, v)
+            assert [m.nodes[w] for w in _children(m, p)] == children
+            assert _is_leaf(m, p) == (not children)
+            assert _num_for(m, ModelId.M2, p) == scan_rank(state.tree, v)
+        for p in path_to_root(m):
+            gcp = scan_gcp(state.tree, state.boxes, m.nodes[p])
+            assert word(m, _gcp(m, p)) == gcp
+            assert _hcp(m, p) == (gcp is not None)
 
 
 def scan_reenterable(s, v):
@@ -214,7 +284,7 @@ def assert_slot_layout(m, s):
     box holds a clause, in Dewey order (invariant 3)."""
     nodes = m.nodes
     assert len(nodes) == len(m.order) == len(s.tree)
-    assert s.order == tuple(sorted(s.tree)) and set(nodes) == s.tree
+    assert [nodes[p] for p in m.order] == sorted(s.tree) and set(nodes) == s.tree
     for p in range(len(nodes)):
         assert len(m.kids[p]) == len(scan_children(s.tree, nodes[p]))
         if p:
@@ -222,9 +292,10 @@ def assert_slot_layout(m, s):
             assert p in block and nodes[p] == nodes[m.up[p]] + (p - block.start + 1,)
     parents = [p for p in range(len(nodes)) if m.kids[p]]
     assert sorted(parents, key=lambda p: m.kids[p].start) == sorted(parents, key=nodes.__getitem__)
-    assert s.cps == tuple(sorted(v for v in s.tree if s.boxes.get(v)))
+    cps = [nodes[p] for p in m.cps]
+    assert cps == sorted(v for v in s.tree if s.boxes.get(v))
     current = s.current
-    assert all(w < current or w[: len(current)] == current for w in s.cps)
+    assert all(w < current or w[: len(current)] == current for w in cps)
 
 
 @pytest.mark.parametrize("model", list(ModelId), ids=str)
@@ -234,7 +305,6 @@ def test_live_model_machine_answers_as_scans_of_its_snapshot(index, model):
     # its ancestors name the same Dewey words as reference scans of a
     # snapshot, and its gate table is the snapshot's.
     m = ExtMachine(init_extended(PROGRAMS[index]))
-    word = lambda p: None if p is None else m.nodes[p]
     for _ in chain([None], _drive(m, model, FUEL)):  # before each step and after the last
         s = m.snapshot()
         assert_slot_layout(m, s)
@@ -245,16 +315,12 @@ def test_live_model_machine_answers_as_scans_of_its_snapshot(index, model):
         assert [m.nodes[w] for w in _children(m, u)] == children
         assert _is_leaf(m, u) == (not children)
         assert (m.nodes[u + 1] if _has_next_node(m, u) else None) == scan_next_node(s.tree, v)
-        assert word(_reenterable_child(m, u)) == scan_reenterable(s, v)
+        assert word(m, _reenterable_child(m, u)) == scan_reenterable(s, v)
         assert _num_for(m, ModelId.M2, u) == scan_rank(s.tree, v)
-        p = u
-        while True:  # the current node and each of its ancestors
+        for p in path_to_root(m):  # the current node and each of its ancestors
             gcp = scan_gcp(s.tree, s.boxes, m.nodes[p])
-            assert word(_gcp(m, p)) == gcp
+            assert word(m, _gcp(m, p)) == gcp
             assert _hcp(m, p) == (gcp is not None)
-            if p == 0:
-                break
-            p = m.up[p]
 
 
 # Forged traces can give two live nodes one number.  node_of must then
