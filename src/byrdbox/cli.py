@@ -83,8 +83,7 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    paths = []
-    if args.corpus:
+    if args.corpus is not None:
         paths = sorted(Path(args.corpus).glob("*.pl"))
         if not paths:
             print(f"error: no .pl files in {args.corpus}", file=sys.stderr)
@@ -175,8 +174,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_reconstruct)
 
     p = sub.add_parser("verify", help="check trace adequacy for a program")
-    p.add_argument("--program")
-    p.add_argument("--corpus", help="directory of .pl programs to verify")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--program")
+    source.add_argument("--corpus", help="directory of .pl programs to verify")
     common(p)
     p.set_defaults(func=cmd_verify)
 
@@ -188,10 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "verify" and not args.program and not args.corpus:
-        parser.error("verify needs --program or --corpus")
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ParseError, OSError, MalformedTrace, CondViolation) as exc:

@@ -9,13 +9,15 @@ engine and multimodel).  Words are built where they are observed: in
 snapshots, in `node_str`, in the word maps that the adequacy check
 compares, and in the rebuilder, which keeps its tree as a set of words
 and answers by probing children (below) and by its inverse numbering.
+A frozen state of either engine holds the words of its machine's nodes
+in a tuple, and derives its word-keyed maps from it when they are read.
 
 A node's children are numbered 1..k without gaps in every reachable
 state of both engines and in every rebuilt state: children are created
 in order (a clause's body slots all at once), and pruning removes a
 lexicographic suffix of the tree or all of a node's children.  So v is a
-leaf iff v + (1,) is not in the tree, and its children are counted by
-probing 1, 2, ...
+leaf iff v + (1,) is not in the tree, and the rebuilder finds the number
+of v's next child by probing 1, 2, ...
 
 Every node a state stores is the canonical tuple of its word, made by
 `child` or `parent` and kept for the life of the process in one table, so
@@ -29,7 +31,6 @@ from __future__ import annotations
 __all__ = [
     "child",
     "parent",
-    "child_count",
 ]
 
 
@@ -59,11 +60,4 @@ def parent(v: tuple) -> tuple:
         w = v[:-1]
         p = _NODES.setdefault(w, w)
     return p
-
-
-def child_count(tree, v: tuple) -> int:
-    k = 0
-    while v + (k + 1,) in tree:
-        k += 1
-    return k
 

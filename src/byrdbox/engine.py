@@ -41,18 +41,21 @@ So node u is a leaf iff it is the last node or the next node's parent is
 not u, the greatest choice point in u's subtree is the top of `cps` when
 that is at or after u, and backtracking to v truncates every list after
 v.  A push that is not the Dewey maximum, and a drained box that is not
-the top of `cps`, raise.  Word-keyed copies of the per-node maps
-(`words`, and the set `tree`) are written once whenever an entry changes,
-so a snapshot is dict copies and the adequacy check compares the maps as
-they are.
+the top of `cps`, raise.  Only the adequacy check compares the machine
+with a map keyed by word, so only the tree, the numbering and the
+predications are also written by word (`tree`, `words`), once whenever
+an entry changes.
 
-The tree queries below take the live machine and a position; a caller
-that holds a snapshot builds `Machine(state)` first, as `step`,
-`applicable_rule` and `tracing.extract_event` do.  The machine derives
-its Dewey order from the snapshot's tree and its choice points from the
-boxes.  The other engine (multimodel) shares the state layout
-and the clause selection (`_peek_visit`, `_take`); its live machine holds
-integer node slots, because it creates a clause's body slots at once.
+A frozen `VirtualState` holds the machine's lists as tuples, and its
+word-keyed maps (`tree`, `numbers`, `preds`, ...) are derived from them
+the first time they are read, so a snapshot is tuple copies.  The tree
+queries below take the live machine and a position; a caller that holds
+a snapshot builds `Machine(state)` first, as `step`, `applicable_rule`
+and `tracing.extract_event` do.  The machine copies the snapshot's lists
+and takes its choice points from the boxes.  The other engine
+(multimodel) shares the snapshot layout and the clause selection
+(`_peek_visit`, `_take`); its live machine holds integer node slots,
+because it creates a clause's body slots at once.
 """
 
 from __future__ import annotations
@@ -60,6 +63,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Optional, Tuple
 
 from .dewey import child, parent
@@ -125,32 +129,75 @@ class DeterminismViolation(Exception):
         self.table = table
 
 
+def _word_map(name: str) -> cached_property:
+    """A snapshot's word-keyed map of its column `name`, derived on first
+    read: it has no entry where the column holds None."""
+    def derive(s):
+        column = (s.observed + s.kept)[(s.OBSERVED + s.KEPT).index(name)]
+        return {v: x for v, x in zip(s.nodes, column) if x is not None}
+    return cached_property(derive)
+
+
+class _Snapshot:
+    """A frozen state of either engine: its machine's lists as tuples (the
+    words in `nodes`, one column per name of OBSERVED and then KEPT in
+    `observed` and `kept`), the current node as a word, and the word-keyed
+    maps derived from them the first time they are read."""
+
+    tree = cached_property(lambda s: frozenset(s.nodes))
+    numbers, preds, boxes, fresh = map(_word_map, ("numbers", "preds", "boxes", "fresh"))
+    call_preds, call_snaps, chosen = map(_word_map, ("call_preds", "call_snaps", "chosen"))
+
+
+class _Live:
+    """A live machine of either engine: it copies the lists (LISTS),
+    columns and scalars (SCALARS) of the snapshot it starts from, and
+    `snapshot` freezes them into a new STATE."""
+
+    def __init__(self, state):
+        for name in self.LISTS:
+            setattr(self, name, list(getattr(state, name)))
+        for name, column in zip(state.OBSERVED + state.KEPT, state.observed + state.kept):
+            setattr(self, name, list(column))
+        for name in self.SCALARS:
+            setattr(self, name, getattr(state, name))
+        self.halted = False  # set by the run that drives the machine
+
+    def snapshot(self):
+        frozen = lambda name: tuple(getattr(self, name))
+        return self.STATE(
+            current=self.nodes[self.current],
+            observed=tuple(map(frozen, self.STATE.OBSERVED)),
+            kept=tuple(map(frozen, self.STATE.KEPT)),
+            **{name: frozen(name) for name in self.LISTS},
+            **{name: getattr(self, name) for name in self.SCALARS},
+        )
+
+
 @dataclass(frozen=True)
-class VirtualState:
-    tree: frozenset
+class VirtualState(_Snapshot):
+    """A snapshot of the core machine, by position.  `nodes` is the tree
+    in Dewey order, so comparing the columns compares the maps: equality
+    and repr see the tree, u, n, the observable columns and the flags."""
+
+    OBSERVED = ("numbers", "preds", "boxes", "fresh")
+    # node -> as called, bindings then, clause in use, visit drained
+    KEPT = ("call_preds", "call_snaps", "chosen", "failed")
+
+    nodes: tuple
+    up: tuple = field(compare=False, repr=False)  # given by the nodes
     current: NodeId
     counter: int
-    numbers: dict
-    preds: dict
-    boxes: dict
-    fresh: dict
+    observed: tuple
     complete: bool
     failing: bool
     program: Program = field(compare=False, repr=False)
     # Resolution bookkeeping, not observable: neither compared nor shown.
-    bindings: dict = field(compare=False, repr=False)    # current branch
-    stamp: int = field(compare=False, repr=False)        # renaming counter
-    call_preds: dict = field(compare=False, repr=False)  # node -> as called
-    call_snaps: dict = field(compare=False, repr=False)  # node -> bindings then
-    chosen: dict = field(compare=False, repr=False)      # node -> clause in use
-    failed: dict = field(compare=False, repr=False)      # node -> visit drained
+    bindings: dict = field(compare=False, repr=False)  # current branch
+    stamp: int = field(compare=False, repr=False)      # renaming counter
+    kept: tuple = field(compare=False, repr=False)
 
-
-# The per-node maps of a state.  The machine holds each one twice: as a
-# list by position, under the same name, and keyed by word in `words`.
-_MAPS = (
-    "numbers", "preds", "boxes", "fresh", "call_preds", "call_snaps", "chosen", "failed",
-)
+    failed = _word_map("failed")
 
 
 @dataclass(frozen=True)
@@ -357,53 +404,50 @@ def init_state(program: Program) -> VirtualState:
     simply yields an empty root box and a Call/Fail trace."""
     boxes, called = box_init(program, program.goal, {})
     return VirtualState(
-        tree=frozenset({EPSILON}),
+        nodes=(EPSILON,),
+        up=(0,),
         current=EPSILON,
         counter=1,
-        numbers={EPSILON: 1},
-        preds={EPSILON: called},
-        boxes={EPSILON: boxes},
-        fresh={EPSILON: True},
+        observed=((1,), (called,), (boxes,), (True,)),
         complete=False,
         failing=False,
         program=program,
         bindings={},
         stamp=0,
-        call_preds={EPSILON: called},
-        call_snaps={EPSILON: {}},
-        chosen={},
-        failed={},
+        # no chosen clause and no drained visit before the first visit
+        kept=((called,), ({},), (None,), (None,)),
     )
 
 
-class Machine:
+class Machine(_Live):
     """The one mutable state that a run fires its rules on, in place, as a
     node stack (see the module docstring); `current` and `cps` hold
-    positions.  It owns every list, set and map it holds: it builds them
-    from the state it starts from (its Dewey order, and the choice points
-    from the boxes), and `snapshot` copies them into a new frozen state."""
+    positions.  It owns every list, set and map it holds: it copies the
+    lists of the state it starts from and takes the choice points from the
+    boxes, and `snapshot` freezes the lists into a new state."""
+
+    STATE = VirtualState
+    LISTS = ("nodes", "up")
+    SCALARS = ("counter", "complete", "failing", "program", "bindings", "stamp")
 
     def __init__(self, state: VirtualState):
-        nodes = sorted(state.tree)
-        where = {v: p for p, v in enumerate(nodes)}
-        up = [where.get(parent(v)) for v in nodes]
-        current = where.get(state.current)
-        if current is None or None in up or nodes[0] != EPSILON:
-            raise ValueError("a state's tree must hold the root, every parent and u")
-        if nodes[-1][: len(state.current)] != state.current:
+        super().__init__(state)
+        nodes, up, u = self.nodes, self.up, state.current
+        current = len(nodes) - 1
+        if nodes[current][: len(u)] != u:
             raise ValueError("a state's u must be its last node or an ancestor of it")
-        self.nodes, self.up, self.current = nodes, up, current
-        self.cps = [p for p, v in enumerate(nodes) if state.boxes.get(v)]
-        self.tree = set(state.tree)
-        self.words = {name: dict(getattr(state, name)) for name in _MAPS}
-        for name, words in self.words.items():
-            # None where the word map has no entry
-            setattr(self, name, [words.get(v) for v in nodes])
-        self.columns = (nodes, up) + tuple(getattr(self, name) for name in _MAPS)
-        self.counter, self.complete, self.failing = state.counter, state.complete, state.failing
-        self.program, self.bindings, self.stamp = state.program, state.bindings, state.stamp
+        for _ in range(len(nodes[current]) - len(u)):
+            current = up[current]
+        self.current = current
+        self.cps = [p for p, box in enumerate(self.boxes) if box]
+        names = self.LISTS + state.OBSERVED + state.KEPT
+        self.columns = tuple(getattr(self, name) for name in names)
+        # The tree, numbering and predications keyed by word, written on
+        # every change: only the adequacy check reads them, and compares
+        # them with the rebuilder's as they are.
+        self.tree = set(nodes)
+        self.words = {name: dict(zip(nodes, getattr(self, name))) for name in ("numbers", "preds")}
         self.resolved = None  # (position, Exit predication), see updated_pred
-        self.halted = False  # set by the run that drives the machine
 
     def set_box(self, p: int, box: tuple) -> None:
         """Shrink the box at position p; a drained choice point leaves
@@ -411,21 +455,7 @@ class Machine:
         if self.boxes[p] and not box:
             top = self.cps.pop()
             assert top == p, "a drained choice point is not the top of cps"
-        self.boxes[p] = self.words["boxes"][self.nodes[p]] = box
-
-    def snapshot(self) -> VirtualState:
-        nodes = self.nodes
-        return VirtualState(
-            tree=frozenset(self.tree),
-            current=nodes[self.current],
-            counter=self.counter,
-            complete=self.complete,
-            failing=self.failing,
-            program=self.program,
-            bindings=self.bindings,
-            stamp=self.stamp,
-            **{name: dict(words) for name, words in self.words.items()},
-        )
+        self.boxes[p] = box
 
 
 def drive(machine: Machine, max_steps: int):
@@ -464,13 +494,12 @@ def _visit(m: Machine, v: int, peek: _Peek) -> None:
     """Consume the visit decided by `peek` at position v and extend the
     bindings, or roll them back to `peek.base` when the box is drained."""
     taken = _take(m, v, peek)
-    w, words = m.nodes[v], m.words
-    m.failed[v] = words["failed"][w] = taken is None
+    m.failed[v] = taken is None
     if taken is None:
         m.bindings = peek.base
     else:
         clause, m.bindings = taken
-        m.chosen[v] = words["chosen"][w] = clause
+        m.chosen[v] = clause
 
 
 def _child_slot(m: Machine, atom: Term, p: int, i: int) -> None:
@@ -484,25 +513,19 @@ def _child_slot(m: Machine, atom: Term, p: int, i: int) -> None:
     m.current = len(m.nodes)
     if box:
         m.cps.append(m.current)
-    # nodes, up, then the maps in _MAPS order.  No map holds the new node
-    # yet, since it is the maximum: it gets no chosen or failed entry until
-    # its visit.
+    # LISTS, then the columns in OBSERVED and KEPT order.  The new node
+    # gets no chosen clause and no drained visit until its visit.
     row = (v, p, m.counter, called, box, True, called, m.bindings, None, None)
     for column, value in zip(m.columns, row):
         column.append(value)
     m.tree.add(v)
-    words = m.words
-    words["numbers"][v] = m.counter
-    words["preds"][v] = called
-    words["boxes"][v] = box
-    words["fresh"][v] = True
-    words["call_preds"][v] = called
-    words["call_snaps"][v] = m.bindings
+    m.words["numbers"][v] = m.counter
+    m.words["preds"][v] = called
 
 
 def _prune(m: Machine, v: int) -> None:
     """Backtracking to position v deletes every node after it: from every
-    list, from `cps`, and from the tree and the word maps."""
+    list, from `cps`, and from the word-keyed tree and maps."""
     doomed = m.nodes[v + 1:]
     for column in m.columns:
         del column[v + 1:]
@@ -551,7 +574,7 @@ def _fire(m: Machine, rule: RuleId, peek: Optional[_Peek]) -> None:
     else:  # Call1, Call2, Redo1, Redo2: a visit; Call2 and Redo2 enter a body
         if rule in (RuleId.CALL1, RuleId.CALL2):
             v = u
-            m.fresh[u] = m.words["fresh"][m.nodes[u]] = False
+            m.fresh[u] = False
         else:
             v = greatest_choice_point(m, u)
             _prune(m, v)

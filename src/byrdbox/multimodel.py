@@ -18,7 +18,7 @@ Three mutually exclusive models select how backtracking is traced:
     m3  original box model: full stepwise undo; every completed box is
         re-entered (Redo) and closed (Fail) in reverse order
 
-State layout and clause selection are the simplified machine's (see
+Snapshot layout and clause selection are the simplified machine's (see
 engine): the resolution bookkeeping sits in fields that equality and repr
 skip, binding dicts are shared, never copied, and `_peek_visit` and
 `_take` choose each clause.
@@ -42,12 +42,14 @@ Three invariants hold:
 
 A push or a drain off the top of `cps`, and a prune of slots that are not
 the last, raise.  The live path never hashes a word: it compares words
-only for those checks and in the choice-point query, and snapshots and
-events read them.  The queries take the live machine and the slot of the
+only for those checks and in the choice-point query, and events read
+them.  A frozen `ExtendedState` holds the machine's lists as tuples, and
+its word-keyed maps are derived from them the first time they are read,
+as in engine.  The queries take the live machine and the slot of the
 current node or one of its ancestors; a caller that holds a snapshot
 builds `ExtMachine(state)` first, as `_gates`, `applicable_extended` and
-`step_extended` do.  The machine derives its Dewey order from the
-snapshot's tree and its choice points from the boxes.
+`step_extended` do.  The machine copies the snapshot's lists and takes
+its choice points from the boxes.
 
 The rule table has 16 rules.  The paper's leaffail2 is not among them:
 it fails a node whose chosen clause's head does not unify, and
@@ -67,8 +69,9 @@ from enum import Enum
 from functools import cached_property
 from typing import Optional, Tuple
 
-from .dewey import child, child_count
+from .dewey import child
 from .engine import EPSILON, DeterminismViolation, NodeId, _peek_visit, _take, node_str
+from .engine import _Live, _Snapshot, _word_map
 from .terms import Program, resolve
 from .tracing import Port, TraceEvent
 
@@ -124,18 +127,28 @@ class ExtRuleId(Enum):
 
 
 @dataclass(frozen=True)
-class ExtendedState:
-    tree: frozenset
+class ExtendedState(_Snapshot):
+    """A snapshot of the machine, by slot.  Each tree has exactly one slot
+    layout (invariant 1), so `nodes` holds the tree, the rest of the
+    layout follows from it, and comparing the columns compares the maps:
+    equality and repr see the tree, u, n, the observable columns and the
+    four flags."""
+
+    # preds are the skeleton predications (raw body atoms), chosen the
+    # renamed clause instance in use, sigmas the paper's per-node
+    # substitution parameter, which no rule reads
+    OBSERVED = ("numbers", "preds", "chosen", "boxes", "sigmas", "fresh")
+    # node -> as (re)called, bindings then, last shown, closed by m3's sweep
+    KEPT = ("call_preds", "call_snaps", "display", "marks")
+
+    nodes: tuple
+    # each slot's parent and children, and the slots in Dewey order
+    up: tuple = field(compare=False, repr=False)
+    kids: tuple = field(compare=False, repr=False)
+    order: tuple = field(compare=False, repr=False)
     current: NodeId
     counter: int
-    numbers: dict
-    preds: dict        # skeleton predications (raw body atoms)
-    chosen: dict       # node -> renamed clause instance currently in use
-    boxes: dict
-    # node -> substitution active at the node: the paper's per-node
-    # substitution parameter, compared in state equality; no rule reads it
-    sigmas: dict
-    fresh: dict
+    observed: tuple
     complete: bool     # ct
     failing: bool      # flr
     success: bool      # scs
@@ -145,10 +158,10 @@ class ExtendedState:
     bindings: dict = field(compare=False, repr=False)
     stamp: int = field(compare=False, repr=False)
     pending: Optional[dict] = field(compare=False, repr=False)  # to commit
-    call_preds: dict = field(compare=False, repr=False)  # node -> as (re)called
-    call_snaps: dict = field(compare=False, repr=False)  # node -> bindings then
-    display: dict = field(compare=False, repr=False)     # node -> last shown
-    marks: frozenset = field(compare=False, repr=False)  # closed by m3's sweep
+    kept: tuple = field(compare=False, repr=False)
+
+    sigmas, display = _word_map("sigmas"), _word_map("display")
+    marks = cached_property(lambda s: frozenset(v for v, x in zip(s.nodes, s.kept[3]) if x))
 
 
 # ----------------------------------------------------------------------
@@ -287,17 +300,19 @@ def applicable_extended(state, model: ModelId) -> Optional[ExtRuleId]:
 def init_extended(program: Program) -> ExtendedState:
     called = program.goal
     return ExtendedState(
-        tree=frozenset({EPSILON}),
+        nodes=(EPSILON,),
+        up=(0,),
+        kids=(_LEAF,),
+        order=(0,),
         current=EPSILON,
         counter=0,
-        numbers={},
-        preds={EPSILON: called},
-        chosen={},
-        # the first visit re-initializes this anyway, but the initial
-        # state already advertises the goal's clause list
-        boxes={EPSILON: program.clauses_for(called.functor, called.arity)},
-        sigmas={EPSILON: {}},
-        fresh={EPSILON: True},
+        # unnumbered and with no clause chosen; the first visit
+        # re-initializes the box anyway, but the initial state already
+        # advertises the goal's clause list
+        observed=(
+            (None,), (called,), (None,),
+            (program.clauses_for(called.functor, called.arity),), ({},), (True,),
+        ),
         complete=False,
         failing=False,
         success=False,
@@ -306,23 +321,10 @@ def init_extended(program: Program) -> ExtendedState:
         bindings={},
         stamp=0,
         pending=None,
-        call_preds={EPSILON: called},
-        call_snaps={EPSILON: {}},
-        display={EPSILON: called},
-        marks=frozenset(),
+        kept=((called,), ({},), (called,), (False,)),
     )
 
 
-# The per-node maps of a state, which the machine holds as lists by slot
-# (None where the map has no entry), and its other fields but the sets.
-_MAPS = (
-    "numbers", "preds", "chosen", "boxes", "sigmas", "fresh",
-    "call_preds", "call_snaps", "display",
-)
-_SCALARS = (
-    "counter", "complete", "failing", "success", "reverse",
-    "program", "bindings", "stamp", "pending",
-)
 _LEAF = range(0)
 # A body slot as CLAUSSUCCEEDS makes it and a prune resets it, apart from
 # its word, parent and predication: unvisited, childless, unnumbered.
@@ -333,38 +335,29 @@ _SKELETON = (
 )
 
 
-class ExtMachine:
+class ExtMachine(_Live):
     """The one mutable state that a run of this engine fires its rules on,
     in place, as integer node slots (see the module docstring); `current`,
-    `order` and `cps` hold slots.  It builds every list from the state it
-    starts from (its Dewey order, and the choice points from the boxes),
-    and `snapshot` copies them into a new frozen state."""
+    `order` and `cps` hold slots.  It copies the lists of the state it
+    starts from and takes the choice points from the boxes, and
+    `snapshot` freezes the lists into a new state."""
+
+    STATE = ExtendedState
+    LISTS = ("nodes", "up", "kids", "order")
+    SCALARS = (
+        "counter", "complete", "failing", "success", "reverse",
+        "program", "bindings", "stamp", "pending",
+    )
 
     def __init__(self, state: ExtendedState):
-        nodes, up, kids, slot = [EPSILON], [0], [_LEAF], {EPSILON: 0}
-        order = sorted(state.tree)
-        for v in order:  # each node's children as one block (invariant 1)
-            p, start = slot[v], len(nodes)
-            for i in range(1, child_count(state.tree, v) + 1):
-                w = child(v, i)
-                slot[w] = len(nodes)
-                nodes.append(w)
-                up.append(p)
-                kids.append(_LEAF)
-            kids[p] = range(start, len(nodes))
-        self.nodes, self.up, self.kids = nodes, up, kids
-        self.current = slot[state.current]
-        self.order = [slot[v] for v in order]
-        self.cps = [slot[v] for v in order if state.boxes.get(v)]
-        for name in _MAPS:
-            words = getattr(state, name)
-            setattr(self, name, [words.get(v) for v in nodes])
-        self.marks = [v in state.marks for v in nodes]
+        super().__init__(state)
+        current = 0
+        for i in state.current:
+            current = self.kids[current][i - 1]
+        self.current = current
+        self.cps = [p for p in self.order if self.boxes[p]]
         self.skeleton = [(getattr(self, name), value) for name, value in _SKELETON]
-        self.columns = (nodes, up, self.preds, *(column for column, _ in self.skeleton))
-        for name in _SCALARS:
-            setattr(self, name, getattr(state, name))
-        self.halted = False  # set by the run that drives the machine
+        self.columns = (self.nodes, self.up, self.preds, *(column for column, _ in self.skeleton))
 
     def set_box(self, p, box):
         """Fill or shrink the box at slot p: a box that fills pushes p on
@@ -378,20 +371,6 @@ class ExtMachine:
             top = cps.pop()
             assert top == p, "a drained choice point is not the top of cps"
         self.boxes[p] = box
-
-    def snapshot(self) -> ExtendedState:
-        nodes, order = self.nodes, self.order
-        maps = {
-            name: {nodes[p]: x for p in order if (x := column[p]) is not None}
-            for name in _MAPS for column in (getattr(self, name),)
-        }
-        return ExtendedState(
-            tree=frozenset(nodes),
-            current=nodes[self.current],
-            marks=frozenset([nodes[p] for p in order if self.marks[p]]),
-            **maps,
-            **{name: getattr(self, name) for name in _SCALARS},
-        )
 
     def prune_after(self, v):
         """Tear down everything behind a resumed choice point: interior

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
-from .dewey import child, child_count
+from .dewey import child
 from .engine import EPSILON, NodeId, RuleId, VirtualState, node_str, parent
 from .terms import Term, VarNames, format_term
 from .tracing import Port, TraceEvent
@@ -153,9 +153,12 @@ def identify_rule(e: TraceEvent, e_next: Optional[TraceEvent]) -> RuleId:
 
 def _next_child(q, w: NodeId) -> NodeId:
     """The slot of w's next child in the tree of q, a rebuilt state or the
-    rebuilder."""
-    # children are numbered from 1 without gaps (see dewey)
-    return child(w, child_count(q.tree, w) + 1)
+    rebuilder: children are numbered from 1 without gaps (see dewey), so
+    the first free number is found by probing 1, 2, ..."""
+    tree, k = q.tree, 1
+    while w + (k,) in tree:
+        k += 1
+    return child(w, k)
 
 
 class Rebuilder:

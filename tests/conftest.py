@@ -53,10 +53,11 @@ def load_golden(name: str) -> list:
 
 def stored_nodes(state):
     """Every node a machine or rebuilt state stores: its current node,
-    the nodes of its set fields, the keys of its per-node maps
-    (the bookkeeping's included), and the values of a rebuilt state's
-    inverse numbering once it has derived it."""
+    the words of a machine state's nodes, the nodes of its set fields,
+    the keys of its per-node maps (the bookkeeping's included), and the
+    values of a rebuilt state's inverse numbering once it has derived it."""
     yield state.current
+    yield from getattr(state, "nodes", ())
     yield from state.__dict__.get("_by_number", {}).values()
     for f in fields(state):
         value = getattr(state, f.name)

@@ -128,6 +128,20 @@ def test_verify_corpus_directory(tmp_path, capsys, data_dir):
     assert all(line.startswith("PASS") for line in out.splitlines())
 
 
+@pytest.mark.parametrize("both", [True, False], ids=["both", "neither"])
+def test_verify_takes_exactly_one_of_program_and_corpus(capsys, data_dir, both):
+    # Given both, verify used to check the corpus alone and exit 0.
+    flags = ["--program", str(data_dir / "example1.pl"), "--corpus", str(data_dir)]
+    with pytest.raises(SystemExit) as exit_:
+        main(["verify"] + (flags if both else []))
+    assert exit_.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: byrdbox verify")
+    assert "(--program PROGRAM | --corpus CORPUS)" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_verify_corpus_reports_a_bad_file_and_goes_on(tmp_path, capsys, data_dir):
     (tmp_path / "a_bad.pl").write_text("p(a).\nq :- .\n:- p(a).\n", encoding="utf-8")
     (tmp_path / "b_good.pl").write_text(

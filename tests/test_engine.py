@@ -205,23 +205,15 @@ def test_greatest_choice_point_takes_lexicographic_max(ex1_program):
     # synthetic tree with boxes at nodes 1 and 12: the greatest is 12
     base = init_state(ex1_program)
     clause = ex1_program.clauses[1]
-    state = base.__class__(
-        tree=frozenset({E, (1,), (1, 2)}),
-        current=E,
+    state = dataclasses.replace(
+        base,
+        nodes=(E, (1,), (1, 2)),
+        up=(0, 0, 1),
         counter=3,
-        numbers={E: 1, (1,): 2, (1, 2): 3},
-        preds=dict.fromkeys([E, (1,), (1, 2)], Struct("x")),
-        boxes={E: (), (1,): (clause,), (1, 2): (clause,)},
-        fresh=dict.fromkeys([E, (1,), (1, 2)], False),
-        complete=False,
-        failing=False,
-        program=base.program,
-        bindings=base.bindings,
-        stamp=base.stamp,
-        call_preds=base.call_preds,
-        call_snaps=base.call_snaps,
-        chosen=base.chosen,
-        failed=base.failed,
+        # numbers, preds, boxes, fresh
+        observed=((1, 2, 3), (Struct("x"),) * 3, ((), (clause,), (clause,)), (False,) * 3),
+        # no call, bindings, chosen clause or drained visit recorded
+        kept=((None,) * 3,) * 4,
     )
     enumerated = sorted(v for v in state.tree if state.boxes.get(v))
     m = Machine(state)

@@ -3,8 +3,8 @@
 The live core machine answers its tree questions (leaf, choice points)
 from positions in its node stack, and the live multimodel machine (leaf,
 children, choice points, m2 rank) from its integer node slots; a
-snapshot is asked through the machine built from it, which derives the
-Dewey order from the tree and the choice points from the boxes.  The
+snapshot is asked through the machine built from it, which copies the
+snapshot's lists and takes the choice points from the boxes.  The
 rebuilder answers (next child slot, node by number) from the
 children-are-1..k invariant and its inverse numbering.  The scans below
 are the reference definitions; the machine built from every reachable
@@ -118,8 +118,8 @@ def path_to_root(m):
 
 def assert_round_trip(state, live, rebuilt, layout):
     """The machine `rebuilt` from `state` holds the layout of the `live`
-    machine that `state` was taken from: the Dewey order and the choice
-    points it derives from the tree and the boxes are the live ones.  And
+    machine that `state` was taken from: the lists it copies and the
+    choice points it takes from the boxes are the live ones.  And
     it gives back a snapshot equal to `state` in every field, bookkeeping
     included."""
     for name in layout:
