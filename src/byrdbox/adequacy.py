@@ -112,25 +112,31 @@ def check_adequacy(program: Program, max_steps: int) -> AdequacyReport:
 def _check_transition(report, rule, e, e_next, rebuilder, machine):
     """Check the transition that fired `rule` and emitted `e`: step the
     rebuilder and compare it with the machine's state after it; the
-    rebuilder, or None on a failure."""
+    rebuilder, or None on a failure.  On a passing run the rebuilder's
+    maps list their nodes in the machine's order (see rebuild), so they
+    are compared as lists with its columns, one identity check per entry
+    (see dewey).  Only when a list differs are the machine's tree and maps
+    built by word, to decide by value: the order decides how fast the
+    check is, never its verdict."""
     conds = matching_conds(e, e_next)
     if conds != {rule}:
         report.cond_violations.append((e.chrono, conds))
         return None
     rebuilder.step(rule, e, e_next)
-    # Nodes are canonical (see dewey), so comparing the machine's own
-    # tree and maps takes one identity check per node.
-    words = machine.words
-    for name, want, got in (
-        ("T", machine.tree, rebuilder.tree),
-        ("u", machine.nodes[machine.current], rebuilder.current),
-        ("num", words["numbers"], rebuilder.numbers),
-        ("pred", words["preds"], rebuilder.preds),
-    ):
-        if got != want:
-            # copies: both sides change with the next transition
-            report.first_divergence = (e.chrono, name, *_difference(name, want, got))
-            return None
+    nodes, numbers, preds = machine.nodes, rebuilder.numbers, rebuilder.preds
+    u = nodes[machine.current]
+    lists = (list(numbers), list(numbers.values()), list(preds), list(preds.values()))
+    if rebuilder.current != u or lists != (nodes, machine.numbers, nodes, machine.preds):
+        for name, want, got in (
+            ("T", set(nodes), set(numbers)),
+            ("u", u, rebuilder.current),
+            ("num", dict(zip(nodes, machine.numbers)), numbers),
+            ("pred", dict(zip(nodes, machine.preds)), preds),
+        ):
+            if got != want:
+                # copies: the rebuilder's maps change with the next step
+                report.first_divergence = (e.chrono, name, *_difference(name, want, got))
+                return None
     report.steps_checked = e.chrono
     return rebuilder
 

@@ -149,6 +149,12 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _path(text: str) -> str:
+    if not text:
+        raise argparse.ArgumentTypeError("expected a path, got an empty string")
+    return text
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="byrdbox",
@@ -158,16 +164,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--max-steps", type=_positive_int, default=10000)
-        p.add_argument("--output", default=None)
+        p.add_argument("--output", type=_path, default=None)
 
     p = sub.add_parser("trace", help="emit the trace of a program run")
-    p.add_argument("--program", required=True)
+    p.add_argument("--program", type=_path, required=True)
     p.add_argument("--model", choices=["m1", "m2", "m3"], default="m1")
     common(p)
     p.set_defaults(func=cmd_trace)
 
     p = sub.add_parser("reconstruct", help="rebuild restricted states from a trace")
-    p.add_argument("--trace", required=True)
+    p.add_argument("--trace", type=_path, required=True)
     p.add_argument("--goal", required=True)
     p.add_argument("--final-peek", action="store_true")
     common(p)
@@ -175,13 +181,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="check trace adequacy for a program")
     source = p.add_mutually_exclusive_group(required=True)
-    source.add_argument("--program")
-    source.add_argument("--corpus", help="directory of .pl programs to verify")
+    source.add_argument("--program", type=_path)
+    source.add_argument("--corpus", type=_path, help="directory of .pl programs to verify")
     common(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("compare", help="run all three trace models")
-    p.add_argument("--program", required=True)
+    p.add_argument("--program", type=_path, required=True)
     common(p)
     p.set_defaults(func=cmd_compare)
     return parser

@@ -6,9 +6,9 @@ siblings by component.  Neither live machine answers a tree question
 from words: the core engine's `Machine` is a node stack of positions and
 the multimodel engine's `ExtMachine` a layout of integer node slots (see
 engine and multimodel).  Words are built where they are observed: in
-snapshots, in `node_str`, in the word maps that the adequacy check
-compares, and in the rebuilder, which keeps its tree as a set of words
-and answers by probing children (below) and by its inverse numbering.
+snapshots, in `node_str`, and in the rebuilder, whose tree is the key set
+of its numbering and which answers by probing children (below) and by its
+inverse numbering.
 A frozen state of either engine holds the words of its machine's nodes
 in a tuple, and derives its word-keyed maps from it when they are read.
 
@@ -22,8 +22,10 @@ of v's next child by probing 1, 2, ...
 Every node a state stores is the canonical tuple of its word, made by
 `child` or `parent` and kept for the life of the process in one table, so
 all states share one object per node.  Equality never depends on it, but
-set and dict comparisons test identity first: comparing two states costs
-one step per node, not one per node component.
+list, set and dict comparisons test identity first.  The adequacy check
+compares the rebuilder's maps, listed in order, with the machine's word
+and value columns as lists, so that costs one step per node, not one per
+node component.
 """
 
 from __future__ import annotations

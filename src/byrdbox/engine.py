@@ -41,10 +41,9 @@ So node u is a leaf iff it is the last node or the next node's parent is
 not u, the greatest choice point in u's subtree is the top of `cps` when
 that is at or after u, and backtracking to v truncates every list after
 v.  A push that is not the Dewey maximum, and a drained box that is not
-the top of `cps`, raise.  Only the adequacy check compares the machine
-with a map keyed by word, so only the tree, the numbering and the
-predications are also written by word (`tree`, `words`), once whenever
-an entry changes.
+the top of `cps`, raise.  The machine holds each node once, in its
+lists: nothing is keyed by word.  The adequacy check compares the
+rebuilder's maps, in the order they list their nodes, with the columns.
 
 A frozen `VirtualState` holds the machine's lists as tuples, and its
 word-keyed maps (`tree`, `numbers`, `preds`, ...) are derived from them
@@ -54,13 +53,13 @@ a snapshot builds `Machine(state)` first, as `step`, `applicable_rule`
 and `tracing.extract_event` do.  The machine copies the snapshot's lists
 and takes its choice points from the boxes.  The other engine
 (multimodel) shares the snapshot layout and the clause selection
-(`_peek_visit`, `_take`); its live machine holds integer node slots,
-because it creates a clause's body slots at once.
+(`_peek_visit`, `_take`) and the live machine's choice-point
+bookkeeping (`_Live.set_box`, `_Live.cut`); its live machine holds
+integer node slots, because it creates a clause's body slots at once.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -152,7 +151,9 @@ class _Snapshot:
 class _Live:
     """A live machine of either engine: it copies the lists (LISTS),
     columns and scalars (SCALARS) of the snapshot it starts from, and
-    `snapshot` freezes them into a new STATE."""
+    `snapshot` freezes them into a new STATE.  Both engines keep their
+    choice points `cps` in Dewey order and cut their lists (`columns`)
+    from the end, through `set_box` and `cut`."""
 
     def __init__(self, state):
         for name in self.LISTS:
@@ -172,6 +173,27 @@ class _Live:
             **{name: frozen(name) for name in self.LISTS},
             **{name: getattr(self, name) for name in self.SCALARS},
         )
+
+    def set_box(self, p: int, box: tuple) -> None:
+        """Fill or shrink the box at p: p enters `cps` on top when its box
+        fills, and leaves it, from the top, when its box drains."""
+        cps = self.cps
+        if box and not self.boxes[p]:
+            assert not cps or self.nodes[p] > self.nodes[cps[-1]], "a push below the top of cps"
+            cps.append(p)
+        elif self.boxes[p] and not box:
+            top = cps.pop()
+            assert top == p, "a drained choice point is not the top of cps"
+        self.boxes[p] = box
+
+    def cut(self, k: int, v: int) -> None:
+        """Drop every choice point after node v (by word, which is Dewey
+        order in both layouts), then every entry of every column from k."""
+        cps, nodes = self.cps, self.nodes
+        while cps and nodes[cps[-1]] > nodes[v]:
+            cps.pop()
+        for column in self.columns:
+            del column[k:]
 
 
 @dataclass(frozen=True)
@@ -422,9 +444,9 @@ def init_state(program: Program) -> VirtualState:
 class Machine(_Live):
     """The one mutable state that a run fires its rules on, in place, as a
     node stack (see the module docstring); `current` and `cps` hold
-    positions.  It owns every list, set and map it holds: it copies the
-    lists of the state it starts from and takes the choice points from the
-    boxes, and `snapshot` freezes the lists into a new state."""
+    positions.  It owns every list it holds: it copies the lists of the
+    state it starts from and takes the choice points from the boxes, and
+    `snapshot` freezes the lists into a new state."""
 
     STATE = VirtualState
     LISTS = ("nodes", "up")
@@ -442,20 +464,7 @@ class Machine(_Live):
         self.cps = [p for p, box in enumerate(self.boxes) if box]
         names = self.LISTS + state.OBSERVED + state.KEPT
         self.columns = tuple(getattr(self, name) for name in names)
-        # The tree, numbering and predications keyed by word, written on
-        # every change: only the adequacy check reads them, and compares
-        # them with the rebuilder's as they are.
-        self.tree = set(nodes)
-        self.words = {name: dict(zip(nodes, getattr(self, name))) for name in ("numbers", "preds")}
         self.resolved = None  # (position, Exit predication), see updated_pred
-
-    def set_box(self, p: int, box: tuple) -> None:
-        """Shrink the box at position p; a drained choice point leaves
-        `cps`, whose top it must be (invariant 3)."""
-        if self.boxes[p] and not box:
-            top = self.cps.pop()
-            assert top == p, "a drained choice point is not the top of cps"
-        self.boxes[p] = box
 
 
 def drive(machine: Machine, max_steps: int):
@@ -518,22 +527,6 @@ def _child_slot(m: Machine, atom: Term, p: int, i: int) -> None:
     row = (v, p, m.counter, called, box, True, called, m.bindings, None, None)
     for column, value in zip(m.columns, row):
         column.append(value)
-    m.tree.add(v)
-    m.words["numbers"][v] = m.counter
-    m.words["preds"][v] = called
-
-
-def _prune(m: Machine, v: int) -> None:
-    """Backtracking to position v deletes every node after it: from every
-    list, from `cps`, and from the word-keyed tree and maps."""
-    doomed = m.nodes[v + 1:]
-    for column in m.columns:
-        del column[v + 1:]
-    del m.cps[bisect_right(m.cps, v):]
-    m.tree.difference_update(doomed)
-    for words in m.words.values():
-        for w in doomed:
-            words.pop(w, None)
 
 
 def step(state: VirtualState) -> Tuple[RuleId, VirtualState]:
@@ -552,7 +545,7 @@ def _fire(m: Machine, rule: RuleId, peek: Optional[_Peek]) -> None:
     `_select` made for the visit of a Call or Redo rule."""
     u = m.current
     if rule in (RuleId.EXIT1, RuleId.EXIT2):
-        m.preds[u] = m.words["preds"][m.nodes[u]] = updated_pred(m, u)
+        m.preds[u] = updated_pred(m, u)
         if rule is RuleId.EXIT1:
             m.current = m.up[u]
             if u == 0:
@@ -577,7 +570,7 @@ def _fire(m: Machine, rule: RuleId, peek: Optional[_Peek]) -> None:
             m.fresh[u] = False
         else:
             v = greatest_choice_point(m, u)
-            _prune(m, v)
+            m.cut(v + 1, v)  # backtracking to v deletes every node after it
             m.current = v
             m.complete = False
         _visit(m, v, peek)

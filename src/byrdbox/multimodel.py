@@ -18,10 +18,11 @@ Three mutually exclusive models select how backtracking is traced:
     m3  original box model: full stepwise undo; every completed box is
         re-entered (Redo) and closed (Fail) in reverse order
 
-Snapshot layout and clause selection are the simplified machine's (see
-engine): the resolution bookkeeping sits in fields that equality and repr
-skip, binding dicts are shared, never copied, and `_peek_visit` and
-`_take` choose each clause.
+Snapshot layout, clause selection and the choice-point bookkeeping are
+the simplified machine's (see engine): the resolution bookkeeping sits in
+fields that equality and repr skip, binding dicts are shared, never
+copied, `_peek_visit` and `_take` choose each clause, and `_Live.set_box`
+and `_Live.cut` keep `cps`.
 
 The live machine holds its tree as integer node slots: parallel lists by
 slot of each node's word (`nodes`, made once by dewey's `child`), its
@@ -359,19 +360,6 @@ class ExtMachine(_Live):
         self.skeleton = [(getattr(self, name), value) for name, value in _SKELETON]
         self.columns = (self.nodes, self.up, self.preds, *(column for column, _ in self.skeleton))
 
-    def set_box(self, p, box):
-        """Fill or shrink the box at slot p: a box that fills pushes p on
-        `cps`, whose greatest node it must be, and one that drains pops p,
-        which must be the top (invariant 3)."""
-        cps = self.cps
-        if box and not self.boxes[p]:
-            assert not cps or self.nodes[p] > self.nodes[cps[-1]], "a push below the top of cps"
-            cps.append(p)
-        elif self.boxes[p] and not box:
-            top = cps.pop()
-            assert top == p, "a drained choice point is not the top of cps"
-        self.boxes[p] = box
-
     def prune_after(self, v):
         """Tear down everything behind a resumed choice point: interior
         nodes vanish, later body slots of still-standing clauses revert to
@@ -386,11 +374,7 @@ class ExtMachine(_Live):
             gone.add(y)
         cut = len(nodes) - len(doomed)
         assert min(doomed, default=cut) == cut, "the pruned nodes are not the last slots"
-        cps = self.cps
-        while cps and nodes[cps[-1]] > nodes[v]:  # every box behind v is gone or emptied
-            cps.pop()
-        for column in self.columns:
-            del column[cut:]
+        self.cut(cut, v)  # every box behind v is gone or emptied
         order[i + 1:] = resets
         self.kids[v] = _LEAF
         for column, value in self.skeleton:

@@ -8,13 +8,16 @@ then a local rebuilding step updates Q.  The depth attribute l is never
 read.
 
 A rebuild steps one live `Rebuilder` in place, as the engines fire their
-rules on one live machine: it holds the tree as a set, the current node,
-the numbering, the predications and the inverse numbering, and its
-`snapshot` copies the four rebuilt parameters into a frozen
-`RestrictedState`.  `reconstruct_trace` takes one snapshot per committed
-event, `adequacy.check_adequacy` compares the rebuilder itself with the
-machine and takes none, and `reconstruct_step` is one step from a given
-state, which it leaves as it was.
+rules on one live machine: it holds the current node, the numbering (whose
+key set is the tree: a node is numbered when it is added), the
+predications and the inverse numbering, and its `snapshot` copies the
+four rebuilt parameters into a frozen `RestrictedState`.  A node is added
+only where the machine pushes one (the Dewey maximum) and a Redo drops a
+suffix, so on an emitted trace the maps list their nodes in Dewey order.
+`reconstruct_trace` takes one snapshot per committed event,
+`adequacy.check_adequacy` compares the rebuilder itself with the machine
+and takes none, and `reconstruct_step` is one step from a given state,
+which it leaves as it was.
 
 Identification table (nd is the inverse of the numbering; the root's
 number is 1 for the whole run, so `nd(r) = root` is just `r = 1`):
@@ -153,29 +156,31 @@ def identify_rule(e: TraceEvent, e_next: Optional[TraceEvent]) -> RuleId:
 
 def _next_child(q, w: NodeId) -> NodeId:
     """The slot of w's next child in the tree of q, a rebuilt state or the
-    rebuilder: children are numbered from 1 without gaps (see dewey), so
-    the first free number is found by probing 1, 2, ..."""
-    tree, k = q.tree, 1
-    while w + (k,) in tree:
+    rebuilder, read as the key set of q's numbering: children are numbered
+    from 1 without gaps (see dewey), so the first free number is found by
+    probing 1, 2, ..."""
+    numbers, k = q.numbers, 1
+    while w + (k,) in numbers:
         k += 1
     return child(w, k)
 
 
 class Rebuilder:
     """The one mutable restricted state that a rebuild steps in place.  It
-    owns the set and maps it holds: it copies them from the state it starts
-    from, and `snapshot` copies them into a new RestrictedState.  Beside the
-    four rebuilt parameters it keeps the inverse numbering, updated as
-    nodes are numbered and derived again after a Redo prunes."""
+    owns the maps it holds: it copies them from the state it starts from
+    (a node of its tree that it does not number gets the number None), and
+    `snapshot` copies them into a new RestrictedState.  Beside them it
+    keeps the inverse numbering, updated as nodes are numbered and derived
+    again after a Redo prunes."""
 
     def __init__(self, q: RestrictedState):
-        self.tree, self.current = set(q.tree), q.current
-        self.numbers, self.preds = dict(q.numbers), dict(q.preds)
+        self.current, self.preds = q.current, dict(q.preds)
+        self.numbers = q.numbers | dict.fromkeys(q.tree - q.numbers.keys())
         self.by_number = _first_carriers(self.numbers)
 
     def snapshot(self) -> RestrictedState:
         return RestrictedState(
-            frozenset(self.tree), self.current, dict(self.numbers), dict(self.preds)
+            frozenset(self.numbers), self.current, dict(self.numbers), dict(self.preds)
         )
 
     def node_of(self, number: int) -> NodeId:
@@ -198,7 +203,7 @@ class Rebuilder:
             if u == EPSILON:
                 raise MalformedTrace("the root cannot acquire a brother")
             v = child(parent(u), u[-1] + 1)
-            if v in self.tree:
+            if v in self.numbers:
                 raise MalformedTrace(f"brother {node_str(v)} already exists")
             self.preds[u] = e.pred
             self._add(v, e_next)
@@ -207,10 +212,8 @@ class Rebuilder:
         else:
             assert rule in (RuleId.REDO1, RuleId.REDO2)
             v = self.current = self.node_of(e.r)
-            doomed = [w for w in self.tree if w > v]
-            self.tree.difference_update(doomed)
-            for w in doomed:
-                self.numbers.pop(w, None)
+            for w in [w for w in self.numbers if w > v]:
+                del self.numbers[w]
                 self.preds.pop(w, None)
             self.by_number = _first_carriers(self.numbers)
             if rule is RuleId.REDO2:
@@ -218,7 +221,6 @@ class Rebuilder:
 
     def _add(self, v: NodeId, e_next: TraceEvent) -> None:
         """Make v, numbered and predicated as e_next says, the current node."""
-        self.tree.add(v)
         self.current = v
         self.numbers[v] = e_next.r
         self.preds[v] = e_next.pred

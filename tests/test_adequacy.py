@@ -183,12 +183,23 @@ def fresh_nodes(q):
     )
 
 
+def reversed_maps(q):
+    """q with its numbering and predications listing their nodes back to
+    front, so that they no longer list them in the machine's order."""
+    backwards = lambda m: dict(reversed(m.items()))
+    return dataclasses.replace(q, numbers=backwards(q.numbers), preds=backwards(q.preds))
+
+
 def test_non_canonical_nodes_compare_by_value(monkeypatch, ex1_program, ex2_program):
+    # Neither the identity of the nodes nor the order in which the maps
+    # list them changes a verdict.
     programs = [ex1_program, ex2_program] + list(corpus(10))
     expected = [check_adequacy(p, 120) for p in programs]
-    patch_rebuild(monkeypatch, lambda t, q: fresh_nodes(q))
-    for program, want in zip(programs, expected):
-        report = check_adequacy(program, 120)
-        assert report.passed
-        assert report.machine_line("p") == want.machine_line("p")
-        assert report.steps_checked == want.steps_checked
+    for rewrite in (fresh_nodes, reversed_maps):
+        with monkeypatch.context() as patch:
+            patch_rebuild(patch, lambda t, q: rewrite(q))
+            for program, want in zip(programs, expected):
+                report = check_adequacy(program, 120)
+                assert report.passed
+                assert report.machine_line("p") == want.machine_line("p")
+                assert report.steps_checked == want.steps_checked

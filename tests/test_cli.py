@@ -52,6 +52,31 @@ def test_max_steps_must_be_a_positive_int(capsys, data_dir, value):
     assert "Traceback" not in err
 
 
+EMPTY_PATHS = {
+    "verify --corpus": ["verify", "--corpus", ""],
+    "verify --program": ["verify", "--program", ""],
+    "trace --program": ["trace", "--program", ""],
+    "compare --program": ["compare", "--program", ""],
+    "reconstruct --trace": ["reconstruct", "--trace", "", "--goal", "goal"],
+    "trace --output": ["trace", "--program", "tests/data/example1.pl", "--output", ""],
+}
+
+
+@pytest.mark.parametrize("argv", EMPTY_PATHS.values(), ids=EMPTY_PATHS)
+def test_an_empty_path_is_a_usage_error(capsys, argv):
+    # An empty path used to glob or read the current directory, or, for
+    # --output, to print to stdout.
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"usage: byrdbox {argv[0]}")
+    flag = argv[argv.index("") - 1]
+    assert f"argument {flag}" in captured.err.splitlines()[-1]
+    assert "Traceback" not in captured.err
+
+
 def test_trace_output_file(tmp_path, capsys, data_dir):
     out_path = tmp_path / "trace.txt"
     code, _ = run_cli(

@@ -65,8 +65,8 @@ def test_exit_events_share_the_predication_the_machine_stores(ex1_program, ex2_p
     # identity.
     def assert_shared(m, exited):
         if exited is not None:
-            p, word, e = exited
-            assert m.preds[p] is e.pred is m.words["preds"][word]
+            p, e = exited
+            assert m.preds[p] is e.pred
 
     exits = 0
     for program in [ex1_program, ex2_program] + list(corpus(10)):
@@ -75,7 +75,7 @@ def test_exit_events_share_the_predication_the_machine_stores(ex1_program, ex2_p
         for chrono, rule in enumerate(drive(m, 300), start=1):
             assert_shared(m, exited)
             e = extract_event(rule, m, chrono)
-            exited = (m.current, m.nodes[m.current], e) if e.port is Port.EXIT else None
+            exited = (m.current, e) if e.port is Port.EXIT else None
             exits += exited is not None
         assert_shared(m, exited)
     assert exits > 100
