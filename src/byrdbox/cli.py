@@ -41,18 +41,6 @@ def _load_program(path: str):
     return parse_program(_read(path))
 
 
-# A run ends in a result or in one of these: a cyclic binding, or a term
-# nested too deeply for Python's recursion.
-_RUN_ERRORS = (CyclicTerm, RecursionError)
-
-
-def _run_error(exc) -> tuple:
-    """(the tag `verify` prints, the message) of a run's error."""
-    if isinstance(exc, CyclicTerm):
-        return "cyclic-term", str(exc)
-    return "too-deep", "term nested too deeply"
-
-
 def cmd_trace(args) -> int:
     program = _load_program(args.program)
     if args.model == "m1":
@@ -108,10 +96,9 @@ def cmd_verify(args) -> int:
             continue
         try:
             report = check_adequacy(program, args.max_steps)
-        except _RUN_ERRORS as exc:
-            tag, message = _run_error(exc)
-            print(f"error: {path.name}: {message}", file=sys.stderr)
-            lines.append(f"FAIL {path.name} 0 {tag}")
+        except CyclicTerm as exc:
+            print(f"error: {path.name}: {exc}", file=sys.stderr)
+            lines.append(f"FAIL {path.name} 0 cyclic-term")
             worst = 1
             continue
         lines.append(report.machine_line(path.name))
@@ -199,9 +186,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ParseError, OSError, MalformedTrace, CondViolation) as exc:
         print(f"error: {exc}", file=sys.stderr)
-    except _RUN_ERRORS as exc:
+    except CyclicTerm as exc:
         source = args.trace if args.command == "reconstruct" else args.program
-        print(f"error: {source}: {_run_error(exc)[1]}", file=sys.stderr)
+        print(f"error: {source}: {exc}", file=sys.stderr)
     return 1
 
 

@@ -103,7 +103,17 @@ __all__ = [
 NodeId = Tuple[int, ...]
 EPSILON: NodeId = ()
 
-class RuleId(Enum):
+class _Tag(Enum):
+    """Base of the enums whose members print as their value."""
+
+    # Members are singletons: hash by identity, in C, not by name.
+    __hash__ = object.__hash__
+
+    def __str__(self):
+        return self.value
+
+
+class RuleId(_Tag):
     CALL1 = "Call1"
     CALL2 = "Call2"
     EXIT1 = "Exit1"
@@ -111,12 +121,6 @@ class RuleId(Enum):
     FAIL2 = "Fail2"
     REDO1 = "Redo1"
     REDO2 = "Redo2"
-
-    # Members are singletons: hash by identity, in C, not by name.
-    __hash__ = object.__hash__
-
-    def __str__(self):
-        return self.value
 
 
 class DeterminismViolation(Exception):

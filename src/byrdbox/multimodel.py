@@ -66,13 +66,12 @@ which all three models must trace identically up to the m2 numbering.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
 from functools import cached_property
 from typing import Optional, Tuple
 
 from .dewey import child
 from .engine import EPSILON, DeterminismViolation, NodeId, _peek_visit, _take, node_str
-from .engine import _Live, _Snapshot, _word_map
+from .engine import _Live, _Snapshot, _Tag, _word_map
 from .terms import Program, resolve
 from .tracing import Port, TraceEvent
 
@@ -90,19 +89,13 @@ __all__ = [
     "compare_models",
 ]
 
-class ModelId(Enum):
+class ModelId(_Tag):
     M1 = "m1"
     M2 = "m2"
     M3 = "m3"
 
-    # Members are singletons: hash by identity, in C, not by name.
-    __hash__ = object.__hash__
 
-    def __str__(self):
-        return self.value
-
-
-class ExtRuleId(Enum):
+class ExtRuleId(_Tag):
     CALLONE = "callone"
     CHOICE = "choice"
     FACTSUCCEEDS = "factsucceeds"
@@ -119,12 +112,6 @@ class ExtRuleId(Enum):
     REDO_M3B = "redo_m3b"
     REDO_M3C = "redo_m3c"
     REDO_M3D = "redo_m3d"
-
-    # Members are singletons: hash by identity, in C, not by name.
-    __hash__ = object.__hash__
-
-    def __str__(self):
-        return self.value
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,10 @@ The language is deliberately tiny: compound terms over lowercase atoms,
 uppercase/underscore variables, facts `h.`, rules `h :- b1, ..., bn.`,
 `%` line comments, and exactly one goal directive `:- g.`.  No operators,
 no arithmetic, no lists, no cut.
+
+No function here recurses: every term walk keeps its work on an explicit
+stack, so any term that parses can be resolved, renamed and printed,
+however deeply it nests.
 """
 
 from __future__ import annotations
@@ -11,6 +15,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from operator import is_
 from typing import Optional, Union
 
 __all__ = [
@@ -184,34 +189,37 @@ class _Parser:
             raise ParseError(f"expected {kind!r}, found {tok.text!r}", tok.line, tok.column)
         return tok
 
-    def run(self, method):
-        """Call a parsing method; a term nested too deeply for Python's
-        recursion is a ParseError at the token the recursion stopped at."""
-        try:
-            return method()
-        except RecursionError:
-            tok = self.peek()
-            raise ParseError("term nested too deeply", tok.line, tok.column) from None
-
     def term(self) -> Term:
-        tok = self.next()
-        if tok.kind == "var":
-            if tok.text == "_":
-                # every anonymous variable is distinct
-                self.anon_count += 1
-                return Var(f"_A{self.anon_count}")
-            return Var(tok.text)
-        if tok.kind != "atom":
-            raise ParseError(f"expected a term, found {tok.text!r}", tok.line, tok.column)
-        if self.peek().kind != "(":
-            return Struct(tok.text)
-        self.next()
-        args = [self.term()]
-        while self.peek().kind == ",":
-            self.next()
-            args.append(self.term())
-        self.expect(")")
-        return Struct(tok.text, tuple(args))
+        open_terms = []  # (functor, arguments so far) of each open compound
+        while True:
+            tok = self.next()
+            if tok.kind == "var":
+                if tok.text == "_":
+                    # every anonymous variable is distinct
+                    self.anon_count += 1
+                    t = Var(f"_A{self.anon_count}")
+                else:
+                    t = Var(tok.text)
+            elif tok.kind != "atom":
+                raise ParseError(f"expected a term, found {tok.text!r}", tok.line, tok.column)
+            elif self.peek().kind == "(":
+                self.next()
+                open_terms.append((tok.text, []))
+                continue
+            else:
+                t = Struct(tok.text)
+            # t is complete: it is an argument of the innermost open term,
+            # which a ")" closes or a "," keeps open for its next argument
+            while open_terms:
+                open_terms[-1][1].append(t)
+                if self.peek().kind == ",":
+                    self.next()
+                    break
+                self.expect(")")
+                functor, args = open_terms.pop()
+                t = Struct(functor, tuple(args))
+            else:
+                return t
 
     def predication(self) -> Struct:
         tok = self.peek()
@@ -247,7 +255,7 @@ class _Parser:
 def parse_term(text: str) -> Term:
     """Parse a single term, e.g. for a goal given on the command line."""
     parser = _Parser(text)
-    t = parser.run(parser.term)
+    t = parser.term()
     tok = parser.peek()
     if tok.kind != "eof":
         raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.column)
@@ -264,7 +272,7 @@ def parse_program(source: str) -> Program:
     clauses = []
     goal = None
     while parser.peek().kind != "eof":
-        kind, payload, tok = parser.run(parser.clause_or_directive)
+        kind, payload, tok = parser.clause_or_directive()
         if kind == "goal":
             if goal is not None:
                 raise ParseError("duplicate goal directive", tok.line, tok.column)
@@ -290,25 +298,69 @@ def parse_program(source: str) -> Program:
 # Substitutions and unification
 # ======================================================================
 
+def _fold(t: Term, leaf, node, subst: Optional[dict] = None):
+    """Post-order walk of `t` on an explicit stack: `leaf(v)` for each
+    variable, `node(s, results)` for each compound term `s`, with its
+    arguments' results in argument order.  Subterms are visited right to
+    left, and CyclicTerm names the first cyclic variable met in that order.
+
+    With `subst`, a bound variable is replaced by its binding, walked in
+    turn; meeting a variable again inside its own binding raises
+    CyclicTerm."""
+    on_path = set()  # bound variables whose binding is being walked
+    # (compound or bound variable, its parts left to walk, their results)
+    frames = [(None, iter((t,)), [])]
+    while True:
+        owner, pending, results = frames[-1]
+        for x in pending:
+            if x.__class__ is Var:
+                if subst is None or x not in subst:
+                    results.append(leaf(x))
+                    continue
+                if x in on_path:
+                    raise CyclicTerm(x)
+                on_path.add(x)
+                frames.append((x, iter((subst[x],)), []))
+                break
+            if x.args:
+                frames.append((x, reversed(x.args), []))
+                break
+            results.append(node(x, ()))
+        else:  # every part is walked: `owner` is done
+            frames.pop()
+            if owner is None:
+                return results[0]
+            if owner.__class__ is Var:  # its binding's result stands for it
+                on_path.discard(owner)
+                result = results[0]
+            else:
+                results.reverse()
+                result = node(owner, tuple(results))
+            frames[-1][2].append(result)
+
+
+def _rebuild(s: Struct, args: tuple) -> Struct:
+    """`s` with `args`; `s` itself when no argument changed."""
+    if all(map(is_, args, s.args)):
+        return s
+    return Struct(s.functor, args)
+
+
 def variables(t: Term) -> set:
     """The set of variables occurring in a term."""
-    if isinstance(t, Var):
-        return {t}
     out = set()
-    for a in t.args:
-        out |= variables(a)
+    _fold(t, out.add, lambda s, args: None)
     return out
 
 
 def rename_clause(clause: Clause, stamp: int) -> Clause:
     """Fresh copy of a clause: every variable re-stamped with `stamp`."""
 
-    def ren(t: Term) -> Term:
-        if isinstance(t, Var):
-            return Var(t.name, stamp)
-        return Struct(t.functor, tuple(ren(a) for a in t.args))
+    def ren(v: Var) -> Var:
+        return Var(v.name, stamp)
 
-    return Clause(clause.id, ren(clause.head), tuple(ren(b) for b in clause.body))
+    head = _fold(clause.head, ren, _rebuild)
+    return Clause(clause.id, head, tuple(_fold(b, ren, _rebuild) for b in clause.body))
 
 
 def walk(subst: dict, t: Term) -> Term:
@@ -331,46 +383,9 @@ def resolve(subst: dict, t: Term) -> Term:
     """Apply `subst` all the way down.
 
     Raises CyclicTerm when a binding met on the way contains its own
-    variable.  The check runs only once the recursion has failed, so
-    acyclic terms pay nothing for it; an acyclic term too deep for the
-    recursion still raises RecursionError."""
-    try:
-        return _resolve(subst, t)
-    except RecursionError:
-        var = _cyclic_var(subst, t)
-        if var is None:
-            raise
-    raise CyclicTerm(var)
-
-
-def _resolve(subst: dict, t: Term) -> Term:
-    t = walk(subst, t)
-    if isinstance(t, Var):
-        return t
-    return Struct(t.functor, tuple(_resolve(subst, a) for a in t.args))
-
-
-def _cyclic_var(subst: dict, t: Term) -> Optional[Var]:
-    """A variable that `t`'s resolution binds to a term containing it, or
-    None.  Iterative: it runs where the recursion has just failed."""
-    on_path, done = set(), set()
-    stack = [(None, [t])]  # (variable being expanded, terms left in it)
-    while stack:
-        var, pending = stack[-1]
-        if not pending:
-            stack.pop()
-            on_path.discard(var)
-            done.add(var)
-            continue
-        x = pending.pop()
-        if isinstance(x, Struct):
-            pending.extend(x.args)
-        elif x in on_path:
-            return x
-        elif x in subst and x not in done:
-            on_path.add(x)
-            stack.append((x, [subst[x]]))
-    return None
+    variable; of several, it names the first that a right-to-left walk
+    of `t` meets."""
+    return _fold(t, lambda v: v, _rebuild, subst)
 
 
 def unify(a: Term, b: Term, subst: Optional[dict] = None, resolved: bool = True):
@@ -383,7 +398,9 @@ def unify(a: Term, b: Term, subst: Optional[dict] = None, resolved: bool = True)
     `subst` is never mutated: the result is a new dict, and nothing else
     updates a binding dict in place, so the engines share them uncopied.
     Bindings may be cyclic (no occur check): a compound pair reached again
-    through them is skipped, as it is already being unified.
+    through them is skipped, as it is already being unified.  Two compound
+    terms are never compared whole (that comparison recurses): they
+    descend, and only an identical pair or two equal variables is skipped.
     """
     s = dict(subst) if subst else {}
     stack = [(a, b)]
@@ -391,9 +408,11 @@ def unify(a: Term, b: Term, subst: Optional[dict] = None, resolved: bool = True)
     while stack:
         x0, y0 = stack.pop()
         x, y = walk(s, x0), walk(s, y0)
-        if x == y:
+        if x is y:
             continue
         if isinstance(x, Var) and isinstance(y, Var):
+            if x == y:
+                continue
             # Alias the younger variable to the older one so that a chain
             # of head unifications keeps a single display representative.
             if (x.stamp, x.name) <= (y.stamp, y.name):
@@ -443,9 +462,7 @@ def apply_subst(subst, t: Term) -> Term:
     """
     if subst is BOTTOM:
         raise ValueError("cannot apply the failure substitution")
-    if isinstance(t, Var):
-        return subst.get(t, t)
-    return Struct(t.functor, tuple(apply_subst(subst, a) for a in t.args))
+    return _fold(t, lambda v: subst.get(v, v), _rebuild)
 
 
 # ======================================================================
@@ -478,14 +495,22 @@ def format_term(t: Term, names: Optional[VarNames] = None) -> str:
     """
     if names is None:
         names = VarNames()
-
-    def fmt(t: Term) -> str:
-        if isinstance(t, Var):
-            if t.stamp == 0 and _RAW_VAR_RE.match(t.name):
-                return t.name
-            return f"_{names.index(t)}"
-        if not t.args:
-            return t.functor
-        return f"{t.functor}({','.join(fmt(a) for a in t.args)})"
-
-    return fmt(t)
+    # Pre-order on a stack of terms and punctuation, so that each character
+    # is written once; text built bottom-up would be copied at every level.
+    parts, todo = [], [t]
+    while todo:
+        x = todo.pop()
+        if x.__class__ is str:
+            parts.append(x)
+        elif x.__class__ is Var:
+            raw = x.stamp == 0 and _RAW_VAR_RE.match(x.name)
+            parts.append(x.name if raw else f"_{names.index(x)}")
+        elif x.args:
+            parts.append(f"{x.functor}(")
+            todo.append(")")
+            for a in reversed(x.args):
+                todo += (a, ",")
+            todo.pop()  # no comma before the first argument
+        else:
+            parts.append(x.functor)
+    return "".join(parts)

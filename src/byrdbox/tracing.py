@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from enum import Enum
 from functools import cached_property
 
 from .engine import (
@@ -26,6 +25,7 @@ from .engine import (
     RuleId,
     RunResult,
     VirtualState,
+    _Tag,
     drive,
     greatest_choice_point,
     init_state,
@@ -50,17 +50,11 @@ __all__ = [
 ]
 
 
-class Port(Enum):
+class Port(_Tag):
     CALL = "Call"
     EXIT = "Exit"
     FAIL = "Fail"
     REDO = "Redo"
-
-    # Members are singletons: hash by identity, in C, not by name.
-    __hash__ = object.__hash__
-
-    def __str__(self):
-        return self.value
 
 
 PORT_OF_RULE = {

@@ -334,61 +334,78 @@ def _nat(depth):
     return "s(" * depth + "z" + ")" * depth
 
 
-# Parses, but running it recurses deeper than Python allows.
-DEEP_RUN = f"nat(z).\nnat(s(X)) :- nat(X).\n:- nat({_nat(600)}).\n"
-# Too deep for the parser itself.
-DEEP_PARSE = f"nat(z).\nnat(s(X)) :- nat(X).\n:- nat({_nat(2000)}).\n"
+# Terms of any depth run: a goal 5,000 deep, and eq(X, X) on two separately
+# parsed terms that deep, whose unification descends all 5,000 levels.
+DEEP = 5000
+DEEP_NAT = f"nat(z).\nnat(s(X)) :- nat(X).\n:- nat({_nat(DEEP)}).\n"
+DEEP_EQ = f"eq(X,X).\n:- eq({_nat(DEEP)},{_nat(DEEP)}).\n"
+
+
+def _deep_nat_calls(count):
+    """The first `count` trace lines of DEEP_NAT: one Call per level."""
+    return [f"{i} {i} {i} Call nat({_nat(DEEP + 1 - i)})" for i in range(1, count + 1)]
 
 
 @pytest.mark.parametrize("argv", [["trace"], ["trace", "--model", "m2"], ["compare"]])
 def test_too_deep_term_is_a_one_line_error(tmp_path, capsys, argv):
-    run, parse = tmp_path / "run.pl", tmp_path / "parse.pl"
-    run.write_text(DEEP_RUN, encoding="utf-8")
-    parse.write_text(DEEP_PARSE, encoding="utf-8")
-    assert main(argv + ["--program", str(run)]) == 1
+    # no term is too deep: both 5,000-deep programs give results
+    nat, eq = tmp_path / "nat.pl", tmp_path / "eq.pl"
+    nat.write_text(DEEP_NAT, encoding="utf-8")
+    eq.write_text(DEEP_EQ, encoding="utf-8")
+    code = main(argv + ["--program", str(nat), "--max-steps", "5"])
     captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.splitlines() == [f"error: {run}: term nested too deeply"]
-    assert main(argv + ["--program", str(parse)]) == 1
+    assert captured.err == ""
+    if argv == ["compare"]:
+        assert (code, captured.out) == (1, "m1:2 m2:2 m3:2 subseq:yes,yes\n")
+    else:
+        calls = 5 if argv == ["trace"] else 2
+        assert (code, captured.out.splitlines()) == (2, _deep_nat_calls(calls))
+    code = main(argv + ["--program", str(eq)])
     captured = capsys.readouterr()
-    assert captured.out == ""
-    [line] = captured.err.splitlines()
-    assert line.startswith("error: term nested too deeply (line 3, column ")
+    assert (code, captured.err) == (0, "")
+    if argv == ["compare"]:
+        assert captured.out == "m1:2 m2:2 m3:2 subseq:yes,yes\n"
+    else:
+        pred = f"eq({_nat(DEEP)},{_nat(DEEP)})"
+        assert captured.out.splitlines() == [f"1 1 1 Call {pred}", f"2 1 1 Exit {pred}"]
 
 
 def test_verify_reports_too_deep_terms_and_goes_on(tmp_path, capsys, data_dir):
-    (tmp_path / "a_run.pl").write_text(DEEP_RUN, encoding="utf-8")
-    (tmp_path / "b_parse.pl").write_text(DEEP_PARSE, encoding="utf-8")
+    # deep programs pass like any other, in --corpus and --program runs
+    (tmp_path / "a_nat.pl").write_text(DEEP_NAT, encoding="utf-8")
+    (tmp_path / "b_eq.pl").write_text(DEEP_EQ, encoding="utf-8")
     (tmp_path / "c_good.pl").write_text(
         (data_dir / "example1.pl").read_text(encoding="utf-8"), encoding="utf-8"
     )
-    code = main(["verify", "--corpus", str(tmp_path)])
+    code = main(["verify", "--corpus", str(tmp_path), "--max-steps", "20"])
     captured = capsys.readouterr()
-    assert code == 1
+    assert (code, captured.err) == (0, "")
     assert captured.out.splitlines() == [
-        "FAIL a_run.pl 0 too-deep",
-        "FAIL b_parse.pl 0 parse-error",
+        "PASS a_nat.pl 19 fuel-exhausted",
+        "PASS b_eq.pl 2 -",
         "PASS c_good.pl 10 -",
     ]
-    err = captured.err.splitlines()
-    assert err[0] == "error: a_run.pl: term nested too deeply"
-    assert err[1].startswith("error: b_parse.pl: term nested too deeply (line 3, ")
-    assert len(err) == 2
+    code = main(["verify", "--program", str(tmp_path / "a_nat.pl"), "--max-steps", "5"])
+    assert (code, capsys.readouterr()) == (0, ("PASS a_nat.pl 4 fuel-exhausted\n", ""))
 
 
 def test_reconstruct_reports_too_deep_terms(tmp_path, capsys):
-    # parses, but printing the rebuilt states recurses too deeply
-    goal = f"nat({_nat(600)})"
+    # the rebuilt states of a 5,000-deep goal print in full
+    goal = f"nat({_nat(DEEP)})"
     trace = tmp_path / "deep.txt"
-    trace.write_text(f"1 1 1 Call {goal}\n", encoding="utf-8")
-    assert main(["reconstruct", "--trace", str(trace), "--goal", goal]) == 1
+    trace.write_text("\n".join(_deep_nat_calls(2)) + "\n", encoding="utf-8")
+    assert main(["reconstruct", "--trace", str(trace), "--goal", goal]) == 0
     captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.splitlines() == [f"error: {trace}: term nested too deeply"]
-    trace.write_text(f"1 1 1 Call {_nat(3000)}\n", encoding="utf-8")
-    assert main(["reconstruct", "--trace", str(trace), "--goal", "z"]) == 1
-    [line] = capsys.readouterr().err.splitlines()
-    assert line.startswith("error: term nested too deeply (line 1, column ")
+    assert captured.err == ""
+    assert captured.out.splitlines() == [
+        "q0",
+        f"  eps * #1 {goal}",
+        "q1",
+        f"  eps #1 {goal}",
+        f"  1 * #2 nat({_nat(DEEP - 1)})",
+        "q2",
+        "  unknown (final event needs a successor)",
+    ]
 
 
 @pytest.mark.parametrize("command", ["trace", "reconstruct", "verify", "compare"])

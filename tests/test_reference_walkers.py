@@ -1,0 +1,263 @@
+"""The term walkers against recursive reference implementations.
+
+`byrdbox.terms` walks terms on explicit stacks.  The functions below are
+the plain recursive walks those replace, kept here as an oracle: on every
+term shallow enough for Python's recursion, both must agree.  Three input
+sets: every clause of the 200-program corpus, the binding store and call
+predication at every step of corpus(60) runs, and generated terms.
+"""
+
+import re
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from byrdbox.corpus import corpus
+from byrdbox.engine import Machine, drive, init_state
+from byrdbox.terms import (
+    Clause,
+    CyclicTerm,
+    ParseError,
+    Struct,
+    Var,
+    VarNames,
+    _Parser,
+    apply_subst,
+    format_term,
+    rename_clause,
+    resolve,
+    variables,
+    walk,
+)
+
+# ----------------------------------------------------------------------
+# Recursive reference implementations
+# ----------------------------------------------------------------------
+
+
+def ref_variables(t):
+    if isinstance(t, Var):
+        return {t}
+    out = set()
+    for a in t.args:
+        out |= ref_variables(a)
+    return out
+
+
+def ref_rename_clause(clause, stamp):
+    def ren(t):
+        if isinstance(t, Var):
+            return Var(t.name, stamp)
+        return Struct(t.functor, tuple(ren(a) for a in t.args))
+
+    return Clause(clause.id, ren(clause.head), tuple(ren(b) for b in clause.body))
+
+
+def ref_resolve(subst, t):
+    """The recursive resolve; a cycle overflows the recursion, and the
+    variable it names is the first that a right-to-left search meets."""
+    try:
+        return _ref_resolve(subst, t)
+    except RecursionError:
+        var = _ref_cyclic_var(subst, t)
+        if var is None:
+            raise
+    raise CyclicTerm(var)
+
+
+def _ref_resolve(subst, t):
+    t = walk(subst, t)
+    if isinstance(t, Var):
+        return t
+    return Struct(t.functor, tuple(_ref_resolve(subst, a) for a in t.args))
+
+
+def _ref_cyclic_var(subst, t):
+    on_path, done = set(), set()
+    stack = [(None, [t])]  # (variable being expanded, terms left in it)
+    while stack:
+        var, pending = stack[-1]
+        if not pending:
+            stack.pop()
+            on_path.discard(var)
+            done.add(var)
+            continue
+        x = pending.pop()
+        if isinstance(x, Struct):
+            pending.extend(x.args)
+        elif x in on_path:
+            return x
+        elif x in subst and x not in done:
+            on_path.add(x)
+            stack.append((x, [subst[x]]))
+    return None
+
+
+def ref_apply_subst(subst, t):
+    if isinstance(t, Var):
+        return subst.get(t, t)
+    return Struct(t.functor, tuple(ref_apply_subst(subst, a) for a in t.args))
+
+
+_RAW_VAR_RE = re.compile(r"^_\d+$")
+
+
+def ref_format_term(t, names):
+    def fmt(t):
+        if isinstance(t, Var):
+            if t.stamp == 0 and _RAW_VAR_RE.match(t.name):
+                return t.name
+            return f"_{names.index(t)}"
+        if not t.args:
+            return t.functor
+        return f"{t.functor}({','.join(fmt(a) for a in t.args)})"
+
+    return fmt(t)
+
+
+class RefParser(_Parser):
+    def term(self):
+        tok = self.next()
+        if tok.kind == "var":
+            if tok.text == "_":
+                self.anon_count += 1
+                return Var(f"_A{self.anon_count}")
+            return Var(tok.text)
+        if tok.kind != "atom":
+            raise ParseError(f"expected a term, found {tok.text!r}", tok.line, tok.column)
+        if self.peek().kind != "(":
+            return Struct(tok.text)
+        self.next()
+        args = [self.term()]
+        while self.peek().kind == ",":
+            self.next()
+            args.append(self.term())
+        self.expect(")")
+        return Struct(tok.text, tuple(args))
+
+
+# ----------------------------------------------------------------------
+# Agreement checks
+# ----------------------------------------------------------------------
+
+
+def source(t):
+    """Source text of a term, variables by their own names."""
+    if isinstance(t, Var):
+        return t.name
+    if not t.args:
+        return t.functor
+    return f"{t.functor}({','.join(source(a) for a in t.args)})"
+
+
+def check_parse(text):
+    """Both parsers read the same term, or fail with the same message."""
+    try:
+        ref = RefParser(text)
+        want = ref.term()
+    except ParseError as exc:
+        with pytest.raises(ParseError) as raised:
+            _Parser(text).term()
+        assert str(raised.value) == str(exc)
+    else:
+        new = _Parser(text)
+        assert new.term() == want
+        assert (new.pos, new.anon_count) == (ref.pos, ref.anon_count)
+
+
+def check_walks(t, names, ref_names):
+    assert variables(t) == ref_variables(t)
+    assert format_term(t, names) == ref_format_term(t, ref_names)
+    clause = Clause("c", Struct("p", (t,)), (t, Struct("q", (t, t))))
+    assert rename_clause(clause, 7) == ref_rename_clause(clause, 7)
+    subst = {v: Struct("f", (v, Struct("a"))) for v in sorted(variables(t), key=repr)[::2]}
+    assert apply_subst(subst, t) == ref_apply_subst(subst, t)
+
+
+def check_resolve(subst, t):
+    try:
+        want = ref_resolve(subst, t)
+    except CyclicTerm as exc:
+        with pytest.raises(CyclicTerm) as raised:
+            resolve(subst, t)
+        assert raised.value.var == exc.var
+    else:
+        assert resolve(subst, t) == want
+
+
+def test_walkers_agree_on_every_corpus_clause(corpus_200):
+    names, ref_names = VarNames(), VarNames()
+    for program in corpus_200:
+        for clause in program.clauses:
+            assert rename_clause(clause, 3) == ref_rename_clause(clause, 3)
+            for atom in (clause.head,) + clause.body:
+                check_parse(source(atom))
+                check_walks(atom, names, ref_names)
+
+
+def test_walkers_agree_on_every_step_of_corpus_runs():
+    names, ref_names = VarNames(), VarNames()
+    steps = 0
+    for program in corpus(60):
+        m = Machine(init_state(program))
+        for _ in drive(m, 300):
+            pred = m.call_preds[m.current]
+            check_resolve(m.bindings, pred)
+            assert apply_subst(m.bindings, pred) == ref_apply_subst(m.bindings, pred)
+            check_walks(resolve(m.bindings, pred), names, ref_names)
+            steps += 1
+    assert steps > 1000
+
+
+_functors = st.sampled_from(["f", "g", "h", "a", "b"])
+_var_names = ["X", "Y", "Z", "_", "_7"]
+_vars = st.builds(Var, st.sampled_from(_var_names), st.sampled_from([0, 0, 1, 2]))
+
+
+def _terms(leaves):
+    return st.recursive(
+        leaves,
+        lambda sub: st.builds(
+            Struct, _functors, st.lists(sub, min_size=0, max_size=3).map(tuple)
+        ),
+        max_leaves=25,
+    )
+
+
+_source_terms = _terms(st.sampled_from(_var_names).map(Var) | _functors.map(Struct))
+_stamped_terms = _terms(_vars | _functors.map(Struct))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_source_terms)
+def test_parsers_agree_on_generated_terms(t):
+    text = source(t)
+    check_parse(text)
+    check_parse(f"p({text},{text})")
+    for cut in (len(text) // 2, len(text) - 1):
+        check_parse(text[:cut] + ",)" + text[cut:])
+
+
+@settings(max_examples=200, deadline=None)
+@given(_stamped_terms)
+def test_walks_agree_on_generated_terms(t):
+    check_walks(t, VarNames(), VarNames())
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.dictionaries(st.builds(Var, st.sampled_from(["X", "Y", "Z"])), _stamped_terms, max_size=3),
+    _stamped_terms,
+)
+def test_resolve_agrees_on_generated_stores(subst, t):
+    # a variable bound to a variable chain must not come back to itself:
+    # `walk` follows such chains without a check, in both versions
+    for v in subst:
+        seen = {v}
+        x = subst[v]
+        while isinstance(x, Var) and x in subst:
+            if x in seen:
+                return
+            seen.add(x)
+            x = subst[x]
+    check_resolve(subst, t)

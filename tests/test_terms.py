@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from byrdbox import (
     BOTTOM,
@@ -179,13 +179,23 @@ def test_resolve_reports_a_cycle_through_two_bindings():
 
 
 def test_resolve_of_a_deep_acyclic_term_is_no_cyclic_term():
-    # a chain of 5000 bindings, each one level deeper: too deep for the
-    # recursion, but without a cycle
-    s = {Var(f"V{i}"): Struct("s", (Var(f"V{i + 1}"),)) for i in range(5000)}
-    with pytest.raises(RecursionError):
-        resolve(s, Var("V0"))
-    shallow = {Var(f"V{i}"): Struct("s", (Var(f"V{i + 1}"),)) for i in range(50)}
-    assert format_term(resolve(shallow, Var("V0"))).count("s(") == 50
+    # chains of n bindings, each one level deeper, without a cycle
+    for n in (5000, 100_000):
+        s = {Var(f"V{i}"): Struct("s", (Var(f"V{i + 1}"),)) for i in range(n)}
+        assert format_term(resolve(s, Var("V0"))) == "s(" * n + "_1" + ")" * n
+
+
+def test_every_walker_handles_a_term_100000_deep():
+    n = 100_000
+    text = "s(" * n + "_7" + ")" * n
+    t = parse_term(text)
+    assert format_term(t) == text
+    assert variables(t) == {Var("_7")}
+    assert format_term(apply_subst({Var("_7"): Struct("z")}, t)) == "s(" * n + "z" + ")" * n
+    renamed = rename_clause(Clause("c", Struct("p", (t,))), 2).head.args[0]
+    assert variables(renamed) == {Var("_7", 2)}
+    # equal down to the variables: unification descends all n levels
+    assert unify(t, renamed, resolved=False) == {Var("_7", 2): Var("_7")}
 
 
 def test_unify_returns_on_two_cyclic_bindings_out_of_phase():
@@ -205,12 +215,13 @@ def test_unify_leaves_its_input_substitution_alone():
 
 
 def test_too_deep_term_is_a_parse_error():
+    # no term is too deep to parse; an unclosed one fails at the end of input
     deep = "s(" * 3000 + "z" + ")" * 3000
-    with pytest.raises(ParseError, match="term nested too deeply"):
-        parse_term(deep)
-    with pytest.raises(ParseError, match="term nested too deeply") as raised:
-        parse_program(f"nat(z).\n:- nat({deep}).\n")
-    assert raised.value.line == 2
+    assert format_term(parse_term(deep)) == deep
+    assert format_term(parse_program(f"nat(z).\n:- nat({deep}).\n").goal) == f"nat({deep})"
+    with pytest.raises(ParseError, match="expected '\\)', found ''") as raised:
+        parse_program(f"nat(z).\n:- nat({deep[:-1]}")
+    assert (raised.value.line, raised.value.column) == (2, 9008)
     assert parse_term("s(" * 100 + "z" + ")" * 100).arity == 1
 
 
@@ -288,6 +299,45 @@ def test_unify_symmetric_up_to_success(a, b):
     if left is not BOTTOM:
         assert apply_subst(left, a) == apply_subst(left, b)
         assert apply_subst(right, a) == apply_subst(right, b)
+
+
+_POOL = ["A", "B", "C", "D"]
+
+
+@st.composite
+def _stores(draw):
+    """A binding store over _POOL, cyclic through compound terms at will.
+    A variable is bound to a variable only later in _POOL: `walk` follows
+    such chains unchecked, and `unify` never binds a variable in a loop."""
+    store = {}
+    for i, name in enumerate(_POOL):
+        kind = draw(st.sampled_from(["free", "var", "term", "term"]))
+        if kind == "var" and name != _POOL[-1]:
+            store[Var(name)] = Var(draw(st.sampled_from(_POOL[i + 1:])))
+        elif kind == "term":
+            args = draw(st.lists(_terms(_POOL), min_size=1, max_size=2))
+            store[Var(name)] = Struct(draw(_functors), tuple(args))
+    return store
+
+
+def _resolves_or_is_cyclic(store, t):
+    try:
+        r = resolve(store, t)
+    except CyclicTerm as exc:
+        assert exc.var in store
+    else:
+        assert not variables(r) & store.keys()
+
+
+@settings(max_examples=100, deadline=None)
+@given(_stores(), _terms(_POOL), _terms(_POOL))
+def test_unify_and_resolve_are_total_on_any_store(store, a, b):
+    out = unify(a, b, store, resolved=False)
+    assert out is BOTTOM or store.items() <= out.items()
+    for t in (a, b):
+        _resolves_or_is_cyclic(store, t)
+        if out is not BOTTOM:
+            _resolves_or_is_cyclic(out, t)
 
 
 @given(_terms(["X", "Y", "Z"]))
