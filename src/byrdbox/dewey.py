@@ -3,12 +3,11 @@
 A node is named by its Dewey word, a tuple of ints whose Python order is
 the Dewey (lexicographic) order: a prefix sorts before its extensions,
 siblings by component.  Neither live machine answers a tree question
-from words: the core engine's `Machine` is a node stack of positions and
-the multimodel engine's `ExtMachine` a layout of integer node slots (see
-engine and multimodel).  Words are built where they are observed: in
-snapshots, in `node_str`, and in the rebuilder, whose tree is the key set
-of its numbering and which answers by probing children (below) and by its
-inverse numbering.
+from words: `engine.Machine` and `multimodel.ExtMachine` are node stacks
+of positions in Dewey order (see engine).  Words are built where they
+are observed: in snapshots, in `node_str`, and in the rebuilder, whose
+tree is the key set of its numbering and which answers by probing
+children (below) and by its inverse numbering.
 A frozen state of either engine holds the words of its machine's nodes
 in a tuple, and derives its word-keyed maps from it when they are read.
 

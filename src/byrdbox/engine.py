@@ -52,10 +52,10 @@ queries below take the live machine and a position; a caller that holds
 a snapshot builds `Machine(state)` first, as `step`, `applicable_rule`
 and `tracing.extract_event` do.  The machine copies the snapshot's lists
 and takes its choice points from the boxes.  The other engine
-(multimodel) shares the snapshot layout and the clause selection
-(`_peek_visit`, `_take`) and the live machine's choice-point
-bookkeeping (`_Live.set_box`, `_Live.cut`); its live machine holds
-integer node slots, because it creates a clause's body slots at once.
+(multimodel) runs on the same node stack, with its own columns, and
+shares the snapshot layout, the clause selection (`_peek_visit`,
+`_take`) and the live machine's choice-point bookkeeping
+(`_Live.set_box`, `_Live.cut`).
 """
 
 from __future__ import annotations
@@ -153,11 +153,12 @@ class _Snapshot:
 
 
 class _Live:
-    """A live machine of either engine: it copies the lists (LISTS),
-    columns and scalars (SCALARS) of the snapshot it starts from, and
-    `snapshot` freezes them into a new STATE.  Both engines keep their
-    choice points `cps` in Dewey order and cut their lists (`columns`)
-    from the end, through `set_box` and `cut`."""
+    """A live machine of either engine, a node stack: it copies the lists
+    (LISTS), columns and scalars (SCALARS) of the snapshot it starts from,
+    takes its choice points `cps` from the boxes, and `snapshot` freezes
+    them into a new STATE.  Both engines keep their lists (`columns`) in
+    Dewey order, so positions compare as the nodes do, and keep `cps`
+    through `set_box` and `cut`."""
 
     def __init__(self, state):
         for name in self.LISTS:
@@ -166,6 +167,7 @@ class _Live:
             setattr(self, name, list(column))
         for name in self.SCALARS:
             setattr(self, name, getattr(state, name))
+        self.cps = [p for p, box in enumerate(self.boxes) if box]
         self.halted = False  # set by the run that drives the machine
 
     def snapshot(self):
@@ -183,21 +185,21 @@ class _Live:
         fills, and leaves it, from the top, when its box drains."""
         cps = self.cps
         if box and not self.boxes[p]:
-            assert not cps or self.nodes[p] > self.nodes[cps[-1]], "a push below the top of cps"
+            assert not cps or p > cps[-1], "a push below the top of cps"
             cps.append(p)
         elif self.boxes[p] and not box:
             top = cps.pop()
             assert top == p, "a drained choice point is not the top of cps"
         self.boxes[p] = box
 
-    def cut(self, k: int, v: int) -> None:
-        """Drop every choice point after node v (by word, which is Dewey
-        order in both layouts), then every entry of every column from k."""
-        cps, nodes = self.cps, self.nodes
-        while cps and nodes[cps[-1]] > nodes[v]:
+    def cut(self, v: int) -> None:
+        """Drop every choice point after position v, then every node after
+        v from every column."""
+        cps = self.cps
+        while cps and cps[-1] > v:
             cps.pop()
         for column in self.columns:
-            del column[k:]
+            del column[v + 1:]
 
 
 @dataclass(frozen=True)
@@ -465,7 +467,6 @@ class Machine(_Live):
         for _ in range(len(nodes[current]) - len(u)):
             current = up[current]
         self.current = current
-        self.cps = [p for p, box in enumerate(self.boxes) if box]
         names = self.LISTS + state.OBSERVED + state.KEPT
         self.columns = tuple(getattr(self, name) for name in names)
         self.resolved = None  # (position, Exit predication), see updated_pred
@@ -574,7 +575,7 @@ def _fire(m: Machine, rule: RuleId, peek: Optional[_Peek]) -> None:
             m.fresh[u] = False
         else:
             v = greatest_choice_point(m, u)
-            m.cut(v + 1, v)  # backtracking to v deletes every node after it
+            m.cut(v)  # backtracking to v deletes every node after it
             m.current = v
             m.complete = False
         _visit(m, v, peek)

@@ -18,39 +18,29 @@ Three mutually exclusive models select how backtracking is traced:
     m3  original box model: full stepwise undo; every completed box is
         re-entered (Redo) and closed (Fail) in reverse order
 
-Snapshot layout, clause selection and the choice-point bookkeeping are
-the simplified machine's (see engine): the resolution bookkeeping sits in
-fields that equality and repr skip, binding dicts are shared, never
-copied, `_peek_visit` and `_take` choose each clause, and `_Live.set_box`
-and `_Live.cut` keep `cps`.
+The live machine is engine's node stack: each node is a position in
+parallel lists kept in Dewey order, its word (`nodes`, made once by
+dewey's `child`), its parent's position (`up`; the root, at 0, is its
+own) and the per-node maps and bookkeeping under their state names;
+`cps` lists the choice points' positions.  The snapshot layout, clause
+selection (`_peek_visit`, `_take`) and choice-point bookkeeping
+(`_Live.set_box`, `_Live.cut`) are engine's too.  Two invariants hold:
 
-The live machine holds its tree as integer node slots: parallel lists by
-slot of each node's word (`nodes`, made once by dewey's `child`), its
-parent's slot (`up`; the root, at 0, is its own), its children's slots
-(`kids`, a range) and the per-node maps and bookkeeping under their state
-names.  `order` lists the slots in Dewey order, updated in place (a
-node's m2 rank is its place in it), and `cps` the choice points' slots.
-Three invariants hold:
-
-  1. a node's children are one block of slots, made at once by
-     CLAUSSUCCEEDS at a leaf after which every node is a leaf, so blocks
-     are made in the Dewey order of their parents and a prune drops the
-     last slots;
+  1. a clause's body slots are made at once, by CLAUSSUCCEEDS at a leaf
+     after which every node is an unvisited slot (a leaf with no box), so
+     inserting them right after it moves no parent position and no
+     choice point;
   2. no choice point lies after the current node's subtree, so the
      greatest one in the subtree of the current node or an ancestor is
-     the top of `cps` when that is at or after it;
-  3. `cps` grows only on top and loses only a suffix.
+     the top of `cps` when that is at or after it.
 
-A push or a drain off the top of `cps`, and a prune of slots that are not
-the last, raise.  The live path never hashes a word: it compares words
-only for those checks and in the choice-point query, and events read
-them.  A frozen `ExtendedState` holds the machine's lists as tuples, and
-its word-keyed maps are derived from them the first time they are read,
-as in engine.  The queries take the live machine and the slot of the
+A body inserted before a visited node, and a push or a drain off the top
+of `cps`, raise.  The queries are position tests, as
+in engine, that never compare or hash a word (a node's m2 rank is its
+position plus one).  They take the live machine and the position of the
 current node or one of its ancestors; a caller that holds a snapshot
 builds `ExtMachine(state)` first, as `_gates`, `applicable_extended` and
-`step_extended` do.  The machine copies the snapshot's lists and takes
-its choice points from the boxes.
+`step_extended` do.
 
 The rule table has 16 rules.  The paper's leaffail2 is not among them:
 it fails a node whose chosen clause's head does not unify, and
@@ -116,11 +106,9 @@ class ExtRuleId(_Tag):
 
 @dataclass(frozen=True)
 class ExtendedState(_Snapshot):
-    """A snapshot of the machine, by slot.  Each tree has exactly one slot
-    layout (invariant 1), so `nodes` holds the tree, the rest of the
-    layout follows from it, and comparing the columns compares the maps:
-    equality and repr see the tree, u, n, the observable columns and the
-    four flags."""
+    """A snapshot of the machine, by position.  `nodes` is the tree in
+    Dewey order, so comparing the columns compares the maps: equality and
+    repr see the tree, u, n, the observable columns and the four flags."""
 
     # preds are the skeleton predications (raw body atoms), chosen the
     # renamed clause instance in use, sigmas the paper's per-node
@@ -130,10 +118,7 @@ class ExtendedState(_Snapshot):
     KEPT = ("call_preds", "call_snaps", "display", "marks")
 
     nodes: tuple
-    # each slot's parent and children, and the slots in Dewey order
-    up: tuple = field(compare=False, repr=False)
-    kids: tuple = field(compare=False, repr=False)
-    order: tuple = field(compare=False, repr=False)
+    up: tuple = field(compare=False, repr=False)  # given by the nodes
     current: NodeId
     counter: int
     observed: tuple
@@ -153,19 +138,28 @@ class ExtendedState(_Snapshot):
 
 
 # ----------------------------------------------------------------------
-# Tree helpers: they take the live machine and a slot.
+# Tree helpers: they take the live machine and a position.
 # ----------------------------------------------------------------------
 
 def _is_leaf(m, v):
-    return not m.kids[v]
+    # in Dewey order, a node with children is followed by its first child
+    return v + 1 == len(m.nodes) or m.up[v + 1] != v
 
 
 def _children(m, v):
-    return m.kids[v]
+    """v's children: as many as the body of its clause, once it has any."""
+    children = []
+    if not _is_leaf(m, v):
+        p, up = v, m.up
+        for _ in m.chosen[v].body:
+            p = up.index(v, p + 1)
+            children.append(p)
+    return children
 
 
 def _has_next_node(m, u):
-    return u != 0 and u + 1 in m.kids[m.up[u]]
+    # u is not the last body slot of its parent's clause
+    return u != 0 and m.nodes[u][-1] < len(m.chosen[m.up[u]].body)
 
 
 def _hcp(m, v):
@@ -173,20 +167,22 @@ def _hcp(m, v):
 
 
 def _gcp(m, v):
-    """The slot of the greatest node (lexicographically) in v's subtree
-    whose box still holds a clause; None when there is none.
+    """The position of the greatest node (lexicographically) in v's
+    subtree whose box still holds a clause; None when there is none.
 
     v is the current node or an ancestor of it, the only nodes after
     whose subtree no choice point lies (invariant 2): so the answer is
     the top of `cps` when that is at or after v."""
-    cps, nodes = m.cps, m.nodes
-    return cps[-1] if cps and nodes[cps[-1]] >= nodes[v] else None
+    cps = m.cps
+    return cps[-1] if cps and cps[-1] >= v else None
 
 
 def _toward_gcp(m, u):
     """The child of u whose subtree holds the greatest choice point."""
-    nodes = m.nodes
-    return m.kids[u][nodes[_gcp(m, u)][len(nodes[u])] - 1]
+    p, up = _gcp(m, u), m.up
+    while up[p] != u:
+        p = up[p]
+    return p
 
 
 def _reenterable_child(m, u):
@@ -200,7 +196,7 @@ def _reenterable_child(m, u):
 def _num_for(m, model, node):
     if model is not ModelId.M2:
         return m.numbers[node]
-    return 1 + m.order.index(node)  # 1 + nodes before it
+    return node + 1  # 1 + nodes before it
 
 
 # ----------------------------------------------------------------------
@@ -290,8 +286,6 @@ def init_extended(program: Program) -> ExtendedState:
     return ExtendedState(
         nodes=(EPSILON,),
         up=(0,),
-        kids=(_LEAF,),
-        order=(0,),
         current=EPSILON,
         counter=0,
         # unnumbered and with no clause chosen; the first visit
@@ -313,25 +307,24 @@ def init_extended(program: Program) -> ExtendedState:
     )
 
 
-_LEAF = range(0)
 # A body slot as CLAUSSUCCEEDS makes it and a prune resets it, apart from
-# its word, parent and predication: unvisited, childless, unnumbered.
-_SKELETON = (
-    ("kids", _LEAF), ("numbers", None), ("chosen", None), ("boxes", ()),
-    ("sigmas", None), ("fresh", True), ("call_preds", None),
-    ("call_snaps", None), ("display", None), ("marks", False),
-)
+# its word, parent and predication: unvisited, unnumbered.
+_SKELETON = {
+    "numbers": None, "chosen": None, "boxes": (), "sigmas": None, "fresh": True,
+    "call_preds": None, "call_snaps": None, "display": None, "marks": False,
+}
+_BLANK = tuple(_SKELETON.values())
 
 
 class ExtMachine(_Live):
     """The one mutable state that a run of this engine fires its rules on,
-    in place, as integer node slots (see the module docstring); `current`,
-    `order` and `cps` hold slots.  It copies the lists of the state it
-    starts from and takes the choice points from the boxes, and
-    `snapshot` freezes the lists into a new state."""
+    in place, as a node stack (see the module docstring); `current` and
+    `cps` hold positions.  It copies the lists of the state it starts
+    from and takes the choice points from the boxes, and `snapshot`
+    freezes the lists into a new state."""
 
     STATE = ExtendedState
-    LISTS = ("nodes", "up", "kids", "order")
+    LISTS = ("nodes", "up")
     SCALARS = (
         "counter", "complete", "failing", "success", "reverse",
         "program", "bindings", "stamp", "pending",
@@ -339,34 +332,26 @@ class ExtMachine(_Live):
 
     def __init__(self, state: ExtendedState):
         super().__init__(state)
-        current = 0
-        for i in state.current:
-            current = self.kids[current][i - 1]
-        self.current = current
-        self.cps = [p for p in self.order if self.boxes[p]]
-        self.skeleton = [(getattr(self, name), value) for name, value in _SKELETON]
-        self.columns = (self.nodes, self.up, self.preds, *(column for column, _ in self.skeleton))
+        self.current = self.nodes.index(state.current)
+        names = ("nodes", "up", "preds", *_SKELETON)
+        self.columns = tuple(getattr(self, name) for name in names)
+
+    def push_slot(self, at, *row):
+        """Insert a skeleton body slot, its word, parent and predication
+        given, at position `at` of every column."""
+        for column, value in zip(self.columns, row + _BLANK):
+            column.insert(at, value)
 
     def prune_after(self, v):
         """Tear down everything behind a resumed choice point: interior
-        nodes vanish, later body slots of still-standing clauses revert to
-        unvisited skeleton nodes awaiting a fresh number.  The nodes that
-        vanish are the last slots (invariant 1), so every list is cut."""
-        nodes, order, up = self.nodes, self.order, self.up
-        i = order.index(v)
-        gone, doomed, resets = {v}, [], []
-        for y in order[i + 1:]:
-            # a parent before v is an ancestor of v: y is a later body slot
-            (doomed if up[y] in gone else resets).append(y)
-            gone.add(y)
-        cut = len(nodes) - len(doomed)
-        assert min(doomed, default=cut) == cut, "the pruned nodes are not the last slots"
-        self.cut(cut, v)  # every box behind v is gone or emptied
-        order[i + 1:] = resets
-        self.kids[v] = _LEAF
-        for column, value in self.skeleton:
-            for y in resets:
-                column[y] = value
+        nodes vanish, later body slots of still-standing clauses (the
+        nodes after v whose parent is before v) move behind v and revert
+        to unvisited skeleton nodes awaiting a fresh number."""
+        nodes, up, preds = self.nodes, self.up, self.preds
+        later = [(nodes[y], up[y], preds[y]) for y in range(v + 1, len(nodes)) if up[y] < v]
+        self.cut(v)  # every box behind v is gone or emptied
+        for row in later:
+            self.push_slot(len(nodes), *row)
 
     def rechoice(self, v):
         self.prune_after(v)
@@ -425,19 +410,14 @@ def _fire(m: ExtMachine, model: ModelId, chrono: int, rule: ExtRuleId):
             port, node = Port.EXIT, u
             pred = m.display[u] = resolve(m.bindings, m.call_preds[u])
         else:
-            # one block of new slots after every other (invariant 1), in
-            # Dewey order right after u, a leaf
-            start, word = len(m.nodes), m.nodes[u]
-            for i, atom in enumerate(m.chosen[u].body, start=1):
-                m.nodes.append(child(word, i))
-                m.up.append(u)
-                m.preds.append(atom)
-                for column, value in m.skeleton:
-                    column.append(value)
-            m.kids[u] = block = range(start, len(m.nodes))
-            at = m.order.index(u) + 1
-            m.order[at:at] = block
-            m.current = start
+            # the body slots go right after u; every node after it is an
+            # unvisited slot, so a leaf with no box (invariant 1): no parent
+            # position and no choice point moves
+            at, body = u + 1, m.chosen[u].body
+            assert all(m.fresh[at:]), "a body inserted before a visited node"
+            for i in range(len(body), 0, -1):  # each goes in at `at`: last first
+                m.push_slot(at, child(m.nodes[u], i), u, body[i - 1])
+            m.current = at
 
     elif rule in (R.EXIT1, R.EXIT2):
         if not _is_leaf(m, u):
@@ -448,7 +428,7 @@ def _fire(m: ExtMachine, model: ModelId, chrono: int, rule: ExtRuleId):
             if u == 0:
                 m.complete = True
         else:
-            m.current = u + 1
+            m.current = m.up.index(m.up[u], u + 1)  # the brother after u's subtree
 
     elif rule in (R.LEAFFAIL1, R.TREEFAIL_M12, R.REDO_M3C, R.REDO_M3D):
         port, node, pred = Port.FAIL, u, m.call_preds[u]

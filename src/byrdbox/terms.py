@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from operator import is_
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 __all__ = [
     "Var",
@@ -137,8 +137,7 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str
     text: str
     line: int
@@ -364,9 +363,15 @@ def rename_clause(clause: Clause, stamp: int) -> Clause:
 
 
 def walk(subst: dict, t: Term) -> Term:
-    """Chase variable bindings at the root of `t`."""
+    """Chase variable bindings at the root of `t`.  A chain longer than
+    the store has bindings comes back to a variable: CyclicTerm names one
+    on that cycle (a self-binding included)."""
+    steps = 0
     while isinstance(t, Var) and t in subst:
         t = subst[t]
+        steps += 1
+        if steps > len(subst):
+            raise CyclicTerm(t)
     return t
 
 
@@ -398,9 +403,11 @@ def unify(a: Term, b: Term, subst: Optional[dict] = None, resolved: bool = True)
     `subst` is never mutated: the result is a new dict, and nothing else
     updates a binding dict in place, so the engines share them uncopied.
     Bindings may be cyclic (no occur check): a compound pair reached again
-    through them is skipped, as it is already being unified.  Two compound
-    terms are never compared whole (that comparison recurses): they
-    descend, and only an identical pair or two equal variables is skipped.
+    through them is skipped, as it is already being unified; a loop of
+    variable-to-variable bindings raises CyclicTerm (see `walk`).  Two
+    compound terms are never compared whole (that comparison recurses):
+    they descend, and only an identical pair or two equal variables is
+    skipped.
     """
     s = dict(subst) if subst else {}
     stack = [(a, b)]

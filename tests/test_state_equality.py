@@ -1,11 +1,9 @@
 """State equality against the word-keyed maps a state stands for.
 
-A frozen state holds its machine's lists as tuples, by position in the
-core engine and by slot in the multimodel engine, and equality compares
-those columns, not word-keyed maps.  That is sound because each tree has
-exactly one layout: the core's positions are the tree in Dewey order,
-and the multimodel engine makes a node's children as one block of slots,
-blocks in the Dewey order of their parents.  The oracle below pins it:
+A frozen state holds its machine's lists as tuples, by position, and
+equality compares those columns, not word-keyed maps.  That is sound
+because each tree has exactly one layout: in both engines the positions
+are the tree in Dewey order.  The oracle below pins it:
 for every pair of states, `s == t` holds exactly when the maps derived
 from the columns, u, n and the flags are all equal.
 """

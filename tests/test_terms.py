@@ -178,6 +178,14 @@ def test_resolve_reports_a_cycle_through_two_bindings():
     assert raised.value.var in (Var("X"), Var("Y"))
 
 
+def test_unify_reports_a_cycle_of_variable_bindings():
+    x, y = Var("X"), Var("Y")
+    for store in ({x: y, y: x}, {x: x}):
+        with pytest.raises(CyclicTerm) as raised:
+            unify(x, term("a"), store, resolved=False)
+        assert raised.value.var in store
+
+
 def test_resolve_of_a_deep_acyclic_term_is_no_cyclic_term():
     # chains of n bindings, each one level deeper, without a cycle
     for n in (5000, 100_000):
@@ -306,18 +314,30 @@ _POOL = ["A", "B", "C", "D"]
 
 @st.composite
 def _stores(draw):
-    """A binding store over _POOL, cyclic through compound terms at will.
-    A variable is bound to a variable only later in _POOL: `walk` follows
-    such chains unchecked, and `unify` never binds a variable in a loop."""
+    """A binding store over _POOL, cyclic at will: through compound terms,
+    and through variables bound to variables in any direction, a variable
+    bound to itself included (`unify` never makes such a loop)."""
     store = {}
-    for i, name in enumerate(_POOL):
+    for name in _POOL:
         kind = draw(st.sampled_from(["free", "var", "term", "term"]))
-        if kind == "var" and name != _POOL[-1]:
-            store[Var(name)] = Var(draw(st.sampled_from(_POOL[i + 1:])))
+        if kind == "var":
+            store[Var(name)] = Var(draw(st.sampled_from(_POOL)))
         elif kind == "term":
             args = draw(st.lists(_terms(_POOL), min_size=1, max_size=2))
             store[Var(name)] = Struct(draw(_functors), tuple(args))
     return store
+
+
+def _has_variable_cycle(store):
+    """Whether the store's variable-to-variable bindings hold a cycle."""
+    for v in store:
+        chain = set()
+        while isinstance(v, Var) and v in store:
+            if v in chain:
+                return True
+            chain.add(v)
+            v = store[v]
+    return False
 
 
 def _resolves_or_is_cyclic(store, t):
@@ -332,7 +352,13 @@ def _resolves_or_is_cyclic(store, t):
 @settings(max_examples=100, deadline=None)
 @given(_stores(), _terms(_POOL), _terms(_POOL))
 def test_unify_and_resolve_are_total_on_any_store(store, a, b):
-    out = unify(a, b, store, resolved=False)
+    # unify raises CyclicTerm exactly where a chain of variable bindings
+    # can come back to its start, and returns otherwise
+    try:
+        out = unify(a, b, store, resolved=False)
+    except CyclicTerm as exc:
+        assert _has_variable_cycle(store) and exc.var in store
+        out = BOTTOM
     assert out is BOTTOM or store.items() <= out.items()
     for t in (a, b):
         _resolves_or_is_cyclic(store, t)

@@ -1,16 +1,15 @@
 """The tree queries against the full-tree scans they replaced.
 
-The live core machine answers its tree questions (leaf, choice points)
-from positions in its node stack, and the live multimodel machine (leaf,
-children, choice points, m2 rank) from its integer node slots; a
-snapshot is asked through the machine built from it, which copies the
-snapshot's lists and takes the choice points from the boxes.  The
-rebuilder answers (next child slot, node by number) from the
-children-are-1..k invariant and its inverse numbering.  The scans below
-are the reference definitions; the machine built from every reachable
-state, the live machine at every step and every rebuilt state must
-answer alike, a machine built from a state must give that state back,
-and states and the live rebuilder must store only canonical nodes.
+Both live machines answer their tree questions (leaf, choice points, and
+in the multimodel engine children, next node and m2 rank) from positions
+in one kind of node stack; a snapshot is asked through the machine built
+from it, which copies the snapshot's lists and takes the choice points
+from the boxes.  The rebuilder answers (next child slot, node by number)
+from the children-are-1..k invariant and its inverse numbering.  The
+scans below are the reference definitions; the machine built from every
+reachable state, the live machine at every step and every rebuilt state
+must answer alike, a machine built from a state must give that state
+back, and states and the live rebuilder must store only canonical nodes.
 """
 
 from dataclasses import fields
@@ -36,6 +35,7 @@ from byrdbox.engine import (
 )
 from byrdbox.multimodel import (
     ExtMachine,
+    ExtRuleId,
     _children,
     _drive,
     _gates,
@@ -45,6 +45,7 @@ from byrdbox.multimodel import (
     _is_leaf,
     _num_for,
     _reenterable_child,
+    _toward_gcp,
     init_extended,
 )
 from byrdbox.rebuild import Rebuilder, _next_child, identify_rule
@@ -103,12 +104,12 @@ def assert_children_gapless(tree):
 
 
 def word(m, p):
-    """The Dewey word of a machine's position or slot p, or None."""
+    """The Dewey word of a machine's position p, or None."""
     return None if p is None else m.nodes[p]
 
 
 def path_to_root(m):
-    """The slots (or positions) of the current node and its ancestors."""
+    """The positions of the current node and its ancestors."""
     p = m.current
     while p:
         yield p
@@ -135,8 +136,8 @@ def test_machines_give_back_the_states_they_are_built_from(index):
     # drive yields before each rule fires, and ends holding the last state
     m = Machine(init_state(program))
     states = run_virtual(program, FUEL).states
+    layout = ("nodes", "up", "cps", "current")
     for state, _ in zip(states, chain(drive(m, FUEL), [None]), strict=True):
-        layout = ("nodes", "up", "cps", "current")
         assert_round_trip(state, m, Machine(state), layout)
     for model in ModelId:
         # _drive yields after each rule fires
@@ -144,7 +145,6 @@ def test_machines_give_back_the_states_they_are_built_from(index):
         run = run_model(program, model, FUEL)
         states = [run.initial] + [s for _, s in run.transitions]
         for state, _ in zip(states, chain([None], _drive(m, model, FUEL)), strict=True):
-            layout = ("nodes", "up", "kids", "order", "cps", "current")
             assert_round_trip(state, m, ExtMachine(state), layout)
 
 
@@ -198,17 +198,26 @@ def test_live_rebuilder_stores_canonical_nodes(index):
 
 
 def assert_stack_layout(m):
-    """The live core machine is a node stack: its lists are parallel and
-    in Dewey order (invariant 1), the current node is the last node or an
-    ancestor of it (invariant 2), `cps` is exactly the positions whose box
-    holds a clause, in order (invariant 3)."""
+    """Either live machine is a node stack: its lists are parallel and in
+    Dewey order, `up` holds each node's parent position, `cps` is exactly
+    the positions whose box holds a clause, in order, and no choice point
+    lies after the current node's subtree (the multimodel engine's
+    invariant 2; the core's stronger one is checked below)."""
     nodes = m.nodes
     assert nodes == sorted(set(nodes)) and all(len(column) == len(nodes) for column in m.columns)
     where = {v: p for p, v in enumerate(nodes)}
     assert m.up == [where[v[:-1]] for v in nodes]
-    current = nodes[m.current]
-    assert nodes[-1][: len(current)] == current
     assert m.cps == [p for p in range(len(nodes)) if m.boxes[p]]
+    current = nodes[m.current]
+    assert all(nodes[p] < current or nodes[p][: len(current)] == current for p in m.cps)
+
+
+def assert_core_stack_layout(m):
+    """The core machine's invariant 2 as well: the current node is the
+    last node or an ancestor of it."""
+    assert_stack_layout(m)
+    current = m.nodes[m.current]
+    assert m.nodes[-1][: len(current)] == current
 
 
 def assert_resumed(m, resumed):
@@ -229,7 +238,7 @@ def test_live_machine_answers_as_scans_of_its_snapshot(index):
     resumed = None
     for rule in drive(m, FUEL):
         assert_resumed(m, resumed)
-        assert_stack_layout(m)
+        assert_core_stack_layout(m)
         s = m.snapshot()
         u = m.current
         assert m.nodes[u] == s.current
@@ -241,7 +250,7 @@ def test_live_machine_answers_as_scans_of_its_snapshot(index):
         gcp = scan_gcp(s.tree, s.boxes, s.current)
         resumed = (rule, gcp) if rule in (RuleId.REDO1, RuleId.REDO2) else None
     assert_resumed(m, resumed)
-    assert_stack_layout(m)
+    assert_core_stack_layout(m)
 
 
 @pytest.mark.parametrize("model", list(ModelId), ids=str)
@@ -273,46 +282,34 @@ def scan_next_node(tree, v):
     return w if w in tree else None
 
 
-def assert_slot_layout(m, s):
-    """The live multimodel machine holds exactly the snapshot's nodes, one
-    slot each: a node's children are one block of slots, blocks are made
-    in the Dewey order of their parents, so a prune cuts the last slots
-    (invariant 1); `order` is Dewey order; no choice point lies after the
-    current node's subtree (invariant 2); `cps` is exactly the nodes whose
-    box holds a clause, in Dewey order (invariant 3)."""
-    nodes = m.nodes
-    assert len(nodes) == len(m.order) == len(s.tree)
-    assert [nodes[p] for p in m.order] == sorted(s.tree) and set(nodes) == s.tree
-    for p in range(len(nodes)):
-        assert len(m.kids[p]) == len(scan_children(s.tree, nodes[p]))
-        if p:
-            block = m.kids[m.up[p]]
-            assert p in block and nodes[p] == nodes[m.up[p]] + (p - block.start + 1,)
-    parents = [p for p in range(len(nodes)) if m.kids[p]]
-    assert sorted(parents, key=lambda p: m.kids[p].start) == sorted(parents, key=nodes.__getitem__)
-    cps = [nodes[p] for p in m.cps]
-    assert cps == sorted(v for v in s.tree if s.boxes.get(v))
-    current = s.current
-    assert all(w < current or w[: len(current)] == current for w in cps)
-
-
 @pytest.mark.parametrize("model", list(ModelId), ids=str)
 @pytest.mark.parametrize("index", range(len(PROGRAMS)))
 def test_live_model_machine_answers_as_scans_of_its_snapshot(index, model):
-    # At every step the machine's slot answers for the current node and
-    # its ancestors name the same Dewey words as reference scans of a
-    # snapshot, and its gate table is the snapshot's.
+    # At every step the machine's position answers for the current node
+    # and its ancestors name the same Dewey words as reference scans of a
+    # snapshot, its gate table is the snapshot's, and EXIT2 and
+    # TREEFAIL_M2 move to the node a scan names: the next brother, and the
+    # child on the way down to the greatest choice point.
     m = ExtMachine(init_extended(PROGRAMS[index]))
+    moves_to = None
     for _ in chain([None], _drive(m, model, FUEL)):  # before each step and after the last
         s = m.snapshot()
-        assert_slot_layout(m, s)
-        assert _gates(m, model) == _gates(s, model)
+        assert_stack_layout(m)
+        gates = _gates(m, model)
+        assert gates == _gates(s, model)
         u, v = m.current, s.current
         assert m.nodes[u] == v
+        if moves_to is not None:
+            assert v == moves_to
         children = scan_children(s.tree, v)
         assert [m.nodes[w] for w in _children(m, u)] == children
         assert _is_leaf(m, u) == (not children)
-        assert (m.nodes[u + 1] if _has_next_node(m, u) else None) == scan_next_node(s.tree, v)
+        brother = scan_next_node(s.tree, v)
+        assert _has_next_node(m, u) == (brother is not None)
+        moves_to = brother if gates[ExtRuleId.EXIT2] else None
+        if gates[ExtRuleId.TREEFAIL_M2]:
+            moves_to = scan_gcp(s.tree, s.boxes, v)[: len(v) + 1]
+            assert word(m, _toward_gcp(m, u)) == moves_to
         assert word(m, _reenterable_child(m, u)) == scan_reenterable(s, v)
         assert _num_for(m, ModelId.M2, u) == scan_rank(s.tree, v)
         for p in path_to_root(m):  # the current node and each of its ancestors
