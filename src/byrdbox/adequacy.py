@@ -112,29 +112,32 @@ def check_adequacy(program: Program, max_steps: int) -> AdequacyReport:
 def _check_transition(report, rule, e, e_next, rebuilder, machine):
     """Check the transition that fired `rule` and emitted `e`: step the
     rebuilder and compare it with the machine's state after it; the
-    rebuilder, or None on a failure.  On a passing run the rebuilder's
-    maps list their nodes in the machine's order (see rebuild), so they
-    are compared as lists with its columns, one identity check per entry
-    (see dewey).  Only when a list differs are the machine's tree and maps
-    built by word, to decide by value: the order decides how fast the
-    check is, never its verdict."""
+    rebuilder, or None on a failure.  Both are node stacks in Dewey order
+    (see rebuild), so the current positions and the node, numbering and
+    predication lists are compared as they stand, one identity check per
+    entry on a passing run (see dewey).  Only when they differ are the
+    word-keyed maps of both sides built, to decide by value and to report
+    the difference."""
     conds = matching_conds(e, e_next)
     if conds != {rule}:
         report.cond_violations.append((e.chrono, conds))
         return None
     rebuilder.step(rule, e, e_next)
-    nodes, numbers, preds = machine.nodes, rebuilder.numbers, rebuilder.preds
-    u = nodes[machine.current]
-    lists = (list(numbers), list(numbers.values()), list(preds), list(preds.values()))
-    if rebuilder.current != u or lists != (nodes, machine.numbers, nodes, machine.preds):
+    nodes = machine.nodes
+    if (
+        rebuilder.current != machine.current
+        or rebuilder.nodes != nodes
+        or rebuilder.numbers != machine.numbers
+        or rebuilder.preds != machine.preds
+    ):
+        q = rebuilder.snapshot()  # a copy: the rebuilder changes with the next step
         for name, want, got in (
-            ("T", set(nodes), set(numbers)),
-            ("u", u, rebuilder.current),
-            ("num", dict(zip(nodes, machine.numbers)), numbers),
-            ("pred", dict(zip(nodes, machine.preds)), preds),
+            ("T", frozenset(nodes), q.tree),
+            ("u", nodes[machine.current], q.current),
+            ("num", dict(zip(nodes, machine.numbers)), q.numbers),
+            ("pred", dict(zip(nodes, machine.preds)), q.preds),
         ):
             if got != want:
-                # copies: the rebuilder's maps change with the next step
                 report.first_divergence = (e.chrono, name, *_difference(name, want, got))
                 return None
     report.steps_checked = e.chrono

@@ -2,29 +2,27 @@
 
 A node is named by its Dewey word, a tuple of ints whose Python order is
 the Dewey (lexicographic) order: a prefix sorts before its extensions,
-siblings by component.  Neither live machine answers a tree question
-from words: `engine.Machine` and `multimodel.ExtMachine` are node stacks
-of positions in Dewey order (see engine).  Words are built where they
-are observed: in snapshots, in `node_str`, and in the rebuilder, whose
-tree is the key set of its numbering and which answers by probing
-children (below) and by its inverse numbering.
-A frozen state of either engine holds the words of its machine's nodes
-in a tuple, and derives its word-keyed maps from it when they are read.
+siblings by component.  No live machine answers a tree question from
+words: `engine.Machine`, `multimodel.ExtMachine` and `rebuild.Rebuilder`
+are node stacks of positions in Dewey order (see engine and rebuild), and
+none of them keys anything by word.  Words are built where they are
+observed: in each node stack's `nodes` list, in snapshots, and in
+`node_str`.  A frozen state of any of them holds the words of its nodes in
+a tuple, and derives its word-keyed maps from it when they are read.
 
 A node's children are numbered 1..k without gaps in every reachable
 state of both engines and in every rebuilt state: children are created
 in order (a clause's body slots all at once), and pruning removes a
 lexicographic suffix of the tree or all of a node's children.  So v is a
-leaf iff v + (1,) is not in the tree, and the rebuilder finds the number
-of v's next child by probing 1, 2, ...
+leaf iff v + (1,) is not in the tree, and the rebuilder numbers v's next
+child one more than the children it counts in v's subtree.
 
 Every node a state stores is the canonical tuple of its word, made by
 `child` or `parent` and kept for the life of the process in one table, so
 all states share one object per node.  Equality never depends on it, but
 list, set and dict comparisons test identity first.  The adequacy check
-compares the rebuilder's maps, listed in order, with the machine's word
-and value columns as lists, so that costs one step per node, not one per
-node component.
+compares the rebuilder's node list with the machine's as it stands, so
+that costs one step per node, not one per node component.
 """
 
 from __future__ import annotations

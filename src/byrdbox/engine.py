@@ -42,8 +42,9 @@ not u, the greatest choice point in u's subtree is the top of `cps` when
 that is at or after u, and backtracking to v truncates every list after
 v.  A push that is not the Dewey maximum, and a drained box that is not
 the top of `cps`, raise.  The machine holds each node once, in its
-lists: nothing is keyed by word.  The adequacy check compares the
-rebuilder's maps, in the order they list their nodes, with the columns.
+lists: nothing is keyed by word.  The rebuilder (see rebuild) is a node
+stack of the same layout, and the adequacy check compares its lists with
+the machine's as they stand.
 
 A frozen `VirtualState` holds the machine's lists as tuples, and its
 word-keyed maps (`tree`, `numbers`, `preds`, ...) are derived from them

@@ -8,16 +8,25 @@ then a local rebuilding step updates Q.  The depth attribute l is never
 read.
 
 A rebuild steps one live `Rebuilder` in place, as the engines fire their
-rules on one live machine: it holds the current node, the numbering (whose
-key set is the tree: a node is numbered when it is added), the
-predications and the inverse numbering, and its `snapshot` copies the
-four rebuilt parameters into a frozen `RestrictedState`.  A node is added
-only where the machine pushes one (the Dewey maximum) and a Redo drops a
-suffix, so on an emitted trace the maps list their nodes in Dewey order.
+rules on one live machine, and it holds its state as they do: a node stack
+of parallel lists in Dewey order (see engine), with the words of the nodes
+(`nodes`, made by `dewey.child`), each node's parent position (`up`), and
+the numbering and predication columns (`numbers`, `preds`), and the
+current node as a position.  Nothing is keyed by word.  On an emitted
+trace every node is added as the Dewey maximum with the largest number
+yet, so every add is an append, a Redo to v truncates every list after v,
+the numbers increase along the positions so that `node_of` finds a number
+by bisection, and `_next_child` counts the children of a leaf that is the
+last node.  A forged trace can add a node elsewhere and number two live
+nodes alike: such an add is an insert, and from then on the rebuilder
+keeps each node's creation stamp (`born`), so that `node_of` answers, as
+it always has, with the first created of the nodes that carry a number.
+`snapshot` copies the lists (all but `up`) into a frozen `RestrictedState`
+as tuples.
 `reconstruct_trace` takes one snapshot per committed event,
-`adequacy.check_adequacy` compares the rebuilder itself with the machine
-and takes none, and `reconstruct_step` is one step from a given state,
-which it leaves as it was.
+`adequacy.check_adequacy` compares the rebuilder's lists with the
+machine's and takes none, and `reconstruct_step` is one step from a given
+state, which it leaves as it was.
 
 Identification table (nd is the inverse of the numbering; the root's
 number is 1 for the whole run, so `nd(r) = root` is just `r = 1`):
@@ -33,12 +42,13 @@ number is 1 for the whole run, so `nd(r) = root` is just `r = 1`):
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
 from .dewey import child
-from .engine import EPSILON, NodeId, RuleId, VirtualState, node_str, parent
+from .engine import EPSILON, NodeId, RuleId, VirtualState, node_str
 from .terms import Term, VarNames, format_term
 from .tracing import Port, TraceEvent
 
@@ -71,26 +81,98 @@ class CondViolation(Exception):
     """No identification condition (or several) matched an event pair."""
 
 
-@dataclass(frozen=True)
-class RestrictedState:
-    tree: frozenset
-    current: NodeId
-    numbers: dict
-    preds: dict
+def _columns_of(q) -> tuple:
+    """The columns of a state built from maps: (nodes, numbers, preds,
+    born).  A node with no entry in a map holds None in that map's column,
+    and map entries of nodes outside the tree are left out.  `born` is None
+    when the numbers increase along the positions; otherwise it ranks the
+    nodes in the order in which the numbering lists them, which a rebuilder
+    built from the state takes as the order they were created in."""
+    nodes = tuple(sorted(q.tree))
+    numbers = tuple(map(q.numbers.get, nodes))
+    born = None
+    if None in numbers or any(a >= b for a, b in zip(numbers, numbers[1:])):
+        rank = {v: i for i, v in enumerate(q.numbers)}
+        born = tuple(rank.get(v, len(rank)) for v in nodes)
+    return nodes, numbers, tuple(map(q.preds.get, nodes)), born
 
-    @cached_property
-    def _by_number(self) -> dict:
-        return _first_carriers(self.numbers)
+
+def _parent_positions(nodes) -> tuple:
+    """Each node's parent position; None for a node whose parent is not in
+    the tree (only a state built by hand holds one)."""
+    at = {v: p for p, v in enumerate(nodes)}
+    return tuple(at.get(v[:-1]) for v in nodes)  # the root is its own parent
+
+
+def _carrier(numbers, born, number: int) -> Optional[int]:
+    """The position of the node that carries `number` in a numbering
+    column; where several do (only a forged trace numbers so), the first
+    created, the one with the least `born`; None when none does."""
+    if born is None:  # the numbers increase along the positions
+        p = bisect_left(numbers, number)
+        return p if p < len(numbers) and numbers[p] == number else None
+    carriers = (p for p, n in enumerate(numbers) if n == number)
+    return min(carriers, key=born.__getitem__, default=None)
+
+
+def _column_map(i: int) -> cached_property:
+    """The word-keyed map of a state's column `observed[i]`, derived on
+    first read: it lists the nodes in the order they were created, and has
+    no entry where the column holds None."""
+    def derive(q):
+        rows = zip(q.nodes, q.observed[i])
+        if q.born is not None:
+            rows = (row for _, row in sorted(zip(q.born, rows)))
+        return {v: x for v, x in rows if x is not None}
+    return cached_property(derive)
+
+
+@dataclass(frozen=True, init=False)
+class RestrictedState:
+    """A rebuilt state: the tree T, the current node u, the numbering and
+    the predications.  A state holds them in one of two views and derives
+    the other the first time it is read:
+
+      * the word-keyed maps `tree`, `numbers` and `preds`, which a state
+        built by hand is given (`RestrictedState(tree, current, numbers,
+        preds)`);
+      * the columns, as tuples, that `Rebuilder.snapshot` and `restrict`
+        give: the tree in Dewey order (`nodes`), the numbering and
+        predication columns (`observed`, None where a node has no entry),
+        and the creation stamps `born` (None while the numbers increase
+        along the positions, see Rebuilder).  A map derived from them
+        lists the nodes in the order they were created.
+
+    Each node's parent position (`up`) is derived from `nodes` when it is
+    read: a snapshot does not copy the rebuilder's, as no step of a run
+    reads a state's.
+
+    Equality and `dataclasses.replace` see the maps, so a state built from
+    maps and one built from columns compare equal when their maps do."""
+
+    tree: frozenset = cached_property(lambda q: frozenset(q.nodes))
+    current: NodeId
+    numbers: dict = _column_map(0)
+    preds: dict = _column_map(1)
+
+    def __init__(self, tree=None, current=None, numbers=None, preds=None, *, columns=None):
+        """A state from its maps, or from `columns`: (nodes, numbers,
+        preds, born), as `Rebuilder.snapshot` and `restrict` give them."""
+        if columns is None:
+            vars(self).update(tree=tree, numbers=numbers, preds=preds)
+        else:
+            vars(self)["_columns"] = columns
+        vars(self)["current"] = current
+
+    _columns = cached_property(_columns_of)
+    nodes = property(lambda q: q._columns[0])
+    observed = property(lambda q: q._columns[1:3])
+    born = property(lambda q: q._columns[3])
+    up = cached_property(lambda q: _parent_positions(q.nodes))
 
     def node_of(self, number: int) -> Optional[NodeId]:
-        return self._by_number.get(number)
-
-
-def _first_carriers(numbers: dict) -> dict:
-    """The inverse of a numbering; where several nodes carry one number
-    (only a malformed trace numbers so), the first of them in `numbers`."""
-    # built back to front, so the first node of a number is set last
-    return dict(zip(reversed(numbers.values()), reversed(numbers.keys())))
+        p = _carrier(self.observed[0], self.born, number)
+        return None if p is None else self.nodes[p]
 
 
 def initial_restricted(goal: Term) -> RestrictedState:
@@ -103,13 +185,11 @@ def initial_restricted(goal: Term) -> RestrictedState:
 
 
 def restrict(state: VirtualState) -> RestrictedState:
-    """Project a full machine state onto the four rebuilt parameters."""
-    return RestrictedState(
-        tree=state.tree,
-        current=state.current,
-        numbers=dict(state.numbers),
-        preds=dict(state.preds),
-    )
+    """Project a full machine state onto the four rebuilt parameters: its
+    node tuple and its first two observed columns, shared, not copied (the
+    machine numbers its nodes in the order it pushes them)."""
+    columns = (state.nodes, *state.observed[:2], None)
+    return RestrictedState(current=state.current, columns=columns)
 
 
 def matching_conds(e: TraceEvent, e_next: Optional[TraceEvent]) -> set:
@@ -154,77 +234,119 @@ def identify_rule(e: TraceEvent, e_next: Optional[TraceEvent]) -> RuleId:
     )
 
 
-def _next_child(q, w: NodeId) -> NodeId:
-    """The slot of w's next child in the tree of q, a rebuilt state or the
-    rebuilder, read as the key set of q's numbering: children are numbered
-    from 1 without gaps (see dewey), so the first free number is found by
-    probing 1, 2, ..."""
-    numbers, k = q.numbers, 1
-    while w + (k,) in numbers:
-        k += 1
-    return child(w, k)
+def _subtree_end(q, p: int) -> int:
+    """The position right after the subtree of the node at position p in
+    q, a rebuilt state or the rebuilder, whose Dewey order keeps a subtree
+    contiguous: the end of the lists when the last node lies in the subtree
+    (so always on an emitted trace, where p is the last node or one of its
+    ancestors), else the first later node no deeper than p."""
+    nodes, up = q.nodes, q.up
+    last = w = len(nodes) - 1
+    depth = len(nodes[p])
+    for _ in range(len(nodes[last]) - depth):
+        w = up[w]
+    if w == p:
+        return last + 1
+    end = p + 1
+    while len(nodes[end]) > depth:
+        end += 1
+    return end
+
+
+def _next_child(q, p: int) -> tuple:
+    """(the word of the next child of the node at position p, the position
+    it takes) in q, a rebuilt state or the rebuilder.  Children are
+    numbered from 1 without gaps (see dewey), so the next one is numbered
+    one more than the children p has, and it goes at the end of p's
+    subtree."""
+    end = _subtree_end(q, p)
+    return child(q.nodes[p], q.up[p + 1:end].count(p) + 1), end
 
 
 class Rebuilder:
-    """The one mutable restricted state that a rebuild steps in place.  It
-    owns the maps it holds: it copies them from the state it starts from
-    (a node of its tree that it does not number gets the number None), and
-    `snapshot` copies them into a new RestrictedState.  Beside them it
-    keeps the inverse numbering, updated as nodes are numbered and derived
-    again after a Redo prunes."""
+    """The one mutable restricted state that a rebuild steps in place, as
+    a node stack (see the module docstring).  It owns its lists: it copies
+    the columns of the state it starts from, and `snapshot` freezes them
+    into a new RestrictedState.  `current` is the current node's position.
+    It is None only when the state it starts from has its current node
+    outside its tree (a state built by hand); `stray` then holds that node,
+    and a rule that reads the current node cannot step."""
 
     def __init__(self, q: RestrictedState):
-        self.current, self.preds = q.current, dict(q.preds)
-        self.numbers = q.numbers | dict.fromkeys(q.tree - q.numbers.keys())
-        self.by_number = _first_carriers(self.numbers)
+        self.nodes, self.up = list(q.nodes), list(q.up)
+        self.numbers, self.preds = map(list, q.observed)
+        self.born = None if q.born is None else list(q.born)
+        p = bisect_left(self.nodes, q.current)
+        if p < len(self.nodes) and self.nodes[p] == q.current:
+            self.current, self.stray = p, None
+        else:
+            self.current, self.stray = None, q.current
 
     def snapshot(self) -> RestrictedState:
-        return RestrictedState(
-            frozenset(self.numbers), self.current, dict(self.numbers), dict(self.preds)
-        )
+        u = self.stray if self.current is None else self.nodes[self.current]
+        born = None if self.born is None else tuple(self.born)
+        columns = (tuple(self.nodes), tuple(self.numbers), tuple(self.preds), born)
+        return RestrictedState(current=u, columns=columns)
 
-    def node_of(self, number: int) -> NodeId:
-        v = self.by_number.get(number)
-        if v is None:
+    def node_of(self, number: int) -> int:
+        p = _carrier(self.numbers, self.born, number)
+        if p is None:
             raise MalformedTrace(f"no live node carries creation number {number}")
-        return v
+        return p
 
     def step(self, rule: RuleId, e: TraceEvent, e_next: Optional[TraceEvent]) -> None:
         """One local rebuilding step: Q_t from Q_{t-1} and the event pair."""
         if rule is RuleId.CALL1:
             return
-        u = self.current
         if rule is RuleId.CALL2:
-            self._add(_next_child(self, self.node_of(e.r)), e_next)
-        elif rule is RuleId.EXIT1:
+            p = self.node_of(e.r)
+            self._add(*_next_child(self, p), p, e_next)
+            return
+        if rule is RuleId.REDO1 or rule is RuleId.REDO2:
+            v = self.current = self.node_of(e.r)
+            for column in (self.nodes, self.up, self.numbers, self.preds, self.born or []):
+                del column[v + 1:]
+            if rule is RuleId.REDO2:
+                self._add(child(self.nodes[v], 1), v + 1, v, e_next)
+            return
+        u = self.current
+        if u is None:
+            raise MalformedTrace(f"the current node {node_str(self.stray)} is not in the tree")
+        if rule is RuleId.EXIT1:
             self.preds[u] = e.pred
-            self.current = parent(u)
+            self.current = self.up[u]
         elif rule is RuleId.EXIT2:
-            if u == EPSILON:
+            w = self.nodes[u]
+            if w == EPSILON:
                 raise MalformedTrace("the root cannot acquire a brother")
-            v = child(parent(u), u[-1] + 1)
-            if v in self.numbers:
+            p, end = self.up[u], _subtree_end(self, u)
+            v = child(self.nodes[p], w[-1] + 1)
+            # u's next brother would be the first node after u's subtree
+            if end < len(self.nodes) and self.nodes[end] == v:
                 raise MalformedTrace(f"brother {node_str(v)} already exists")
             self.preds[u] = e.pred
-            self._add(v, e_next)
-        elif rule is RuleId.FAIL2:
-            self.current = parent(u)
+            self._add(v, end, p, e_next)
         else:
-            assert rule in (RuleId.REDO1, RuleId.REDO2)
-            v = self.current = self.node_of(e.r)
-            for w in [w for w in self.numbers if w > v]:
-                del self.numbers[w]
-                self.preds.pop(w, None)
-            self.by_number = _first_carriers(self.numbers)
-            if rule is RuleId.REDO2:
-                self._add(child(v, 1), e_next)
+            assert rule is RuleId.FAIL2
+            self.current = self.up[u]
 
-    def _add(self, v: NodeId, e_next: TraceEvent) -> None:
-        """Make v, numbered and predicated as e_next says, the current node."""
-        self.current = v
-        self.numbers[v] = e_next.r
-        self.preds[v] = e_next.pred
-        self.by_number.setdefault(e_next.r, v)
+    def _add(self, v: NodeId, at: int, p: int, e_next: TraceEvent) -> None:
+        """Make v, a child of the node at position p, the current node, at
+        position `at`, numbered and predicated as e_next says.  On an
+        emitted trace v is the Dewey maximum and its number the largest, so
+        this appends.  Otherwise (a forged trace) every later node moves one
+        on, and from then on each node keeps its creation stamp in `born`:
+        before that every add was an append and the numbers increased, so
+        the positions' order was the creation order."""
+        r = e_next.r
+        if at < len(self.nodes) or self.born is not None or r <= self.numbers[-1]:
+            if self.born is None:
+                self.born = list(range(len(self.nodes)))
+            self.born.insert(at, max(self.born) + 1)
+            self.up[:] = [w + (w >= at) for w in self.up]
+        for column, value in zip((self.nodes, self.up, self.numbers, self.preds), (v, p, r, e_next.pred)):
+            column.insert(at, value)
+        self.current = at
 
 
 def reconstruct_step(
@@ -284,12 +406,14 @@ def reconstruct_trace(
 
 
 def format_restricted(q: RestrictedState, names: VarNames = None) -> str:
-    """Line-oriented dump: one node per line, current node starred."""
+    """Line-oriented dump: one node per line, in Dewey order, current node
+    starred.  A node with no number or no predication (only a state built
+    by hand has one) shows `?` in its place."""
     names = names if names is not None else VarNames()
     rows = []
-    for v in sorted(q.tree):
+    for v, number, pred in zip(q.nodes, *q.observed):
         star = " *" if v == q.current else ""
-        rows.append(
-            f"  {node_str(v)}{star} #{q.numbers[v]} {format_term(q.preds[v], names)}"
-        )
+        number = "?" if number is None else number
+        pred = "?" if pred is None else format_term(pred, names)
+        rows.append(f"  {node_str(v)}{star} #{number} {pred}")
     return "\n".join(rows)

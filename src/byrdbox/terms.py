@@ -105,11 +105,18 @@ class Program:
     clauses: tuple
     goal: Struct
 
+    @cached_property
+    def _definitions(self) -> dict:
+        """(functor, arity) -> the clauses of that predicate, in source
+        order, indexed once per program."""
+        index = {}
+        for c in self.clauses:
+            index.setdefault((c.head.functor, c.head.arity), []).append(c)
+        return {key: tuple(clauses) for key, clauses in index.items()}
+
     def clauses_for(self, functor: str, arity: int) -> tuple:
         """Clause list of one predicate's definition, in source order."""
-        return tuple(
-            c for c in self.clauses if c.head.functor == functor and c.head.arity == arity
-        )
+        return self._definitions.get((functor, arity), ())
 
 
 # ======================================================================

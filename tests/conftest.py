@@ -53,12 +53,10 @@ def load_golden(name: str) -> list:
 
 def stored_nodes(state):
     """Every node a machine or rebuilt state stores: its current node,
-    the words of a machine state's nodes, the nodes of its set fields,
-    the keys of its per-node maps (the bookkeeping's included), and the
-    values of a rebuilt state's inverse numbering once it has derived it."""
+    the words of its nodes, the nodes of its set fields, and the keys of
+    its per-node maps (the bookkeeping's included)."""
     yield state.current
-    yield from getattr(state, "nodes", ())
-    yield from state.__dict__.get("_by_number", {}).values()
+    yield from state.nodes
     for f in fields(state):
         value = getattr(state, f.name)
         if isinstance(value, dict):

@@ -108,6 +108,29 @@ def test_reconstruct_example1(tmp_path, capsys, data_dir):
     ]
 
 
+# (trace, flags, recorded stdout).  Example 1's trace ends with the root's
+# Exit, so --final-peek changes nothing; the recording of example 2 reads
+# the m1 listing without its last line, the top level's `yes`.
+RECORDED_REBUILDS = {
+    "ex1": ("golden_ex1.txt", [], "reconstruct_ex1.txt"),
+    "ex1 --final-peek": ("golden_ex1.txt", ["--final-peek"], "reconstruct_ex1.txt"),
+    "ex2 m1": ("golden_ex2_m1.txt", [], "reconstruct_ex2_m1.txt"),
+}
+
+
+@pytest.mark.parametrize("case", RECORDED_REBUILDS)
+def test_reconstruct_prints_the_recorded_states(tmp_path, capsys, data_dir, case):
+    name, flags, recording = RECORDED_REBUILDS[case]
+    lines = (data_dir / name).read_text(encoding="utf-8").splitlines()
+    trace_path = tmp_path / name
+    trace_path.write_text("\n".join(l for l in lines if l != "yes") + "\n", encoding="utf-8")
+    code, out = run_cli(
+        capsys, "reconstruct", "--trace", str(trace_path), "--goal", "goal", *flags
+    )
+    assert code == 0
+    assert out == (data_dir / recording).read_text(encoding="utf-8")
+
+
 def test_reconstruct_empty_trace(tmp_path, capsys):
     trace_path = tmp_path / "empty.trace"
     trace_path.write_text("# nothing here\n", encoding="utf-8")

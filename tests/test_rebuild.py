@@ -18,7 +18,7 @@ from byrdbox import (
     restrict,
     run_actual_trace,
 )
-from byrdbox.rebuild import matching_conds
+from byrdbox.rebuild import Rebuilder, RestrictedState, format_restricted, matching_conds
 
 from conftest import assert_nodes_canonical
 
@@ -184,6 +184,24 @@ def test_reconstruction_total_on_every_prefix(ex1_program):
         committed = list(result.states)
         assert committed == machine[: len(committed)]
         assert len(committed) in (k, k + 1)
+
+
+def test_an_unnumbered_node_stays_unnumbered():
+    # A state built by hand can hold a node that its numbering lacks.  A
+    # rebuilder built from it keeps the node without a number: its
+    # snapshot gives the state back, node_of never names the node, the
+    # dump shows `?` for its number, and steps go on around it.
+    goal, p = parse_term("goal"), parse_term("p")
+    q = RestrictedState(frozenset({E, N1}), E, {E: 1}, {E: goal, N1: p})
+    rebuilder = Rebuilder(q)
+    assert rebuilder.numbers == [1, None]
+    again = rebuilder.snapshot()
+    assert again == q and again.numbers == {E: 1}
+    assert [again.node_of(n) for n in (0, 1, 2)] == [None, E, None]
+    assert format_restricted(again) == format_restricted(q) == "  eps * #1 goal\n  1 #? p"
+    e1, e2 = ev(1, 1, 1, "Call", "goal"), ev(2, 2, 2, "Call", "q")
+    q2 = reconstruct_step(RuleId.CALL2, e1, e2, q)
+    assert (q2.tree, q2.current, q2.numbers) == ({E, N1, N2}, N2, {E: 1, N2: 2})
 
 
 def test_depth_attribute_is_never_read(ex1_program, ex2_program):

@@ -15,6 +15,7 @@ from byrdbox import (
     rename_clause,
     unify,
 )
+from byrdbox.corpus import corpus
 from byrdbox.terms import CyclicTerm, resolve, variables
 
 
@@ -80,6 +81,21 @@ def test_parse_comments_and_anonymous_vars():
 def test_positional_ids_skip_nothing():
     p = parse_program("p(a). p(b). :- p(X).")
     assert [c.id for c in p.clauses] == ["c1", "c2"]
+
+
+def test_clauses_for_matches_the_scan(ex1_program, ex2_program):
+    # the per-program index gives each predicate's clauses in source
+    # order, as a scan of the clause list does
+    for program in [ex1_program, ex2_program] + list(corpus(30)):
+        keys = {(c.head.functor, c.head.arity) for c in program.clauses}
+        keys |= {(b.functor, b.arity) for c in program.clauses for b in c.body}
+        keys |= {(program.goal.functor, program.goal.arity), ("absent", 0), ("eq", 3)}
+        for functor, arity in keys:
+            scan = tuple(
+                c for c in program.clauses
+                if c.head.functor == functor and c.head.arity == arity
+            )
+            assert program.clauses_for(functor, arity) == scan
 
 
 # ----------------------------------------------------------------------

@@ -5,7 +5,8 @@ in the multimodel engine children, next node and m2 rank) from positions
 in one kind of node stack; a snapshot is asked through the machine built
 from it, which copies the snapshot's lists and takes the choice points
 from the boxes.  The rebuilder answers (next child slot, node by number)
-from the children-are-1..k invariant and its inverse numbering.  The
+from its own node stack: by counting a node's children, and by bisecting
+its numbering column, whose numbers increase along the positions.  The
 scans below are the reference definitions; the machine built from every
 reachable state, the live machine at every step and every rebuilt state
 must answer alike, a machine built from a state must give that state
@@ -166,21 +167,31 @@ def test_core_engine_queries_match_scans(index):
     goal = trace.run.initial.preds[()]
     for q in reconstruct_trace(initial_restricted(goal), trace.events).states:
         assert_children_gapless(q.tree)
-        for v in q.tree:
-            assert _next_child(q, v) == scan_next_child(q.tree, v)
+        assert_rebuilt_layout(q.nodes, q.up, q.observed[0])
+        for p, v in enumerate(q.nodes):
+            w = scan_next_child(q.tree, v)
+            assert _next_child(q, p) == (w, sorted(q.tree | {w}).index(w))
         for number in set(q.numbers.values()) | {0, max(q.numbers.values()) + 1}:
             assert q.node_of(number) == scan_node_of(q.numbers, number)
-        assert "_by_number" in q.__dict__
-        assert_nodes_canonical(q)  # with the inverse numbering node_of derived
+        assert_nodes_canonical(q)
+
+
+def assert_rebuilt_layout(nodes, up, numbers):
+    """A rebuilt node stack on an emitted trace: the nodes in Dewey order,
+    each node's parent position, and numbers that increase along the
+    positions (so that `node_of` can bisect)."""
+    nodes = list(nodes)
+    assert nodes == sorted(set(nodes))
+    assert list(up) == [nodes.index(v[:-1]) for v in nodes]
+    assert list(numbers) == sorted(set(numbers))
 
 
 @pytest.mark.parametrize("index", range(len(PROGRAMS)))
 def test_live_rebuilder_stores_canonical_nodes(index):
     # Stepped as reconstruct_trace steps it, the live rebuilder stores only
-    # canonical nodes at every step: the current node, the keys of the
-    # numbering (its tree) and the predications, and the inverse numbering.
-    # Its maps list their nodes in Dewey order, as the machine's lists do:
-    # the adequacy check's fast compare relies on it.
+    # canonical nodes at every step, and keeps the layout of the machine's
+    # node stack: the adequacy check compares its lists with the machine's
+    # as they stand.
     program = PROGRAMS[index]
     events = run_actual_trace(program, FUEL).events
     rebuilder = Rebuilder(initial_restricted(init_state(program).preds[()]))
@@ -190,11 +201,9 @@ def test_live_rebuilder_stores_canonical_nodes(index):
         except AmbiguousOrUndecidable:
             break  # the last event of a run that did not halt
         rebuilder.step(rule, e, e_next)
-        assert list(rebuilder.numbers) == sorted(rebuilder.numbers) == list(rebuilder.preds)
-        assert_canonical(chain(
-            [rebuilder.current], rebuilder.numbers, rebuilder.preds,
-            rebuilder.by_number.values(),
-        ))
+        assert_rebuilt_layout(rebuilder.nodes, rebuilder.up, rebuilder.numbers)
+        assert len(rebuilder.preds) == len(rebuilder.nodes) and rebuilder.born is None
+        assert_canonical(chain([rebuilder.nodes[rebuilder.current]], rebuilder.nodes))
 
 
 def assert_stack_layout(m):
