@@ -4,11 +4,11 @@ A node is named by its Dewey word, a tuple of ints whose Python order is
 the Dewey (lexicographic) order: a prefix sorts before its extensions,
 siblings by component.  No live machine answers a tree question from
 words: `engine.Machine`, `multimodel.ExtMachine` and `rebuild.Rebuilder`
-are node stacks of positions in Dewey order (see engine and rebuild), and
-none of them keys anything by word.  Words are built where they are
-observed: in each node stack's `nodes` list, in snapshots, and in
-`node_str`.  A frozen state of any of them holds the words of its nodes in
-a tuple, and derives its word-keyed maps from it when they are read.
+run on engine's one node stack, of positions in Dewey order, and none of
+them keys anything by word.  Words are built where they are observed: in
+the stack's `nodes` list, in snapshots, and in `node_str`.  A frozen
+state holds the words of its nodes in a tuple, and derives its
+word-keyed maps from it when they are read.
 
 A node's children are numbered 1..k without gaps in every reachable
 state of both engines and in every rebuilt state: children are created
@@ -18,8 +18,8 @@ leaf iff v + (1,) is not in the tree, and the rebuilder numbers v's next
 child one more than the children it counts in v's subtree.
 
 Every node a state stores is the canonical tuple of its word, made by
-`child` or `parent` and kept for the life of the process in one table, so
-all states share one object per node.  Equality never depends on it, but
+`child` and kept for the life of the process in one table, so all states
+share one object per node (`parent` gives the canonical parent).  Equality never depends on it, but
 list, set and dict comparisons test identity first.  The adequacy check
 compares the rebuilder's node list with the machine's as it stands, so
 that costs one step per node, not one per node component.

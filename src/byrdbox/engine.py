@@ -42,21 +42,24 @@ not u, the greatest choice point in u's subtree is the top of `cps` when
 that is at or after u, and backtracking to v truncates every list after
 v.  A push that is not the Dewey maximum, and a drained box that is not
 the top of `cps`, raise.  The machine holds each node once, in its
-lists: nothing is keyed by word.  The rebuilder (see rebuild) is a node
-stack of the same layout, and the adequacy check compares its lists with
-the machine's as they stand.
+lists: nothing is keyed by word.
 
-A frozen `VirtualState` holds the machine's lists as tuples, and its
-word-keyed maps (`tree`, `numbers`, `preds`, ...) are derived from them
-the first time they are read, so a snapshot is tuple copies.  The tree
-queries below take the live machine and a position; a caller that holds
-a snapshot builds `Machine(state)` first, as `step`, `applicable_rule`
-and `tracing.extract_event` do.  The machine copies the snapshot's lists
-and takes its choice points from the boxes.  The other engine
-(multimodel) runs on the same node stack, with its own columns, and
-shares the snapshot layout, the clause selection (`_peek_visit`,
-`_take`) and the live machine's choice-point bookkeeping
-(`_Live.set_box`, `_Live.cut`).
+The node stack is one substrate, written once here.  `_Live` is the live
+stack: it copies a snapshot's lists in, keeps the choice points
+(`set_box`, `cut`), drops every node after a position (`cut`), adds one
+(`insert`) and freezes the lists (`snapshot`).  `_Snapshot` is the frozen
+stack: it holds the lists as tuples, so a snapshot is tuple copies, and
+derives its word-keyed maps (`tree`, `numbers`, `preds`, ...) from them
+the first time they are read.  `_subtree_end` finds where a subtree
+ends.  Three stacks run on it, each with its own columns: this engine's
+`Machine` and `VirtualState`, the other engine's (multimodel)
+`ExtMachine` and `ExtendedState`, and the rebuilder's (rebuild)
+`Rebuilder` and `RestrictedState`, whose lists the adequacy check
+compares with the machine's as they stand.  Both engines also share the
+clause selection (`_peek_visit`, `_take`).  The tree queries below take
+the live machine and a position; a caller that holds a snapshot builds
+`Machine(state)` first, as `step`, `applicable_rule` and
+`tracing.extract_event` do.
 """
 
 from __future__ import annotations
@@ -66,7 +69,7 @@ from enum import Enum
 from functools import cached_property
 from typing import Optional, Tuple
 
-from .dewey import child, parent
+from .dewey import child
 from .terms import (
     BOTTOM,
     Clause,
@@ -87,7 +90,6 @@ __all__ = [
     "RunResult",
     "DeterminismViolation",
     "node_str",
-    "parent",
     "is_leaf",
     "lpath",
     "may_have_new_brother",
@@ -135,37 +137,42 @@ class DeterminismViolation(Exception):
 
 def _word_map(name: str) -> cached_property:
     """A snapshot's word-keyed map of its column `name`, derived on first
-    read: it has no entry where the column holds None."""
+    read: it lists the nodes in the order they were created, which is
+    Dewey order unless creation stamps `born` rank them otherwise, and has
+    no entry where the column holds None."""
     def derive(s):
-        column = (s.observed + s.kept)[(s.OBSERVED + s.KEPT).index(name)]
-        return {v: x for v, x in zip(s.nodes, column) if x is not None}
+        rows = zip(s.nodes, (s.observed + s.kept)[(s.OBSERVED + s.KEPT).index(name)])
+        if s.born is not None:
+            rows = (row for _, row in sorted(zip(s.born, rows)))
+        return {v: x for v, x in rows if x is not None}
     return cached_property(derive)
 
 
 class _Snapshot:
-    """A frozen state of either engine: its machine's lists as tuples (the
-    words in `nodes`, one column per name of OBSERVED and then KEPT in
-    `observed` and `kept`), the current node as a word, and the word-keyed
-    maps derived from them the first time they are read."""
+    """A frozen node stack, of either engine or of the rebuilder: its
+    lists as tuples (the words in `nodes`, one column per name of OBSERVED
+    and then KEPT in `observed` and `kept`), the current node as a word,
+    and the word-keyed maps derived from them the first time they are
+    read.  Only a rebuilt state can carry creation stamps `born`."""
 
+    born = None
     tree = cached_property(lambda s: frozenset(s.nodes))
     numbers, preds, boxes, fresh = map(_word_map, ("numbers", "preds", "boxes", "fresh"))
     call_preds, call_snaps, chosen = map(_word_map, ("call_preds", "call_snaps", "chosen"))
 
 
 class _Live:
-    """A live machine of either engine, a node stack: it copies the lists
-    (LISTS), columns and scalars (SCALARS) of the snapshot it starts from,
-    takes its choice points `cps` from the boxes, and `snapshot` freezes
-    them into a new STATE.  Both engines keep their lists (`columns`) in
-    Dewey order, so positions compare as the nodes do, and keep `cps`
-    through `set_box` and `cut`."""
+    """A live node stack, of either engine or the rebuilder: it copies the
+    lists (LISTS, then the state's columns, all in `columns` unless a
+    subclass reorders them) and scalars (SCALARS) of the snapshot it starts
+    from, takes its choice points `cps` from the boxes, and `snapshot`
+    freezes them into a new STATE.  `set_box`, `cut` and `insert` keep the
+    lists in Dewey order, so positions compare as the nodes do."""
 
     def __init__(self, state):
-        for name in self.LISTS:
-            setattr(self, name, list(getattr(state, name)))
-        for name, column in zip(state.OBSERVED + state.KEPT, state.observed + state.kept):
-            setattr(self, name, list(column))
+        lists = tuple(getattr(state, name) for name in self.LISTS) + state.observed + state.kept
+        self.columns = tuple(map(list, lists))
+        vars(self).update(zip(self.LISTS + state.OBSERVED + state.KEPT, self.columns))
         for name in self.SCALARS:
             setattr(self, name, getattr(state, name))
         self.cps = [p for p, box in enumerate(self.boxes) if box]
@@ -201,6 +208,13 @@ class _Live:
             cps.pop()
         for column in self.columns:
             del column[v + 1:]
+
+    def insert(self, at: int, row: tuple) -> None:
+        """Insert a node at position `at`, one value of `row` per column:
+        every later node moves one on.  No parent position or choice point
+        is moved; on a push on top there is none to move."""
+        for column, value in zip(self.columns, row):
+            column.insert(at, value)
 
 
 @dataclass(frozen=True)
@@ -276,6 +290,22 @@ def may_have_new_brother(m: Machine, p: int) -> bool:
         return False
     chosen = m.chosen[m.up[p]]
     return chosen is not None and m.nodes[p][-1] < len(chosen.body)
+
+
+def _subtree_end(m, p: int) -> int:
+    """The position right after the subtree of the node at position p of
+    any node stack, live or frozen, whose Dewey order keeps a subtree
+    contiguous: the end of the lists when the last node lies in the
+    subtree (so always when p is the current node or an ancestor of it,
+    invariant 2), else the first later node no deeper than p."""
+    nodes, up = m.nodes, m.up
+    last = w = len(nodes) - 1
+    depth = len(nodes[p])
+    for _ in range(len(nodes[last]) - depth):
+        w = up[w]
+    if w == p:
+        return last + 1
+    return next(end for end in range(p + 1, last + 1) if len(nodes[end]) <= depth)
 
 
 def has_choice_point(m: Machine, p: int) -> bool:
@@ -468,8 +498,6 @@ class Machine(_Live):
         for _ in range(len(nodes[current]) - len(u)):
             current = up[current]
         self.current = current
-        names = self.LISTS + state.OBSERVED + state.KEPT
-        self.columns = tuple(getattr(self, name) for name in names)
         self.resolved = None  # (position, Exit predication), see updated_pred
 
 
@@ -530,9 +558,7 @@ def _child_slot(m: Machine, atom: Term, p: int, i: int) -> None:
         m.cps.append(m.current)
     # LISTS, then the columns in OBSERVED and KEPT order.  The new node
     # gets no chosen clause and no drained visit until its visit.
-    row = (v, p, m.counter, called, box, True, called, m.bindings, None, None)
-    for column, value in zip(m.columns, row):
-        column.append(value)
+    m.insert(m.current, (v, p, m.counter, called, box, True, called, m.bindings, None, None))
 
 
 def step(state: VirtualState) -> Tuple[RuleId, VirtualState]:

@@ -18,13 +18,14 @@ Three mutually exclusive models select how backtracking is traced:
     m3  original box model: full stepwise undo; every completed box is
         re-entered (Redo) and closed (Fail) in reverse order
 
-The live machine is engine's node stack: each node is a position in
-parallel lists kept in Dewey order, its word (`nodes`, made once by
-dewey's `child`), its parent's position (`up`; the root, at 0, is its
-own) and the per-node maps and bookkeeping under their state names;
-`cps` lists the choice points' positions.  The snapshot layout, clause
-selection (`_peek_visit`, `_take`) and choice-point bookkeeping
-(`_Live.set_box`, `_Live.cut`) are engine's too.  Two invariants hold:
+The live machine runs on engine's node stack (`_Live`, `_Snapshot`):
+each node is a position in parallel lists kept in Dewey order, its word
+(`nodes`, made once by dewey's `child`), its parent's position (`up`;
+the root, at 0, is its own) and the per-node maps and bookkeeping under
+their state names; `cps` lists the choice points' positions.  Its copy-in,
+snapshots, choice points, truncation and inserts are engine's, and so
+are the clause selection (`_peek_visit`, `_take`) and the next-node query
+(`may_have_new_brother`).  Two invariants hold:
 
   1. a clause's body slots are made at once, by CLAUSSUCCEEDS at a leaf
      after which every node is an unvisited slot (a leaf with no box), so
@@ -61,7 +62,7 @@ from typing import Optional, Tuple
 
 from .dewey import child
 from .engine import EPSILON, DeterminismViolation, NodeId, _peek_visit, _take, node_str
-from .engine import _Live, _Snapshot, _Tag, _word_map
+from .engine import _Live, _Snapshot, _Tag, _word_map, may_have_new_brother
 from .terms import Program, resolve
 from .tracing import Port, TraceEvent
 
@@ -157,11 +158,6 @@ def _children(m, v):
     return children
 
 
-def _has_next_node(m, u):
-    # u is not the last body slot of its parent's clause
-    return u != 0 and m.nodes[u][-1] < len(m.chosen[m.up[u]].body)
-
-
 def _hcp(m, v):
     return _gcp(m, v) is not None
 
@@ -230,7 +226,7 @@ def _gates(state, model: ModelId) -> dict:
             g[R.FACTSUCCEEDS] = cc.is_fact
             g[R.CLAUSSUCCEEDS] = not cc.is_fact
         if scs:
-            g[R.EXIT2] = nxt = _has_next_node(m, u)
+            g[R.EXIT2] = nxt = may_have_new_brother(m, u)
             g[R.EXIT1] = not nxt
     cp = _gcp(m, u) if flr or ct else None
     if model is ModelId.M3:
@@ -336,12 +332,6 @@ class ExtMachine(_Live):
         names = ("nodes", "up", "preds", *_SKELETON)
         self.columns = tuple(getattr(self, name) for name in names)
 
-    def push_slot(self, at, *row):
-        """Insert a skeleton body slot, its word, parent and predication
-        given, at position `at` of every column."""
-        for column, value in zip(self.columns, row + _BLANK):
-            column.insert(at, value)
-
     def prune_after(self, v):
         """Tear down everything behind a resumed choice point: interior
         nodes vanish, later body slots of still-standing clauses (the
@@ -351,7 +341,7 @@ class ExtMachine(_Live):
         later = [(nodes[y], up[y], preds[y]) for y in range(v + 1, len(nodes)) if up[y] < v]
         self.cut(v)  # every box behind v is gone or emptied
         for row in later:
-            self.push_slot(len(nodes), *row)
+            self.insert(len(nodes), row + _BLANK)
 
     def rechoice(self, v):
         self.prune_after(v)
@@ -416,7 +406,7 @@ def _fire(m: ExtMachine, model: ModelId, chrono: int, rule: ExtRuleId):
             at, body = u + 1, m.chosen[u].body
             assert all(m.fresh[at:]), "a body inserted before a visited node"
             for i in range(len(body), 0, -1):  # each goes in at `at`: last first
-                m.push_slot(at, child(m.nodes[u], i), u, body[i - 1])
+                m.insert(at, (child(m.nodes[u], i), u, body[i - 1]) + _BLANK)
             m.current = at
 
     elif rule in (R.EXIT1, R.EXIT2):

@@ -8,21 +8,22 @@ then a local rebuilding step updates Q.  The depth attribute l is never
 read.
 
 A rebuild steps one live `Rebuilder` in place, as the engines fire their
-rules on one live machine, and it holds its state as they do: a node stack
-of parallel lists in Dewey order (see engine), with the words of the nodes
-(`nodes`, made by `dewey.child`), each node's parent position (`up`), and
-the numbering and predication columns (`numbers`, `preds`), and the
-current node as a position.  Nothing is keyed by word.  On an emitted
-trace every node is added as the Dewey maximum with the largest number
-yet, so every add is an append, a Redo to v truncates every list after v,
-the numbers increase along the positions so that `node_of` finds a number
-by bisection, and `_next_child` counts the children of a leaf that is the
-last node.  A forged trace can add a node elsewhere and number two live
-nodes alike: such an add is an insert, and from then on the rebuilder
-keeps each node's creation stamp (`born`), so that `node_of` answers, as
-it always has, with the first created of the nodes that carry a number.
-`snapshot` copies the lists (all but `up`) into a frozen `RestrictedState`
-as tuples.
+rules on one live machine, and it runs on their node stack (engine's
+`_Live`, with `RestrictedState` its `_Snapshot`): parallel lists in Dewey
+order, with the words of the nodes (`nodes`, made by `dewey.child`),
+each node's parent position (`up`), and the numbering and predication
+columns (`numbers`, `preds`), and the current node as a position.
+Nothing is keyed by word.  On an emitted trace every node is added as
+the Dewey maximum with the largest number yet, so every add is an
+append, a Redo to v truncates every list after v (`_Live.cut`), the
+numbers increase along the positions so that `node_of` finds a number
+by bisection, and `_next_child` counts the children of a leaf that is
+the last node.  A forged trace can add a node elsewhere and number two
+live nodes alike: such an add is an insert (`_Live.insert`), and from
+then on the rebuilder keeps each node's creation stamp in one more
+column (`born`), so that `node_of` answers, as it always has, with the
+first created of the nodes that carry a number.  `snapshot` copies the
+lists (all but `up`) into a frozen `RestrictedState` as tuples.
 `reconstruct_trace` takes one snapshot per committed event,
 `adequacy.check_adequacy` compares the rebuilder's lists with the
 machine's and takes none, and `reconstruct_step` is one step from a given
@@ -48,7 +49,7 @@ from functools import cached_property
 from typing import Optional
 
 from .dewey import child
-from .engine import EPSILON, NodeId, RuleId, VirtualState, node_str
+from .engine import EPSILON, NodeId, RuleId, VirtualState, _Live, _Snapshot, _subtree_end, node_str
 from .terms import Term, VarNames, format_term
 from .tracing import Port, TraceEvent
 
@@ -81,20 +82,19 @@ class CondViolation(Exception):
     """No identification condition (or several) matched an event pair."""
 
 
-def _columns_of(q) -> tuple:
-    """The columns of a state built from maps: (nodes, numbers, preds,
-    born).  A node with no entry in a map holds None in that map's column,
-    and map entries of nodes outside the tree are left out.  `born` is None
-    when the numbers increase along the positions; otherwise it ranks the
-    nodes in the order in which the numbering lists them, which a rebuilder
-    built from the state takes as the order they were created in."""
-    nodes = tuple(sorted(q.tree))
-    numbers = tuple(map(q.numbers.get, nodes))
+def _columns_of(tree, numbers, preds) -> tuple:
+    """(nodes, (numbers, preds), born) of a state built from maps: a node
+    with no entry in a map holds None in its column, and entries of nodes
+    outside the tree are left out.  `born` is None when the numbers
+    increase along the positions; else it ranks the nodes as the numbering
+    lists them, which a rebuilder takes as the order of their creation."""
+    nodes = tuple(sorted(tree))
+    column = tuple(map(numbers.get, nodes))
     born = None
-    if None in numbers or any(a >= b for a, b in zip(numbers, numbers[1:])):
-        rank = {v: i for i, v in enumerate(q.numbers)}
+    if None in column or any(a >= b for a, b in zip(column, column[1:])):
+        rank = {v: i for i, v in enumerate(numbers)}
         born = tuple(rank.get(v, len(rank)) for v in nodes)
-    return nodes, numbers, tuple(map(q.preds.get, nodes)), born
+    return nodes, (column, tuple(map(preds.get, nodes))), born
 
 
 def _parent_positions(nodes) -> tuple:
@@ -115,33 +115,22 @@ def _carrier(numbers, born, number: int) -> Optional[int]:
     return min(carriers, key=born.__getitem__, default=None)
 
 
-def _column_map(i: int) -> cached_property:
-    """The word-keyed map of a state's column `observed[i]`, derived on
-    first read: it lists the nodes in the order they were created, and has
-    no entry where the column holds None."""
-    def derive(q):
-        rows = zip(q.nodes, q.observed[i])
-        if q.born is not None:
-            rows = (row for _, row in sorted(zip(q.born, rows)))
-        return {v: x for v, x in rows if x is not None}
-    return cached_property(derive)
-
-
 @dataclass(frozen=True, init=False)
-class RestrictedState:
+class RestrictedState(_Snapshot):
     """A rebuilt state: the tree T, the current node u, the numbering and
-    the predications.  A state holds them in one of two views and derives
-    the other the first time it is read:
+    the predications, as a frozen node stack (see engine).  A state is
+    built in one of two ways and holds both views:
 
-      * the word-keyed maps `tree`, `numbers` and `preds`, which a state
-        built by hand is given (`RestrictedState(tree, current, numbers,
-        preds)`);
-      * the columns, as tuples, that `Rebuilder.snapshot` and `restrict`
-        give: the tree in Dewey order (`nodes`), the numbering and
-        predication columns (`observed`, None where a node has no entry),
-        and the creation stamps `born` (None while the numbers increase
-        along the positions, see Rebuilder).  A map derived from them
-        lists the nodes in the order they were created.
+      * from the word-keyed maps `tree`, `numbers` and `preds`, as a state
+        built by hand is (`RestrictedState(tree, current, numbers,
+        preds)`); its columns are derived from them;
+      * from the columns, as tuples, as `Rebuilder.snapshot` and
+        `restrict` build it: the tree in Dewey order (`nodes`), the
+        numbering and predication columns (`observed`, None where a node
+        has no entry), and the creation stamps `born` (None while the
+        numbers increase along the positions, see Rebuilder); its maps
+        are derived from them the first time they are read, listing the
+        nodes in the order they were created.
 
     Each node's parent position (`up`) is derived from `nodes` when it is
     read: a snapshot does not copy the rebuilder's, as no step of a run
@@ -150,24 +139,20 @@ class RestrictedState:
     Equality and `dataclasses.replace` see the maps, so a state built from
     maps and one built from columns compare equal when their maps do."""
 
-    tree: frozenset = cached_property(lambda q: frozenset(q.nodes))
+    OBSERVED, KEPT, kept = ("numbers", "preds"), (), ()
+
+    tree: frozenset
     current: NodeId
-    numbers: dict = _column_map(0)
-    preds: dict = _column_map(1)
+    numbers: dict
+    preds: dict
 
-    def __init__(self, tree=None, current=None, numbers=None, preds=None, *, columns=None):
-        """A state from its maps, or from `columns`: (nodes, numbers,
-        preds, born), as `Rebuilder.snapshot` and `restrict` give them."""
-        if columns is None:
+    def __init__(self, tree=None, current=None, numbers=None, preds=None, *,
+                 nodes=None, observed=None, born=None):
+        if nodes is None:
             vars(self).update(tree=tree, numbers=numbers, preds=preds)
-        else:
-            vars(self)["_columns"] = columns
-        vars(self)["current"] = current
+            nodes, observed, born = _columns_of(tree, numbers, preds)
+        vars(self).update(current=current, nodes=nodes, observed=observed, born=born)
 
-    _columns = cached_property(_columns_of)
-    nodes = property(lambda q: q._columns[0])
-    observed = property(lambda q: q._columns[1:3])
-    born = property(lambda q: q._columns[3])
     up = cached_property(lambda q: _parent_positions(q.nodes))
 
     def node_of(self, number: int) -> Optional[NodeId]:
@@ -188,8 +173,7 @@ def restrict(state: VirtualState) -> RestrictedState:
     """Project a full machine state onto the four rebuilt parameters: its
     node tuple and its first two observed columns, shared, not copied (the
     machine numbers its nodes in the order it pushes them)."""
-    columns = (state.nodes, *state.observed[:2], None)
-    return RestrictedState(current=state.current, columns=columns)
+    return RestrictedState(current=state.current, nodes=state.nodes, observed=state.observed[:2])
 
 
 def matching_conds(e: TraceEvent, e_next: Optional[TraceEvent]) -> set:
@@ -234,25 +218,6 @@ def identify_rule(e: TraceEvent, e_next: Optional[TraceEvent]) -> RuleId:
     )
 
 
-def _subtree_end(q, p: int) -> int:
-    """The position right after the subtree of the node at position p in
-    q, a rebuilt state or the rebuilder, whose Dewey order keeps a subtree
-    contiguous: the end of the lists when the last node lies in the subtree
-    (so always on an emitted trace, where p is the last node or one of its
-    ancestors), else the first later node no deeper than p."""
-    nodes, up = q.nodes, q.up
-    last = w = len(nodes) - 1
-    depth = len(nodes[p])
-    for _ in range(len(nodes[last]) - depth):
-        w = up[w]
-    if w == p:
-        return last + 1
-    end = p + 1
-    while len(nodes[end]) > depth:
-        end += 1
-    return end
-
-
 def _next_child(q, p: int) -> tuple:
     """(the word of the next child of the node at position p, the position
     it takes) in q, a rebuilt state or the rebuilder.  Children are
@@ -263,19 +228,25 @@ def _next_child(q, p: int) -> tuple:
     return child(q.nodes[p], q.up[p + 1:end].count(p) + 1), end
 
 
-class Rebuilder:
-    """The one mutable restricted state that a rebuild steps in place, as
-    a node stack (see the module docstring).  It owns its lists: it copies
-    the columns of the state it starts from, and `snapshot` freezes them
-    into a new RestrictedState.  `current` is the current node's position.
-    It is None only when the state it starts from has its current node
-    outside its tree (a state built by hand); `stray` then holds that node,
-    and a rule that reads the current node cannot step."""
+class Rebuilder(_Live):
+    """The one mutable restricted state that a rebuild steps in place: a
+    node stack (see engine and the module docstring) whose columns are
+    `nodes`, `up`, `numbers`, `preds` and, once a forged trace inserts a
+    node, `born`.  It copies in the state it starts from, and `snapshot`
+    freezes it into a new RestrictedState.  `current` is the current
+    node's position.  It is None only when the state it starts from has
+    its current node outside its tree (a state built by hand); `stray`
+    then holds that node, and a rule that reads the current node cannot
+    step."""
+
+    STATE = RestrictedState
+    LISTS, SCALARS = ("nodes", "up"), ()
+    boxes = ()  # a rebuilt state has no boxes, so `cps` stays empty
 
     def __init__(self, q: RestrictedState):
-        self.nodes, self.up = list(q.nodes), list(q.up)
-        self.numbers, self.preds = map(list, q.observed)
+        super().__init__(q)
         self.born = None if q.born is None else list(q.born)
+        self.columns += () if self.born is None else (self.born,)
         p = bisect_left(self.nodes, q.current)
         if p < len(self.nodes) and self.nodes[p] == q.current:
             self.current, self.stray = p, None
@@ -285,8 +256,8 @@ class Rebuilder:
     def snapshot(self) -> RestrictedState:
         u = self.stray if self.current is None else self.nodes[self.current]
         born = None if self.born is None else tuple(self.born)
-        columns = (tuple(self.nodes), tuple(self.numbers), tuple(self.preds), born)
-        return RestrictedState(current=u, columns=columns)
+        observed = (tuple(self.numbers), tuple(self.preds))
+        return RestrictedState(current=u, nodes=tuple(self.nodes), observed=observed, born=born)
 
     def node_of(self, number: int) -> int:
         p = _carrier(self.numbers, self.born, number)
@@ -304,8 +275,7 @@ class Rebuilder:
             return
         if rule is RuleId.REDO1 or rule is RuleId.REDO2:
             v = self.current = self.node_of(e.r)
-            for column in (self.nodes, self.up, self.numbers, self.preds, self.born or []):
-                del column[v + 1:]
+            self.cut(v)
             if rule is RuleId.REDO2:
                 self._add(child(self.nodes[v], 1), v + 1, v, e_next)
             return
@@ -338,14 +308,14 @@ class Rebuilder:
         on, and from then on each node keeps its creation stamp in `born`:
         before that every add was an append and the numbers increased, so
         the positions' order was the creation order."""
-        r = e_next.r
-        if at < len(self.nodes) or self.born is not None or r <= self.numbers[-1]:
+        row = (v, p, e_next.r, e_next.pred)
+        if at < len(self.nodes) or self.born is not None or e_next.r <= self.numbers[-1]:
             if self.born is None:
                 self.born = list(range(len(self.nodes)))
-            self.born.insert(at, max(self.born) + 1)
+                self.columns += (self.born,)
+            row += (max(self.born) + 1,)
             self.up[:] = [w + (w >= at) for w in self.up]
-        for column, value in zip((self.nodes, self.up, self.numbers, self.preds), (v, p, r, e_next.pred)):
-            column.insert(at, value)
+        self.insert(at, row)
         self.current = at
 
 

@@ -204,6 +204,23 @@ def test_an_unnumbered_node_stays_unnumbered():
     assert (q2.tree, q2.current, q2.numbers) == ({E, N1, N2}, N2, {E: 1, N2: 2})
 
 
+def test_a_current_node_outside_the_tree_stays_put():
+    # A state built by hand can have its u outside its tree.  A rebuilder
+    # built from it gives that u back, the rules that read the current
+    # node raise, and the rules that find their node by number still step.
+    q = dataclasses.replace(initial_restricted(parse_term("goal")), current=(7, 7))
+    assert Rebuilder(q).snapshot().current == (7, 7)
+    e, e_next = ev(1, 1, 1, "Exit", "goal"), ev(2, 2, 2, "Call", "p")
+    for rule in (RuleId.EXIT1, RuleId.EXIT2, RuleId.FAIL2):
+        with pytest.raises(MalformedTrace, match=r"^the current node 77 is not in the tree$"):
+            reconstruct_step(rule, e, e_next, q)
+    call, redo = ev(1, 1, 1, "Call", "goal"), ev(1, 1, 1, "Redo", "goal")
+    assert reconstruct_step(RuleId.CALL2, call, e_next, q).current == N1
+    assert reconstruct_step(RuleId.REDO1, redo, ev(2, 1, 1, "Exit", "goal"), q).current == E
+    q2 = reconstruct_step(RuleId.REDO2, redo, e_next, q)
+    assert (q2.tree, q2.current, q2.numbers) == ({E, N1}, N1, {E: 1, N1: 2})
+
+
 def test_depth_attribute_is_never_read(ex1_program, ex2_program):
     for program in (ex1_program, ex2_program):
         trace = run_actual_trace(program, 200)

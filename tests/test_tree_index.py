@@ -33,6 +33,7 @@ from byrdbox import (
 from byrdbox.corpus import corpus
 from byrdbox.engine import (
     Machine, RuleId, drive, greatest_choice_point, has_choice_point, init_state, is_leaf,
+    may_have_new_brother,
 )
 from byrdbox.multimodel import (
     ExtMachine,
@@ -41,7 +42,6 @@ from byrdbox.multimodel import (
     _drive,
     _gates,
     _gcp,
-    _has_next_node,
     _hcp,
     _is_leaf,
     _num_for,
@@ -314,7 +314,7 @@ def test_live_model_machine_answers_as_scans_of_its_snapshot(index, model):
         assert [m.nodes[w] for w in _children(m, u)] == children
         assert _is_leaf(m, u) == (not children)
         brother = scan_next_node(s.tree, v)
-        assert _has_next_node(m, u) == (brother is not None)
+        assert may_have_new_brother(m, u) == (brother is not None)
         moves_to = brother if gates[ExtRuleId.EXIT2] else None
         if gates[ExtRuleId.TREEFAIL_M2]:
             moves_to = scan_gcp(s.tree, s.boxes, v)[: len(v) + 1]
