@@ -19,10 +19,11 @@ child one more than the children it counts in v's subtree.
 
 Every node a state stores is the canonical tuple of its word, made by
 `child` and kept for the life of the process in one table, so all states
-share one object per node (`parent` gives the canonical parent).  Equality never depends on it, but
-list, set and dict comparisons test identity first.  The adequacy check
-compares the rebuilder's node list with the machine's as it stands, so
-that costs one step per node, not one per node component.
+share one object per node; `parent` looks the canonical parent up in that
+table.  Equality never depends on it, but list, set and dict comparisons
+test identity first.  The adequacy check compares the rebuilder's node
+list with the machine's as it stands, so that costs one step per node,
+not one per node component.
 """
 
 from __future__ import annotations
@@ -33,12 +34,11 @@ __all__ = [
 ]
 
 
-# The link maps are keyed by the id of a canonical node, which the table
-# keeps alive, so that id is never reused; they make `child` and `parent`
-# O(1) on canonical nodes.
+# The link map is keyed by the id of a canonical node, which the table
+# keeps alive, so that id is never reused; it makes `child` O(1) on
+# canonical nodes.
 _NODES = {(): ()}
 _CHILDREN = {}  # (id(v), i) -> v.i
-_PARENTS = {}  # id(v.i) -> v
 
 
 def child(v: tuple, i: int) -> tuple:
@@ -48,15 +48,11 @@ def child(v: tuple, i: int) -> tuple:
         v = _NODES.setdefault(v, v)
         w = v + (i,)
         node = _CHILDREN[id(v), i] = _NODES.setdefault(w, w)
-        _PARENTS[id(node)] = v
     return node
 
 
 def parent(v: tuple) -> tuple:
     """The canonical parent of v; the root is its own parent."""
-    p = _PARENTS.get(id(v))
-    if p is None:
-        w = v[:-1]
-        p = _NODES.setdefault(w, w)
-    return p
+    w = v[:-1]
+    return _NODES.setdefault(w, w)
 

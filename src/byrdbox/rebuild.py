@@ -137,7 +137,8 @@ class RestrictedState(_Snapshot):
     reads a state's.
 
     Equality and `dataclasses.replace` see the maps, so a state built from
-    maps and one built from columns compare equal when their maps do."""
+    maps and one built from columns compare equal when their maps do; the
+    hash reads the tree and the current node, so equal states hash alike."""
 
     OBSERVED, KEPT, kept = ("numbers", "preds"), (), ()
 
@@ -154,6 +155,9 @@ class RestrictedState(_Snapshot):
         vars(self).update(current=current, nodes=nodes, observed=observed, born=born)
 
     up = cached_property(lambda q: _parent_positions(q.nodes))
+
+    def __hash__(self):
+        return hash((self.current, self.tree))
 
     def node_of(self, number: int) -> Optional[NodeId]:
         p = _carrier(self.observed[0], self.born, number)

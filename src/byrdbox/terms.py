@@ -13,6 +13,7 @@ however deeply it nests.
 from __future__ import annotations
 
 import re
+import string
 from dataclasses import dataclass
 from functools import cached_property
 from operator import is_
@@ -131,17 +132,17 @@ class ParseError(Exception):
         self.column = column
 
 
+# One alternative per token, in one pass: white space, a `%` comment,
+# `:-`, an atom, a variable, punctuation, and any other character, which
+# is an error.  A token's kind is read off its first character.
 _TOKEN_RE = re.compile(
-    r"""
-      (?P<ws>\s+)
-    | (?P<comment>%[^\n]*)
-    | (?P<ife>:-)
-    | (?P<atom>[a-z][A-Za-z0-9_]*)
-    | (?P<var>[A-Z_][A-Za-z0-9_]*)
-    | (?P<punct>[().,:])
-    """,
-    re.VERBOSE,
+    r"\s+|%[^\n]*|:-|[a-z][A-Za-z0-9_]*|[A-Z_][A-Za-z0-9_]*|[().,:]|.", re.DOTALL
 )
+_KIND = {
+    **dict.fromkeys(string.ascii_lowercase, "atom"),
+    **dict.fromkeys(string.ascii_uppercase + "_", "var"),
+    **{c: c for c in "().,:"},
+}
 
 
 class _Token(NamedTuple):
@@ -151,26 +152,28 @@ class _Token(NamedTuple):
     column: int
 
 
+_new_token = tuple.__new__  # builds a _Token without its Python-level __new__
+
+
 def _tokenize(source: str) -> list:
     tokens = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(source):
-        m = _TOKEN_RE.match(source, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {source[pos]!r}", line, col)
-        kind = m.lastgroup
-        text = m.group()
-        if kind not in ("ws", "comment"):
-            tokens.append(_Token(kind if kind != "punct" else text, text, line, col))
-        newlines = text.count("\n")
-        if newlines:
-            line += newlines
-            col = len(text) - text.rfind("\n")
+    line, line_start, pos = 1, 0, 0  # line_start: where the current line begins
+    for text in _TOKEN_RE.findall(source):
+        kind = _KIND.get(text[0])
+        if kind is None:  # white space, a comment, or a stray character
+            if text.isspace():
+                newlines = text.count("\n")
+                if newlines:
+                    line += newlines
+                    line_start = pos + text.rfind("\n") + 1
+            elif text[0] != "%":
+                raise ParseError(f"unexpected character {text!r}", line, pos - line_start + 1)
         else:
-            col += len(text)
-        pos = m.end()
-    tokens.append(_Token("eof", "", line, col))
+            if text == ":-":
+                kind = "ife"
+            tokens.append(_new_token(_Token, (kind, text, line, pos - line_start + 1)))
+        pos += len(text)
+    tokens.append(_new_token(_Token, ("eof", "", line, pos - line_start + 1)))
     return tokens
 
 
@@ -196,9 +199,13 @@ class _Parser:
         return tok
 
     def term(self) -> Term:
+        # Reads the tokens in place: a token read is never "eof" unless
+        # it is an error, so the position never passes the last token.
+        tokens, pos = self.tokens, self.pos
         open_terms = []  # (functor, arguments so far) of each open compound
         while True:
-            tok = self.next()
+            tok = tokens[pos]
+            pos += 1
             if tok.kind == "var":
                 if tok.text == "_":
                     # every anonymous variable is distinct
@@ -208,8 +215,8 @@ class _Parser:
                     t = Var(tok.text)
             elif tok.kind != "atom":
                 raise ParseError(f"expected a term, found {tok.text!r}", tok.line, tok.column)
-            elif self.peek().kind == "(":
-                self.next()
+            elif tokens[pos].kind == "(":
+                pos += 1
                 open_terms.append((tok.text, []))
                 continue
             else:
@@ -218,13 +225,16 @@ class _Parser:
             # which a ")" closes or a "," keeps open for its next argument
             while open_terms:
                 open_terms[-1][1].append(t)
-                if self.peek().kind == ",":
-                    self.next()
+                tok = tokens[pos]
+                pos += 1
+                if tok.kind == ",":
                     break
-                self.expect(")")
+                if tok.kind != ")":
+                    raise ParseError(f"expected ')', found {tok.text!r}", tok.line, tok.column)
                 functor, args = open_terms.pop()
                 t = Struct(functor, tuple(args))
             else:
+                self.pos = pos
                 return t
 
     def predication(self) -> Struct:

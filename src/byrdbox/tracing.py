@@ -12,6 +12,12 @@ node and which predication depend on the rule that fired:
     Exit1/Exit2  -> current node, predication after the successful proof
     Fail2        -> current node, predication as it was called
     Redo1/Redo2  -> the choice point being resumed, its last proved value
+
+The text form is one event per line.  `parse_trace` reads a whole trace:
+it parses each distinct predication text once per call, through a memo
+that lives only for that call, so events that repeat a predication share
+its term (terms are frozen).  `parse_event` reads one line, and words
+every error.
 """
 
 from __future__ import annotations
@@ -56,6 +62,8 @@ class Port(_Tag):
     FAIL = "Fail"
     REDO = "Redo"
 
+
+_PORTS = {port.value: port for port in Port}
 
 PORT_OF_RULE = {
     RuleId.CALL1: Port.CALL,
@@ -185,12 +193,25 @@ def parse_event(line: str, line_number: int = 1) -> TraceEvent:
 
 
 def parse_trace(text: str) -> list:
+    """The events of a trace text, one per line; blank lines and `#`
+    comment lines are skipped.  A line that does not read cleanly goes to
+    `parse_event`, which words the error."""
     events = []
+    preds = {}  # predication text -> its term, for this call only
     for number, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
+        parts = line.split()
+        if not parts or parts[0][0] == "#":
             continue
-        events.append(parse_event(line, number))
+        try:
+            chrono, r, l, port, pred = parts
+            chrono, r, l, port = int(chrono), int(r), int(l), _PORTS[port]
+            term = preds.get(pred)
+            if term is None:
+                term = preds[pred] = parse_term(pred)
+        except (ValueError, KeyError, ParseError):
+            events.append(parse_event(line, number))
+        else:
+            events.append(TraceEvent(chrono, r, l, port, term))
     return events
 
 

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from byrdbox import parse_program
+from byrdbox import parse_event, parse_program
 from byrdbox.dewey import child, parent
 
 DATA = Path(__file__).parent / "data"
@@ -45,6 +45,18 @@ def normalize_trace(text: str) -> list:
         pred = _VAR_TOKEN.sub(rename, toks[4])
         out.append(" ".join([str(i)] + toks[1:4] + [pred]))
     return out
+
+
+def read_line_by_line(text: str) -> list:
+    """The trace reader's oracle: `parse_event` on each line of `text`
+    that is neither blank nor a `#` comment, so the first bad line
+    raises its ParseError."""
+    events = []
+    for number, line in enumerate(text.splitlines(), start=1):
+        stripped = line.strip()
+        if stripped and not stripped.startswith("#"):
+            events.append(parse_event(line, number))
+    return events
 
 
 def load_golden(name: str) -> list:

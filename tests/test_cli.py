@@ -1,6 +1,13 @@
-import pytest
+import contextlib
+import io
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from byrdbox import ParseError
 from byrdbox.cli import main
+
+from conftest import read_line_by_line
 
 
 def run_cli(capsys, *argv):
@@ -447,3 +454,51 @@ def test_unwritable_output_is_a_one_line_error(tmp_path, capsys, data_dir, comma
     [line] = captured.err.splitlines()
     assert line.startswith("error: ") and str(output) in line
     assert "Traceback" not in captured.err
+
+
+# ----------------------------------------------------------------------
+# The reconstruct contract on generated trace text
+# ----------------------------------------------------------------------
+
+_NUMBER = st.one_of(st.integers(-1, 12).map(str), st.sampled_from(["x", "1.5", "+2", ""]))
+_PORT = st.sampled_from(["Call", "Exit", "Fail", "Redo", "Jump", "call"])
+_PRED = st.one_of(
+    st.sampled_from(["goal", "p(a)", "p(X)", "p(_1,f(_))", "eq(b,b)", "p(", "p(a)%c", "p(a,%)", "X", "\u00e9"]),
+    st.text(alphabet="abpqXY_01(),%", max_size=10),
+)
+_EVENT = st.builds(
+    lambda c, r, l, port, pred, sep: sep.join([c, r, l, port, pred]),
+    _NUMBER, _NUMBER, _NUMBER, _PORT, _PRED, st.sampled_from([" ", "\t", "   "]),
+)
+_LINE = st.one_of(_EVENT, st.sampled_from(["", "# a comment", "1 1 1 Call goal", "2 2 2 Call p(X)"]))
+
+
+@pytest.fixture(scope="module")
+def trace_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("generated") / "trace.txt"
+
+
+@settings(max_examples=200, deadline=None)
+@given(prefix=st.integers(0, 10), extra=st.lists(_LINE, max_size=8), final_peek=st.booleans())
+def test_reconstruct_gives_a_result_or_one_error_line(trace_file, data_dir, prefix, extra, final_peek):
+    # a prefix of an emitted trace rebuilds; the generated lines after it
+    # may be forged events or lines that do not parse
+    golden = (data_dir / "golden_ex1.txt").read_text(encoding="utf-8").splitlines()
+    text = "\n".join(golden[:prefix] + extra) + "\n"
+    try:
+        read_line_by_line(text)
+        parse_error = None
+    except ParseError as exc:
+        parse_error = f"error: {exc}"
+    trace_file.write_text(text, encoding="utf-8")
+    argv = ["reconstruct", "--trace", str(trace_file), "--goal", "goal"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv + ["--final-peek"] * final_peek)
+    assert code in (0, 1)
+    if code == 0:
+        assert err.getvalue() == "" and parse_error is None
+    else:
+        [line] = err.getvalue().splitlines()
+        assert err.getvalue() == line + "\n" and line.startswith("error: ")
+        assert parse_error is None or line == parse_error

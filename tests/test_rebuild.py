@@ -130,6 +130,22 @@ def test_reconstruct_trace_matches_machine_states(ex1_program):
     assert list(result.states) == machine
 
 
+def test_restricted_states_hash_as_they_compare(ex1_program):
+    trace = run_actual_trace(ex1_program, 100)
+    states = reconstruct_trace(q0_example1(), trace.events).states
+    # restrict builds a state from the machine's columns, the constructor
+    # from maps: equal states hash alike whichever way they were built
+    by_columns = [restrict(s) for s in trace.run.states]
+    by_maps = [RestrictedState(q.tree, q.current, q.numbers, q.preds) for q in by_columns]
+    for a, b in zip(by_columns, by_maps):
+        assert a == b and hash(a) == hash(b)
+    distinct = []
+    for q in list(states) + by_columns + by_maps:
+        if q not in distinct:
+            distinct.append(q)
+    assert len(set(states)) == len(set(states) | set(by_columns) | set(by_maps)) == len(distinct)
+
+
 def test_reconstruct_empty_and_single_event_streams():
     q0 = q0_example1()
     assert list(reconstruct_trace(q0, []).states) == [q0]

@@ -1,4 +1,7 @@
+import re
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from byrdbox import (
     ParseError,
@@ -18,7 +21,7 @@ from byrdbox import (
 from byrdbox.corpus import corpus
 from byrdbox.engine import Machine, RuleId, drive, init_state
 
-from conftest import load_golden, normalize_trace
+from conftest import load_golden, normalize_trace, read_line_by_line
 
 
 def test_example1_trace_matches_reference(ex1_program):
@@ -169,6 +172,92 @@ def test_parse_trace_reports_the_bad_line_and_column(text, line, column, message
     with pytest.raises(ParseError, match=message) as err:
         parse_trace(text)
     assert (err.value.line, err.value.column) == (line, column)
+
+
+@pytest.fixture(scope="module")
+def corpus_trace_lines():
+    """The lines of each trace of corpus(60) at fuel 500."""
+    return [format_trace(run_actual_trace(p, 500).events).splitlines() for p in corpus(60)]
+
+
+def _with_fields(edit):
+    """A line mutation that edits the five single-space fields of an
+    emitted line, and leaves a line an earlier mutation reshaped as it is."""
+
+    def mutate(line, k, lines):
+        fields = line.split(" ")
+        if len(fields) != 5:
+            return line
+        edit(fields, k, lines)
+        return " ".join(fields)
+
+    return mutate
+
+
+def _repeat(fields, k, lines):
+    fields[4] = lines[k % len(lines)].split()[-1]
+
+
+def _anonymous(fields, k, lines):
+    pred = re.sub(r"_\d+", "_", fields[4], count=k % 3)
+    fields[4] = pred.replace("(", "(_,", 1) if "(" in pred else pred + "(_)"
+
+
+def _percent(fields, k, lines):
+    pred = fields[4]  # "p(a)%c" reads as p(a); "p(a,%)" ends inside the term
+    fields[4] = [pred + "%c", pred + "%", pred[:-1] + ",%)", "%" + pred][k % 4]
+
+
+def _number(fields, k, lines):
+    fields[k % 3] = ["x", "1.5", "+2", "1_0", "", "\u0663", "-0", "0x1"][k % 8]
+
+
+def _port(fields, k, lines):
+    fields[3] = ["Jump", "call", "CALL", "Call:", "Redo1", ""][k % 6]
+
+
+# Line mutations: (line, k, the trace's lines) -> the new text, which may
+# hold a line break.
+_MUTATIONS = {
+    "repeat": _with_fields(_repeat),
+    "comment": lambda line, k, lines: ["# c", "", "  #c", "\t", "#"][k % 5] + "\n" + line,
+    "separator": lambda line, k, lines: ["\t", " \t ", "\x0b", "\x0c"][k % 4].join(line.split(" ")),
+    "anonymous": _with_fields(_anonymous),
+    "percent": _with_fields(_percent),
+    "number": _with_fields(_number),
+    "port": _with_fields(_port),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 59),
+    st.lists(
+        st.tuples(st.integers(0, 10**6), st.sampled_from(sorted(_MUTATIONS)), st.integers(0, 10**6)),
+        max_size=6,
+    ),
+)
+def test_parse_trace_reads_as_parse_event_line_by_line(corpus_trace_lines, program, edits):
+    lines = list(corpus_trace_lines[program])
+    for at, kind, k in edits:
+        i = at % len(lines)
+        lines[i] = _MUTATIONS[kind](lines[i], k, lines)
+    text = "\n".join(lines)
+    try:
+        want = read_line_by_line(text)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as raised:
+            parse_trace(text)
+        got = raised.value
+        assert (got.message, got.line, got.column) == (exc.message, exc.line, exc.column)
+    else:
+        assert parse_trace(text) == want
+
+
+def test_parse_trace_shares_the_term_of_a_repeated_predication():
+    first, again, other = parse_trace("1 1 1 Call p(_,a)\n2 2 2 Call p(_,a)\n3 3 3 Call p(_,b)")
+    assert first.pred is again.pred and first.pred == parse_term("p(_,a)")
+    assert other.pred == parse_term("p(_,b)")
 
 
 def test_debug_dump_renders_every_node(ex1_program):
