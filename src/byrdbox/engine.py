@@ -56,7 +56,9 @@ ends.  Three stacks run on it, each with its own columns: this engine's
 `ExtMachine` and `ExtendedState`, and the rebuilder's (rebuild)
 `Rebuilder` and `RestrictedState`, whose lists the adequacy check
 compares with the machine's as they stand.  Both engines also share the
-clause selection (`_peek_visit`, `_take`).  The tree queries below take
+clause selection: `_peek_visit` unifies each head at most once, and
+`_take` consumes what it found without unifying (see "Visit resolution"
+below).  The tree queries below take
 the live machine and a position; a caller that holds a snapshot builds
 `Machine(state)` first, as `step`, `applicable_rule` and
 `tracing.extract_event` do.
@@ -74,6 +76,7 @@ from .terms import (
     BOTTOM,
     Clause,
     Program,
+    Struct,
     Term,
     rename_clause,
     resolve,
@@ -345,14 +348,21 @@ def updated_pred(m: Machine, p: int) -> Term:
 # Visit resolution.  When a node is visited (first call, or re-entry via
 # Redo) the engine scans its box in order: clauses whose head does not
 # unify with the called predication are dropped silently, with no trace
-# event; the first unifying clause is the one the visit consumes.
+# event; the first unifying clause is the one the visit consumes.  A head
+# with an argument whose functor clashes with the call's is dropped
+# without unifying (clause indexing on the principal functor, as the
+# WAM's switch_on_term does); every other head is unified once, renamed
+# with the stamp the visit will take, and the winner's renaming and
+# unifier are what the visit consumes.
 # ----------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class _Peek:
     skipped: int              # leading clauses that fail head unification
-    clause: Optional[Clause]  # first unifying clause; None when drained
+    clause: Optional[Clause]  # first unifying clause, renamed; None when drained
+    bindings: Optional[dict]  # its unifier, extending `base`
     base: dict                # substitution the unification extends
+    stamp: int                # the renaming stamp: the machine's stamp + 1
 
     @property
     def calls_fact(self) -> bool:
@@ -361,14 +371,38 @@ class _Peek:
         return self.clause is None or self.clause.is_fact
 
 
+def _clash(goal: Struct, head: Struct) -> bool:
+    """Whether some argument of `goal` and the same argument of `head` are
+    both compound terms with a different functor or arity.  Such a pair
+    never unifies, whatever the bindings or the renaming, so the head is
+    dropped without unifying.  That skips no CyclicTerm that `unify` would
+    raise: the engines' stores start empty and grow only through `unify`,
+    which never binds a variable into a variable-to-variable cycle."""
+    for a, b in zip(goal.args, head.args):
+        if a.__class__ is Struct is b.__class__ and (
+            a.functor != b.functor or len(a.args) != len(b.args)
+        ):
+            return True
+    return False
+
+
 def _peek_visit(state, v, base: dict) -> _Peek:
+    """The visit of node v under `base`, decided without changing
+    anything.  A trial renames a clause with the stamp the visit will
+    take, which no variable of the call or the store carries yet, and
+    unifies its head; both build new objects, so a peek that is not fired
+    (`_conditions`, `applicable_rule`) leaves the state as it was."""
     goal = state.call_preds[v]
+    stamp = state.stamp + 1
     skipped = 0
     for c in state.boxes[v]:
-        if unify(goal, c.trial.head, base, resolved=False) is not BOTTOM:
-            return _Peek(skipped, c, base)
+        if not _clash(goal, c.head):
+            inst = rename_clause(c, stamp)
+            bindings = unify(goal, inst.head, base, resolved=False)
+            if bindings is not BOTTOM:
+                return _Peek(skipped, inst, bindings, base, stamp)
         skipped += 1
-    return _Peek(skipped, None, base)
+    return _Peek(skipped, None, None, base, stamp)
 
 
 # ----------------------------------------------------------------------
@@ -522,15 +556,14 @@ def _take(m, v, peek: _Peek):
     """Consume the visit decided by `peek` at node v, in either engine:
     drop the silently skipped clauses and the chosen one from v's box, and
     return (the chosen clause renamed apart, the unifier extending
-    `peek.base`); None when the box is drained."""
+    `peek.base`), both as the peek made them; None when the box is
+    drained."""
+    assert peek.stamp == m.stamp + 1, "a peek made at another stamp"
     m.set_box(v, m.boxes[v][peek.skipped + 1:])
     if peek.clause is None:
         return None
     m.stamp += 1
-    inst = rename_clause(peek.clause, m.stamp)
-    bindings = unify(m.call_preds[v], inst.head, peek.base, resolved=False)
-    assert bindings is not BOTTOM
-    return inst, bindings
+    return peek.clause, peek.bindings
 
 
 def _visit(m: Machine, v: int, peek: _Peek) -> None:

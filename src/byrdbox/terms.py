@@ -91,12 +91,6 @@ class Clause:
     def is_fact(self) -> bool:
         return not self.body
 
-    @cached_property
-    def trial(self) -> "Clause":
-        """The throwaway renaming that tests the head before the clause is
-        chosen; its stamp -1 never collides with the real ones (>= 1)."""
-        return rename_clause(self, -1)
-
     def __repr__(self):
         return f"Clause({self.id})"
 

@@ -17,7 +17,7 @@ The text form is one event per line.  `parse_trace` reads a whole trace:
 it parses each distinct predication text once per call, through a memo
 that lives only for that call, so events that repeat a predication share
 its term (terms are frozen).  `parse_event` reads one line, and words
-every error.
+every error.  A numeric field is ASCII decimal digits and nothing else.
 """
 
 from __future__ import annotations
@@ -150,6 +150,11 @@ def format_trace(events, names: VarNames = None) -> str:
 
 
 def _is_int(text: str) -> bool:
+    """Whether a numeric field reads as a number: ASCII decimal digits
+    only (no sign, `_` or other scripts' digits), within `int`'s limit
+    on the digits it converts."""
+    if not (text.isascii() and text.isdigit()):
+        return False
     try:
         int(text)
     except ValueError:
@@ -170,13 +175,12 @@ def parse_event(line: str, line_number: int = 1) -> TraceEvent:
     parts = line.split()
     if len(parts) != 5:
         raise ParseError(f"expected 5 fields, found {len(parts)}", line_number, 1)
-    try:
-        chrono, r, l = int(parts[0]), int(parts[1]), int(parts[2])
-    except ValueError:
-        field = next(i for i in range(3) if not _is_int(parts[i]))
-        raise _field_error(
-            f"bad numeric field {parts[field]!r}", line, line_number, field
-        ) from None
+    for field in range(3):
+        if not _is_int(parts[field]):
+            raise _field_error(
+                f"bad numeric field {parts[field]!r}", line, line_number, field
+            )
+    chrono, r, l = int(parts[0]), int(parts[1]), int(parts[2])
     try:
         port = Port(parts[3])
     except ValueError:
@@ -204,6 +208,9 @@ def parse_trace(text: str) -> list:
             continue
         try:
             chrono, r, l, port, pred = parts
+            # on an ASCII line isdigit() is 0-9 alone; other lines read slowly
+            if not (chrono.isdigit() and r.isdigit() and l.isdigit() and line.isascii()):
+                raise ValueError(line)
             chrono, r, l, port = int(chrono), int(r), int(l), _PORTS[port]
             term = preds.get(pred)
             if term is None:

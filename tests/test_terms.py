@@ -1,3 +1,5 @@
+from itertools import count
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -16,6 +18,7 @@ from byrdbox import (
     unify,
 )
 from byrdbox.corpus import corpus
+from byrdbox.engine import _clash
 from byrdbox.terms import CyclicTerm, resolve, variables
 
 
@@ -380,6 +383,37 @@ def test_unify_and_resolve_are_total_on_any_store(store, a, b):
         _resolves_or_is_cyclic(store, t)
         if out is not BOTTOM:
             _resolves_or_is_cyclic(out, t)
+
+
+@st.composite
+def _goal_and_head(draw):
+    """A call and a clause head of one predicate p/n, over _POOL."""
+    n = draw(st.integers(1, 3))
+    args = st.lists(_terms(_POOL), min_size=n, max_size=n).map(tuple)
+    return Struct("p", draw(args)), Struct("p", draw(args))
+
+
+def _skeleton(t, prefix):
+    """`t` with each argument cut down to its principal functor: variables
+    and the arguments' arguments become fresh variables named `prefix`k."""
+    fresh = (Var(f"{prefix}{k}") for k in count())
+    return Struct(t.functor, tuple(
+        Struct(a.functor, tuple(next(fresh) for _ in a.args)) if isinstance(a, Struct) else next(fresh)
+        for a in t.args
+    ))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_stores().filter(lambda store: not _has_variable_cycle(store)), _goal_and_head())
+def test_a_head_clash_never_unifies(store, pair):
+    # the visit's pre-check drops exactly the heads whose argument
+    # skeletons fail to unify, and such a head fails on any store
+    goal, head = pair
+    clash = _clash(goal, head)
+    assert clash == (unify(_skeleton(goal, "G"), _skeleton(head, "H")) is BOTTOM)
+    if clash:
+        assert unify(goal, head, store, resolved=False) is BOTTOM
+        assert unify(goal, rename_clause(Clause("c", head), 1).head, store, resolved=False) is BOTTOM
 
 
 @given(_terms(["X", "Y", "Z"]))

@@ -153,6 +153,24 @@ def test_parse_event_rejects_malformed():
         parse_event("1 1 1 Call p(")
 
 
+@pytest.mark.parametrize(
+    "line, field, column",
+    [
+        ("1_0 1 1 Call goal", "1_0", 1),
+        ("+2 1 1 Call goal", "+2", 1),
+        ("\u0663 1 1 Call goal", "\u0663", 1),  # an Arabic-Indic three
+        ("1 -1 1 Call goal", "-1", 3),
+    ],
+)
+def test_numeric_fields_are_ascii_decimal_digits(line, field, column):
+    # int() reads all four; the trace format's numbers are plain digits
+    for read in (parse_event, parse_trace):
+        with pytest.raises(ParseError) as err:
+            read(line)
+        assert err.value.message == f"bad numeric field {field!r}"
+        assert (err.value.line, err.value.column) == (1, column)
+
+
 def test_parse_trace_skips_comments_and_blanks():
     text = "# header\n\n1 1 1 Call goal\n  # indented comment\n2 2 2 Call p(_1)\n"
     events = parse_trace(text)
