@@ -8,6 +8,12 @@ no arithmetic, no lists, no cut.
 No function here recurses: every term walk keeps its work on an explicit
 stack, so any term that parses can be resolved, renamed and printed,
 however deeply it nests.
+
+Terms are tuples (NamedTuples), so building, hashing and comparing them
+runs in C.  No byrdbox code relies on two consequences: a `Var` equals
+the plain tuple `(name, stamp)`, and terms order.  A `Var` never equals a
+`Struct`.  Nothing hashes a `Struct`: tuple hashing recurses in C with no
+depth guard, so a deep term must never become a set member or dict key.
 """
 
 from __future__ import annotations
@@ -42,8 +48,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(NamedTuple):
     """A logic variable.  `stamp` distinguishes renamed copies; source-level
     variables carry stamp 0."""
 
@@ -54,8 +59,7 @@ class Var:
         return f"Var({self.name!r})" if self.stamp == 0 else f"Var({self.name!r}#{self.stamp})"
 
 
-@dataclass(frozen=True)
-class Struct:
+class Struct(NamedTuple):
     """A compound term; arity 0 means a constant."""
 
     functor: str
@@ -90,6 +94,8 @@ class Clause:
     @property
     def is_fact(self) -> bool:
         return not self.body
+
+    _template = cached_property(lambda c: _compile(c))  # see rename_clause
 
     def __repr__(self):
         return f"Clause({self.id})"
@@ -146,7 +152,7 @@ class _Token(NamedTuple):
     column: int
 
 
-_new_token = tuple.__new__  # builds a _Token without its Python-level __new__
+_new = tuple.__new__  # builds a NamedTuple without its Python-level __new__
 
 
 def _tokenize(source: str) -> list:
@@ -165,9 +171,9 @@ def _tokenize(source: str) -> list:
         else:
             if text == ":-":
                 kind = "ife"
-            tokens.append(_new_token(_Token, (kind, text, line, pos - line_start + 1)))
+            tokens.append(_new(_Token, (kind, text, line, pos - line_start + 1)))
         pos += len(text)
-    tokens.append(_new_token(_Token, ("eof", "", line, pos - line_start + 1)))
+    tokens.append(_new(_Token, ("eof", "", line, pos - line_start + 1)))
     return tokens
 
 
@@ -204,9 +210,9 @@ class _Parser:
                 if tok.text == "_":
                     # every anonymous variable is distinct
                     self.anon_count += 1
-                    t = Var(f"_A{self.anon_count}")
+                    t = _new(Var, (f"_A{self.anon_count}", 0))
                 else:
-                    t = Var(tok.text)
+                    t = _new(Var, (tok.text, 0))
             elif tok.kind != "atom":
                 raise ParseError(f"expected a term, found {tok.text!r}", tok.line, tok.column)
             elif tokens[pos].kind == "(":
@@ -214,7 +220,7 @@ class _Parser:
                 open_terms.append((tok.text, []))
                 continue
             else:
-                t = Struct(tok.text)
+                t = _new(Struct, (tok.text, ()))
             # t is complete: it is an argument of the innermost open term,
             # which a ")" closes or a "," keeps open for its next argument
             while open_terms:
@@ -226,7 +232,7 @@ class _Parser:
                 if tok.kind != ")":
                     raise ParseError(f"expected ')', found {tok.text!r}", tok.line, tok.column)
                 functor, args = open_terms.pop()
-                t = Struct(functor, tuple(args))
+                t = _new(Struct, (functor, tuple(args)))
             else:
                 self.pos = pos
                 return t
@@ -353,7 +359,7 @@ def _rebuild(s: Struct, args: tuple) -> Struct:
     """`s` with `args`; `s` itself when no argument changed."""
     if all(map(is_, args, s.args)):
         return s
-    return Struct(s.functor, args)
+    return _new(Struct, (s.functor, args))
 
 
 def variables(t: Term) -> set:
@@ -363,14 +369,50 @@ def variables(t: Term) -> set:
     return out
 
 
+def _compile(clause: Clause) -> tuple:
+    """The template that `rename_clause` runs: the clause's variable names,
+    and flat post-order code that builds a renamed copy of its head, then
+    of each body atom.  An op is an int, a fresh variable (its name's
+    index); a Struct, a ground subterm reused as it is; or a plain
+    `(functor, arity)` pair, a compound term built from the last `arity`
+    results."""
+    names, code = {}, []
+    todo = [*reversed(clause.body), clause.head]
+    while todo:
+        t = todo.pop()
+        if t.__class__ is Var:
+            code.append(names.setdefault(t.name, len(names)))
+        elif t.__class__ is not Struct:  # (start, s): the code of s's arguments ends here
+            start, s = t
+            n = len(s.args)
+            if len(code) - start == n and all(op.__class__ is Struct for op in code[start:]):
+                code[start:] = [s]  # each argument is one ground subterm: so is s
+            else:
+                code.append((s.functor, n))
+        elif t.args:
+            todo.append((len(code), t))
+            todo.extend(reversed(t.args))
+        else:
+            code.append(t)
+    return tuple(names), tuple(code)
+
+
 def rename_clause(clause: Clause, stamp: int) -> Clause:
-    """Fresh copy of a clause: every variable re-stamped with `stamp`."""
-
-    def ren(v: Var) -> Var:
-        return Var(v.name, stamp)
-
-    head = _fold(clause.head, ren, _rebuild)
-    return Clause(clause.id, head, tuple(_fold(b, ren, _rebuild) for b in clause.body))
+    """Fresh copy of a clause, from its template (compiled on the first
+    renaming): each variable name re-stamped with `stamp`, ground subterms
+    shared."""
+    names, code = clause._template
+    fresh = [_new(Var, (name, stamp)) for name in names]
+    stack = []  # the atoms built so far, and the parts of the one being built
+    for op in code:
+        if op.__class__ is int:
+            stack.append(fresh[op])
+        elif op.__class__ is Struct:
+            stack.append(op)
+        else:
+            functor, n = op
+            stack[-n:] = [_new(Struct, (functor, tuple(stack[-n:])))]
+    return Clause(clause.id, stack[0], tuple(stack[1:]))
 
 
 def walk(subst: dict, t: Term) -> Term:
@@ -378,7 +420,7 @@ def walk(subst: dict, t: Term) -> Term:
     the store has bindings comes back to a variable: CyclicTerm names one
     on that cycle (a self-binding included)."""
     steps = 0
-    while isinstance(t, Var) and t in subst:
+    while t.__class__ is Var and t in subst:
         t = subst[t]
         steps += 1
         if steps > len(subst):
@@ -416,10 +458,9 @@ def unify(a: Term, b: Term, subst: Optional[dict] = None, resolved: bool = True)
     Bindings may be cyclic (no occur check): a compound pair reached again
     through them is skipped, as it is already being unified; a loop of
     variable-to-variable bindings raises CyclicTerm (see `walk`).  Two
-    compound terms are never compared whole (that comparison recurses):
-    they descend, and only an identical pair or two equal variables is
-    skipped.
-    """
+    compound terms are never compared whole (tuple comparison recurses in
+    C): they descend, and only an identical pair or two equal variables is
+    skipped."""
     s = dict(subst) if subst else {}
     stack = [(a, b)]
     seen = None  # (id, id) of compound pairs reached through a binding
@@ -428,20 +469,19 @@ def unify(a: Term, b: Term, subst: Optional[dict] = None, resolved: bool = True)
         x, y = walk(s, x0), walk(s, y0)
         if x is y:
             continue
-        if isinstance(x, Var) and isinstance(y, Var):
-            if x == y:
-                continue
-            # Alias the younger variable to the older one so that a chain
-            # of head unifications keeps a single display representative.
-            if (x.stamp, x.name) <= (y.stamp, y.name):
-                s[y] = x
-            else:
+        if x.__class__ is Var:
+            if y.__class__ is not Var:
                 s[x] = y
-        elif isinstance(x, Var):
-            s[x] = y
-        elif isinstance(y, Var):
+            elif x != y:
+                # Alias the younger variable to the older one so that a chain
+                # of head unifications keeps a single display representative.
+                if (x.stamp, x.name) <= (y.stamp, y.name):
+                    s[y] = x
+                else:
+                    s[x] = y
+        elif y.__class__ is Var:
             s[y] = x
-        elif x.functor == y.functor and x.arity == y.arity:
+        elif x.functor == y.functor and len(x.args) == len(y.args):
             if x is not x0 or y is not y0:
                 key = (id(x), id(y))
                 if seen is None:
@@ -499,9 +539,7 @@ class VarNames:
         self._indices = {}
 
     def index(self, v: Var) -> int:
-        if v not in self._indices:
-            self._indices[v] = len(self._indices) + 1
-        return self._indices[v]
+        return self._indices.setdefault(v, len(self._indices) + 1)
 
 
 def format_term(t: Term, names: Optional[VarNames] = None) -> str:

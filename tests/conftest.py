@@ -66,13 +66,15 @@ def load_golden(name: str) -> list:
 def stored_nodes(state):
     """Every node a machine or rebuilt state stores: its current node,
     the words of its nodes, the nodes of its set fields, and the keys of
-    its per-node maps (the bookkeeping's included)."""
+    its per-node maps (the bookkeeping's included).  A node is a plain
+    tuple: the variables that key a binding store are tuples too, but of
+    a subclass, and are not nodes."""
     yield state.current
     yield from state.nodes
     for f in fields(state):
         value = getattr(state, f.name)
         if isinstance(value, dict):
-            yield from (k for k in value if isinstance(k, tuple))
+            yield from (k for k in value if type(k) is tuple)
         elif isinstance(value, frozenset):
             yield from value
 

@@ -195,6 +195,17 @@ def test_walkers_agree_on_every_corpus_clause(corpus_200):
                 check_walks(atom, names, ref_names)
 
 
+def test_rename_knows_a_variable_by_its_name():
+    # one name under two stamps, as in a clause renamed and renamed again:
+    # both occurrences become the one fresh variable of that name
+    x, x4 = Var("X"), Var("X", 4)
+    head = Struct("p", (x, x4, Struct("f", (x4, Var("Y")))))
+    clause = Clause("c", head, (Struct("q", (x4,)), Struct("r", (x,))))
+    renamed = rename_clause(clause, 7)
+    assert renamed == ref_rename_clause(clause, 7)
+    assert variables(renamed.head) == {Var("X", 7), Var("Y", 7)}
+
+
 def test_walkers_agree_on_every_step_of_corpus_runs():
     names, ref_names = VarNames(), VarNames()
     steps = 0

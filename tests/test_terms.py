@@ -127,6 +127,52 @@ def test_rename_makes_variables_fresh():
     assert r.body[0].args[0] == Var("X", 3)
 
 
+def test_rename_shares_the_ground_subterms_of_its_clause():
+    c = parse_program("p(f(a,g(b)),X,h(X,c)) :- q(k(a),X), r.\n:- r.\n").clauses[0]
+    for stamp in (5, 6):  # the first renaming compiles the clause, the next reuses that
+        r = rename_clause(c, stamp)
+        assert r.head.args[0] is c.head.args[0]
+        assert r.head.args[2].args[1] is c.head.args[2].args[1]
+        assert r.body[0].args[0] is c.body[0].args[0]
+        assert r.body[1] is c.body[1]
+        assert r.head.args[2] is not c.head.args[2]
+        assert r.head.args[2] == Struct("h", (Var("X", stamp), Struct("c")))
+
+
+# ----------------------------------------------------------------------
+# Term values
+# ----------------------------------------------------------------------
+
+def test_equal_terms_hash_alike():
+    pairs = [
+        (Var("X", 3), Var("X", 3)),
+        (Var("X"), Var("X", 0)),
+        (Struct("a"), Struct("a", ())),
+        (term("f(X,g(a))"), Struct("f", (Var("X"), Struct("g", (Struct("a"),))))),
+    ]
+    for a, b in pairs:
+        assert a == b and hash(a) == hash(b)
+        assert a is not b
+    assert Var("X", 3) != Var("X", 4) and Var("X") != Var("Y")
+    assert term("f(a)") != term("f(b)") and Struct("f") != term("f(a)")
+
+
+def test_a_variable_never_equals_a_compound_term():
+    # a stamp is an int and arguments are a tuple, whatever the first field
+    for v, s in ((Var("a"), Struct("a")), (Var("X"), Struct("X")), (Var("f", 1), term("f(a)"))):
+        assert v != s and s != v
+        assert not (v == s or s == v)
+
+
+def test_term_repr_is_unchanged():
+    assert repr(Var("X")) == "Var('X')"
+    assert repr(Var("X", 3)) == "Var('X'#3)"
+    assert repr(Struct("a")) == "Struct(a)"
+    assert repr(term("f(X,g(a),Y,X)")) == "Struct(f(_1,g(a),_2,_1))"
+    assert repr({Var("X", 2): term("s(z)")}) == "{Var('X'#2): Struct(s(z))}"
+    assert (term("f(a,b)").arity, term("f(a,b)").indicator) == (2, ("f", 2))
+
+
 # ----------------------------------------------------------------------
 # Unification and substitutions
 # ----------------------------------------------------------------------
