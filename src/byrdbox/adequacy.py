@@ -88,7 +88,7 @@ def check_adequacy(program: Program, max_steps: int) -> AdequacyReport:
     The run streams on one live machine and one live rebuilder and keeps
     no states: w_{t+1} is extracted from state t before the machine fires
     transition t+1, and transition t is rebuilt and checked against the
-    machine right then.  After the first failed check the run goes on
+    machine right then.  After the first check that fails, the run goes on
     unchecked, for `halted` and the port checks, which cover every event.
     """
     machine = Machine(init_state(program))

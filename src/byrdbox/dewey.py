@@ -3,12 +3,9 @@
 A node is named by its Dewey word, a tuple of ints whose Python order is
 the Dewey (lexicographic) order: a prefix sorts before its extensions,
 siblings by component.  No live machine answers a tree question from
-words: `engine.Machine`, `multimodel.ExtMachine` and `rebuild.Rebuilder`
-run on engine's one node stack, of positions in Dewey order, and none of
-them keys anything by word.  Words are built where they are observed: in
-the stack's `nodes` list, in snapshots, and in `node_str`.  A frozen
-state holds the words of its nodes in a tuple, and derives its
-word-keyed maps from it when they are read.
+words, or keys anything by word: all run on engine's node stack, of
+positions in Dewey order (see engine).  Words are built where they are
+observed: in the stack's `nodes` list, in snapshots, and in `node_str`.
 
 A node's children are numbered 1..k without gaps in every reachable
 state of both engines and in every rebuilt state: children are created

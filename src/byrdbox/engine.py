@@ -27,8 +27,10 @@ The machine holds its tree as a node stack.  Each node is a position in
 parallel lists: its word (`nodes`), its parent's position (`up`; the root,
 at 0, is its own parent) and the per-node bookkeeping the rules read
 (`numbers`, `preds`, `boxes`, `fresh`, `call_preds`, `call_snaps`,
-`chosen`, `failed`).  The choice points `cps` are a list of positions.
-The layout relies on three invariants:
+`chosen`).  A visit that finds its box drained chooses None, which the
+rules read as the node's failure, so the kept `chosen` map of a snapshot
+has no entry for that node.  The choice points `cps` are a list of
+positions.  The layout relies on three invariants:
 
   1. every node created is the Dewey maximum of the tree, so the lists
      only grow on top and stay in Dewey order;
@@ -39,33 +41,36 @@ The layout relies on three invariants:
 
 So node u is a leaf iff it is the last node or the next node's parent is
 not u, the greatest choice point in u's subtree is the top of `cps` when
-that is at or after u, and backtracking to v truncates every list after
-v.  A push that is not the Dewey maximum, and a drained box that is not
-the top of `cps`, raise.  The machine holds each node once, in its
-lists: nothing is keyed by word.
+that is at or after u, and backtracking to v, that top, truncates every
+list after v and leaves `cps` as it is.  A push that is not the Dewey
+maximum, and a drained box that is not the top of `cps`, raise.  The
+machine holds each node once, in its lists: nothing is keyed by word.
 
-The node stack is one substrate, written once here.  `_Live` is the live
-stack: it copies a snapshot's lists in, keeps the choice points
-(`set_box`, `cut`), drops every node after a position (`cut`), adds one
-(`insert`) and freezes the lists (`snapshot`).  `_Snapshot` is the frozen
-stack: it holds the lists as tuples, so a snapshot is tuple copies, and
-derives its word-keyed maps (`tree`, `numbers`, `preds`, ...) from them
-the first time they are read.  `_subtree_end` finds where a subtree
-ends.  Three stacks run on it, each with its own columns: this engine's
-`Machine` and `VirtualState`, the other engine's (multimodel)
-`ExtMachine` and `ExtendedState`, and the rebuilder's (rebuild)
-`Rebuilder` and `RestrictedState`, whose lists the adequacy check
-compares with the machine's as they stand.  Both engines also share the
-clause selection: `_peek_visit` unifies each head at most once, and
-`_take` consumes what it found without unifying (see "Visit resolution"
-below).  The tree queries below take
-the live machine and a position; a caller that holds a snapshot builds
-`Machine(state)` first, as `step`, `applicable_rule` and
-`tracing.extract_event` do.
+The node stack is one substrate, written once here, for three stacks:
+this engine's `Machine` and `VirtualState`, the other engine's
+(multimodel) `ExtMachine` and `ExtendedState`, and the rebuilder's
+(rebuild) `Rebuilder` and `RestrictedState`.  `_Live` is the live stack.
+It copies a snapshot's lists in, in one column order for every stack
+(`nodes` and `up`, then the state's OBSERVED and KEPT columns), and finds
+the current node with one bisection of `nodes`; each stack has its own
+rule for a u that is not where it allows.  It keeps the choice points
+(`set_box`), drops every node after a position that no choice point lies
+after (`cut`), adds one (`insert`) and freezes the lists (`snapshot`).
+`_Snapshot` is the frozen stack: it holds the lists as tuples, so a
+snapshot is tuple copies, and derives its word-keyed maps (`tree`,
+`numbers`, `preds`, ...) from them the first time they are read.
+`_subtree_end` finds where a subtree ends.  The adequacy check compares
+the rebuilder's lists with the machine's as they stand.  Both engines
+also share the clause selection: `_peek_visit` unifies each head at most
+once, and `_take` consumes what it found without unifying (see "Visit
+resolution" below).  The tree queries below take the live machine and a
+position; a caller that holds a snapshot builds `Machine(state)` first,
+as `step`, `applicable_rule` and `tracing.extract_event` do.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -166,11 +171,16 @@ class _Snapshot:
 
 class _Live:
     """A live node stack, of either engine or the rebuilder: it copies the
-    lists (LISTS, then the state's columns, all in `columns` unless a
-    subclass reorders them) and scalars (SCALARS) of the snapshot it starts
-    from, takes its choice points `cps` from the boxes, and `snapshot`
-    freezes them into a new STATE.  `set_box`, `cut` and `insert` keep the
-    lists in Dewey order, so positions compare as the nodes do."""
+    lists of the snapshot it starts from into `columns`, in one order for
+    every stack (LISTS, then the state's OBSERVED and KEPT), and its
+    scalars (SCALARS), takes its choice points `cps` from the boxes, and
+    `snapshot` freezes them into a new STATE.  `current` is the current
+    node's position, found by bisection as the lists are in Dewey order;
+    None when the state's u is not in its tree.  `set_box`, `cut` and
+    `insert` keep the lists in Dewey order, so positions compare as the
+    nodes do."""
+
+    LISTS = ("nodes", "up")
 
     def __init__(self, state):
         lists = tuple(getattr(state, name) for name in self.LISTS) + state.observed + state.kept
@@ -180,6 +190,9 @@ class _Live:
             setattr(self, name, getattr(state, name))
         self.cps = [p for p, box in enumerate(self.boxes) if box]
         self.halted = False  # set by the run that drives the machine
+        nodes, u = self.nodes, state.current
+        p = bisect_left(nodes, u)
+        self.current = p if p < len(nodes) and nodes[p] == u else None
 
     def snapshot(self):
         frozen = lambda name: tuple(getattr(self, name))
@@ -204,11 +217,9 @@ class _Live:
         self.boxes[p] = box
 
     def cut(self, v: int) -> None:
-        """Drop every choice point after position v, then every node after
-        v from every column."""
-        cps = self.cps
-        while cps and cps[-1] > v:
-            cps.pop()
+        """Drop every node after position v from every column.  No choice
+        point lies after v: every stack cuts at or above the top of `cps`."""
+        assert not self.cps or self.cps[-1] <= v, "a cut below the top of cps"
         for column in self.columns:
             del column[v + 1:]
 
@@ -227,8 +238,9 @@ class VirtualState(_Snapshot):
     and repr see the tree, u, n, the observable columns and the flags."""
 
     OBSERVED = ("numbers", "preds", "boxes", "fresh")
-    # node -> as called, bindings then, clause in use, visit drained
-    KEPT = ("call_preds", "call_snaps", "chosen", "failed")
+    # node -> as called, bindings then, clause in use (None before the
+    # first visit and after a drained one)
+    KEPT = ("call_preds", "call_snaps", "chosen")
 
     nodes: tuple
     up: tuple = field(compare=False, repr=False)  # given by the nodes
@@ -242,8 +254,6 @@ class VirtualState(_Snapshot):
     bindings: dict = field(compare=False, repr=False)  # current branch
     stamp: int = field(compare=False, repr=False)      # renaming counter
     kept: tuple = field(compare=False, repr=False)
-
-    failed = _word_map("failed")
 
 
 @dataclass(frozen=True)
@@ -429,7 +439,7 @@ def _rule_conditions(m: Machine, peek: Optional[_Peek]) -> dict:
     u = m.current
     fst = m.fresh[u]
     ct, flr = m.complete, m.failing
-    failed_here = m.failed[u]
+    drained = m.chosen[u] is None  # read only on a visited node
     hcp_u = has_choice_point(m, u)
 
     conds = {}
@@ -439,11 +449,11 @@ def _rule_conditions(m: Machine, peek: Optional[_Peek]) -> dict:
     else:
         conds[RuleId.CALL1] = conds[RuleId.CALL2] = False
 
-    succeeded = not fst and not failed_here
+    succeeded = not fst and not drained
     mhnb = may_have_new_brother(m, u)
     conds[RuleId.EXIT1] = succeeded and not mhnb and not ct and not flr
     conds[RuleId.EXIT2] = succeeded and mhnb and not ct and not flr
-    conds[RuleId.FAIL2] = (not fst) and not ct and not hcp_u and (failed_here or flr)
+    conds[RuleId.FAIL2] = (not fst) and not ct and not hcp_u and (drained or flr)
 
     if not fst and hcp_u and (flr or ct):
         conds[RuleId.REDO1] = peek.calls_fact
@@ -507,31 +517,23 @@ def init_state(program: Program) -> VirtualState:
         program=program,
         bindings={},
         stamp=0,
-        # no chosen clause and no drained visit before the first visit
-        kept=((called,), ({},), (None,), (None,)),
+        kept=((called,), ({},), (None,)),  # no clause before the first visit
     )
 
 
 class Machine(_Live):
-    """The one mutable state that a run fires its rules on, in place, as a
-    node stack (see the module docstring); `current` and `cps` hold
-    positions.  It owns every list it holds: it copies the lists of the
-    state it starts from and takes the choice points from the boxes, and
-    `snapshot` freezes the lists into a new state."""
+    """The one mutable state that a run fires its rules on, in place: a
+    node stack (see the module docstring) that refuses a state whose u is
+    not its last node or an ancestor of it (invariant 2)."""
 
     STATE = VirtualState
-    LISTS = ("nodes", "up")
     SCALARS = ("counter", "complete", "failing", "program", "bindings", "stamp")
 
     def __init__(self, state: VirtualState):
         super().__init__(state)
-        nodes, up, u = self.nodes, self.up, state.current
-        current = len(nodes) - 1
-        if nodes[current][: len(u)] != u:
+        u = state.current
+        if self.current is None or self.nodes[-1][: len(u)] != u:
             raise ValueError("a state's u must be its last node or an ancestor of it")
-        for _ in range(len(nodes[current]) - len(u)):
-            current = up[current]
-        self.current = current
         self.resolved = None  # (position, Exit predication), see updated_pred
 
 
@@ -567,15 +569,11 @@ def _take(m, v, peek: _Peek):
 
 
 def _visit(m: Machine, v: int, peek: _Peek) -> None:
-    """Consume the visit decided by `peek` at position v and extend the
-    bindings, or roll them back to `peek.base` when the box is drained."""
+    """Consume the visit decided by `peek` at position v: choose its clause
+    and extend the bindings, or, when the box is drained, choose None and
+    roll the bindings back to `peek.base`."""
     taken = _take(m, v, peek)
-    m.failed[v] = taken is None
-    if taken is None:
-        m.bindings = peek.base
-    else:
-        clause, m.bindings = taken
-        m.chosen[v] = clause
+    m.chosen[v], m.bindings = (None, peek.base) if taken is None else taken
 
 
 def _child_slot(m: Machine, atom: Term, p: int, i: int) -> None:
@@ -590,8 +588,8 @@ def _child_slot(m: Machine, atom: Term, p: int, i: int) -> None:
     if box:
         m.cps.append(m.current)
     # LISTS, then the columns in OBSERVED and KEPT order.  The new node
-    # gets no chosen clause and no drained visit until its visit.
-    m.insert(m.current, (v, p, m.counter, called, box, True, called, m.bindings, None, None))
+    # gets no chosen clause until its visit.
+    m.insert(m.current, (v, p, m.counter, called, box, True, called, m.bindings, None))
 
 
 def step(state: VirtualState) -> Tuple[RuleId, VirtualState]:

@@ -18,14 +18,11 @@ Three mutually exclusive models select how backtracking is traced:
     m3  original box model: full stepwise undo; every completed box is
         re-entered (Redo) and closed (Fail) in reverse order
 
-The live machine runs on engine's node stack (`_Live`, `_Snapshot`):
-each node is a position in parallel lists kept in Dewey order, its word
-(`nodes`, made once by dewey's `child`), its parent's position (`up`;
-the root, at 0, is its own) and the per-node maps and bookkeeping under
-their state names; `cps` lists the choice points' positions.  Its copy-in,
-snapshots, choice points, truncation and inserts are engine's, and so
-are the clause selection (`_peek_visit`, `_take`) and the next-node query
-(`may_have_new_brother`).  Two invariants hold:
+The live machine runs on engine's node stack (`_Live`, `_Snapshot`; see
+engine for its layout), with the per-node maps and bookkeeping as
+columns under their state names, and it shares engine's clause
+selection (`_peek_visit`, `_take`) and next-node query
+(`may_have_new_brother`).  Two invariants of its own hold:
 
   1. a clause's body slots are made at once, by CLAUSSUCCEEDS at a leaf
      after which every node is an unvisited slot (a leaf with no box), so
@@ -35,11 +32,9 @@ are the clause selection (`_peek_visit`, `_take`) and the next-node query
      greatest one in the subtree of the current node or an ancestor is
      the top of `cps` when that is at or after it.
 
-A body inserted before a visited node, and a push or a drain off the top
-of `cps`, raise.  The queries are position tests, as
-in engine, that never compare or hash a word (a node's m2 rank is its
-position plus one).  They take the live machine and the position of the
-current node or one of its ancestors; a caller that holds a snapshot
+A body inserted before a visited node raises.  The queries take the live
+machine and the position of the current node or one of its ancestors (a
+node's m2 rank is its position plus one); a caller that holds a snapshot
 builds `ExtMachine(state)` first, as `_gates`, `applicable_extended` and
 `step_extended` do.
 
@@ -62,7 +57,7 @@ from typing import Optional, Tuple
 
 from .dewey import child
 from .engine import EPSILON, DeterminismViolation, NodeId, _peek_visit, _take, node_str
-from .engine import _Live, _Snapshot, _Tag, _word_map, may_have_new_brother
+from .engine import _Live, _Snapshot, _Tag, _word_map, lpath, may_have_new_brother
 from .terms import Program, resolve
 from .tracing import Port, TraceEvent
 
@@ -134,7 +129,7 @@ class ExtendedState(_Snapshot):
     pending: Optional[dict] = field(compare=False, repr=False)  # to commit
     kept: tuple = field(compare=False, repr=False)
 
-    sigmas, display = _word_map("sigmas"), _word_map("display")
+    sigmas = _word_map("sigmas")
     marks = cached_property(lambda s: frozenset(v for v, x in zip(s.nodes, s.kept[3]) if x))
 
 
@@ -303,24 +298,18 @@ def init_extended(program: Program) -> ExtendedState:
     )
 
 
-# A body slot as CLAUSSUCCEEDS makes it and a prune resets it, apart from
-# its word, parent and predication: unvisited, unnumbered.
-_SKELETON = {
-    "numbers": None, "chosen": None, "boxes": (), "sigmas": None, "fresh": True,
-    "call_preds": None, "call_snaps": None, "display": None, "marks": False,
-}
-_BLANK = tuple(_SKELETON.values())
+# A body slot as CLAUSSUCCEEDS makes it and a prune resets it, in column
+# order after its word, parent, number (None) and predication: unvisited,
+# with no clause, box, substitution or call, and not closed.
+_BLANK = (None, (), None, True, None, None, None, False)
 
 
 class ExtMachine(_Live):
     """The one mutable state that a run of this engine fires its rules on,
-    in place, as a node stack (see the module docstring); `current` and
-    `cps` hold positions.  It copies the lists of the state it starts
-    from and takes the choice points from the boxes, and `snapshot`
-    freezes the lists into a new state."""
+    in place: engine's node stack, which refuses a state whose u is not in
+    its tree."""
 
     STATE = ExtendedState
-    LISTS = ("nodes", "up")
     SCALARS = (
         "counter", "complete", "failing", "success", "reverse",
         "program", "bindings", "stamp", "pending",
@@ -328,9 +317,8 @@ class ExtMachine(_Live):
 
     def __init__(self, state: ExtendedState):
         super().__init__(state)
-        self.current = self.nodes.index(state.current)
-        names = ("nodes", "up", "preds", *_SKELETON)
-        self.columns = tuple(getattr(self, name) for name in names)
+        if self.current is None:
+            raise ValueError("a state's u must be in its tree")
 
     def prune_after(self, v):
         """Tear down everything behind a resumed choice point: interior
@@ -338,7 +326,7 @@ class ExtMachine(_Live):
         nodes after v whose parent is before v) move behind v and revert
         to unvisited skeleton nodes awaiting a fresh number."""
         nodes, up, preds = self.nodes, self.up, self.preds
-        later = [(nodes[y], up[y], preds[y]) for y in range(v + 1, len(nodes)) if up[y] < v]
+        later = [(nodes[y], up[y], None, preds[y]) for y in range(v + 1, len(nodes)) if up[y] < v]
         self.cut(v)  # every box behind v is gone or emptied
         for row in later:
             self.insert(len(nodes), row + _BLANK)
@@ -406,7 +394,7 @@ def _fire(m: ExtMachine, model: ModelId, chrono: int, rule: ExtRuleId):
             at, body = u + 1, m.chosen[u].body
             assert all(m.fresh[at:]), "a body inserted before a visited node"
             for i in range(len(body), 0, -1):  # each goes in at `at`: last first
-                m.insert(at, (child(m.nodes[u], i), u, body[i - 1]) + _BLANK)
+                m.insert(at, (child(m.nodes[u], i), u, None, body[i - 1]) + _BLANK)
             m.current = at
 
     elif rule in (R.EXIT1, R.EXIT2):
@@ -460,8 +448,7 @@ def _fire(m: ExtMachine, model: ModelId, chrono: int, rule: ExtRuleId):
 
     if port is None:
         return rule, None
-    # l is engine's lpath: the number of nodes on the root-to-node path
-    r, l = _num_for(m, model, node), len(m.nodes[node]) + 1
+    r, l = _num_for(m, model, node), lpath(m, node)
     return rule, TraceEvent(chrono=chrono, r=r, l=l, port=port, pred=pred)
 
 def _drive(machine: ExtMachine, model: ModelId, max_steps: int):

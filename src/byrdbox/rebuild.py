@@ -9,25 +9,23 @@ read.
 
 A rebuild steps one live `Rebuilder` in place, as the engines fire their
 rules on one live machine, and it runs on their node stack (engine's
-`_Live`, with `RestrictedState` its `_Snapshot`): parallel lists in Dewey
-order, with the words of the nodes (`nodes`, made by `dewey.child`),
-each node's parent position (`up`), and the numbering and predication
-columns (`numbers`, `preds`), and the current node as a position.
-Nothing is keyed by word.  On an emitted trace every node is added as
-the Dewey maximum with the largest number yet, so every add is an
-append, a Redo to v truncates every list after v (`_Live.cut`), the
-numbers increase along the positions so that `node_of` finds a number
-by bisection, and `_next_child` counts the children of a leaf that is
-the last node.  A forged trace can add a node elsewhere and number two
-live nodes alike: such an add is an insert (`_Live.insert`), and from
-then on the rebuilder keeps each node's creation stamp in one more
-column (`born`), so that `node_of` answers, as it always has, with the
-first created of the nodes that carry a number.  `snapshot` copies the
-lists (all but `up`) into a frozen `RestrictedState` as tuples.
-`reconstruct_trace` takes one snapshot per committed event,
-`adequacy.check_adequacy` compares the rebuilder's lists with the
-machine's and takes none, and `reconstruct_step` is one step from a given
-state, which it leaves as it was.
+`_Live`, with `RestrictedState` its `_Snapshot`; see engine for its
+layout), with numbering and predication columns (`numbers`, `preds`).
+On an emitted trace every node is added as the Dewey maximum with the
+largest number yet, so every add is an append, a Redo to v truncates
+every list after v (`_Live.cut`), the numbers increase along the
+positions so that `node_of` finds a number by bisection, and
+`_next_child` counts the children of a leaf that is the last node.  A
+forged trace can add a node elsewhere and number two live nodes alike:
+such an add is an insert (`_Live.insert`), and from then on the
+rebuilder keeps each node's creation stamp in one more column (`born`),
+so that `node_of` answers, as it always has, with the first created of
+the nodes that carry a number.  `snapshot` copies the lists (all but
+`up`) into a frozen `RestrictedState` as tuples.  `reconstruct_trace`
+takes one snapshot per committed event, `adequacy.check_adequacy`
+compares the rebuilder's lists with the machine's and takes none, and
+`reconstruct_step` is one step from a given state, which it leaves as
+it was.
 
 Identification table (nd is the inverse of the numbering; the root's
 number is 1 for the whole run, so `nd(r) = root` is just `r = 1`):
@@ -237,25 +235,19 @@ class Rebuilder(_Live):
     node stack (see engine and the module docstring) whose columns are
     `nodes`, `up`, `numbers`, `preds` and, once a forged trace inserts a
     node, `born`.  It copies in the state it starts from, and `snapshot`
-    freezes it into a new RestrictedState.  `current` is the current
-    node's position.  It is None only when the state it starts from has
-    its current node outside its tree (a state built by hand); `stray`
-    then holds that node, and a rule that reads the current node cannot
-    step."""
+    freezes it into a new RestrictedState.  `current` is None only when
+    the state it starts from has its current node outside its tree (a
+    state built by hand); `stray` then holds that node, and a rule that
+    reads the current node cannot step."""
 
-    STATE = RestrictedState
-    LISTS, SCALARS = ("nodes", "up"), ()
+    STATE, SCALARS = RestrictedState, ()
     boxes = ()  # a rebuilt state has no boxes, so `cps` stays empty
 
     def __init__(self, q: RestrictedState):
         super().__init__(q)
         self.born = None if q.born is None else list(q.born)
         self.columns += () if self.born is None else (self.born,)
-        p = bisect_left(self.nodes, q.current)
-        if p < len(self.nodes) and self.nodes[p] == q.current:
-            self.current, self.stray = p, None
-        else:
-            self.current, self.stray = None, q.current
+        self.stray = q.current if self.current is None else None
 
     def snapshot(self) -> RestrictedState:
         u = self.stray if self.current is None else self.nodes[self.current]

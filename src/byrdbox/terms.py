@@ -9,11 +9,12 @@ No function here recurses: every term walk keeps its work on an explicit
 stack, so any term that parses can be resolved, renamed and printed,
 however deeply it nests.
 
-Terms are tuples (NamedTuples), so building, hashing and comparing them
-runs in C.  No byrdbox code relies on two consequences: a `Var` equals
-the plain tuple `(name, stamp)`, and terms order.  A `Var` never equals a
-`Struct`.  Nothing hashes a `Struct`: tuple hashing recurses in C with no
-depth guard, so a deep term must never become a set member or dict key.
+Terms are tuples (NamedTuples), so building and comparing them runs in
+C.  No byrdbox code relies on two consequences: a `Var` equals the plain
+tuple `(name, stamp)`, and terms order.  A `Var` never equals a `Struct`.
+A `Struct` hashes its functor and arity alone, in O(1): tuple hashing
+recurses in C with no depth guard, so a deep term (or a clause or program
+holding one) would crash the interpreter when hashed.
 """
 
 from __future__ import annotations
@@ -72,6 +73,9 @@ class Struct(NamedTuple):
     @property
     def indicator(self) -> tuple:
         return (self.functor, len(self.args))
+
+    def __hash__(self):  # equal terms agree on both; the arguments stay unread
+        return hash((self.functor, len(self.args)))
 
     def __repr__(self):
         return f"Struct({format_term(self)})"

@@ -36,6 +36,7 @@ from .engine import (
     greatest_choice_point,
     init_state,
     lpath,
+    node_str,
     run_virtual,
     updated_pred,
 )
@@ -223,21 +224,15 @@ def parse_trace(text: str) -> list:
 
 
 def debug_dump(state: VirtualState, names: VarNames = None) -> str:
-    """Full-state dump for debugging; not a stable format."""
-    from .engine import node_str
-
+    """Full-state dump for debugging, one node per line in Dewey order;
+    not a stable format."""
     names = names if names is not None else VarNames()
-    rows = []
-    for v in sorted(state.tree):
-        rows.append(
-            "  {}{} num={} pred={} box=[{}] fresh={}".format(
-                node_str(v),
-                " *" if v == state.current else "",
-                state.numbers[v],
-                format_term(state.preds[v], names),
-                ",".join(c.id for c in state.boxes.get(v, ())),
-                state.fresh[v],
-            )
+    rows = [
+        "  {}{} num={} pred={} box=[{}] fresh={}".format(
+            node_str(v), " *" if v == state.current else "", number,
+            format_term(pred, names), ",".join(c.id for c in box), fresh,
         )
+        for v, number, pred, box, fresh in zip(state.nodes, *state.observed)
+    ]
     rows.append(f"  ct={state.complete} flr={state.failing}")
     return "\n".join(rows)

@@ -11,6 +11,13 @@ from byrdbox.dewey import child, parent
 
 DATA = Path(__file__).parent / "data"
 
+# A forged trace: its second Exit2 at node 1 asks for node 1's brother 2,
+# which the first one made already.
+FORGED_BROTHER = (
+    "1 1 1 Call goal\n2 2 2 Call p\n3 3 3 Exit q\n4 2 2 Exit p\n5 4 2 Fail s\n"
+    "6 2 2 Call p\n7 5 3 Exit t\n8 2 2 Exit p\n9 6 2 Call u\n"
+)
+
 # Variables inside a predication token: either machine-style (_86) or
 # source-style (X); both normalize to position-of-first-occurrence names.
 _VAR_TOKEN = re.compile(r"\b(_[A-Za-z0-9]*|[A-Z][A-Za-z0-9_]*)\b")

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from byrdbox import ParseError
 from byrdbox.cli import main
 
-from conftest import read_line_by_line
+from conftest import FORGED_BROTHER, read_line_by_line
 
 
 def run_cli(capsys, *argv):
@@ -181,6 +181,23 @@ def test_verify_corpus_directory(tmp_path, capsys, data_dir):
     assert code == 0
     assert len(out.splitlines()) == 3
     assert all(line.startswith("PASS") for line in out.splitlines())
+
+
+def test_verify_an_empty_corpus_is_one_error_line(tmp_path, capsys):
+    (tmp_path / "notes.txt").write_text("p.\n:- p.\n", encoding="utf-8")
+    code = main(["verify", "--corpus", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err == f"error: no .pl files in {tmp_path}\n"
+
+
+def test_reconstruct_a_forged_brother_is_one_error_line(tmp_path, capsys):
+    trace = tmp_path / "brother.trace"
+    trace.write_text(FORGED_BROTHER, encoding="utf-8")
+    code = main(["reconstruct", "--trace", str(trace), "--goal", "goal"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err == "error: brother 2 already exists\n"
 
 
 @pytest.mark.parametrize("both", [True, False], ids=["both", "neither"])

@@ -19,7 +19,7 @@ from byrdbox import (
     step,
     updated_pred,
 )
-from byrdbox.engine import EPSILON, Machine, _fire, _select, has_choice_point, is_leaf
+from byrdbox.engine import EPSILON, Machine, _fire, _select, has_choice_point, is_leaf, node_str
 
 
 def alpha_equal(pairs_a, pairs_b):
@@ -340,6 +340,20 @@ def test_a_break_of_the_node_stack_raises(ex1_program):
     m.current = 1  # node 1, whose brother 2 exists already
     with pytest.raises(AssertionError):
         _fire(m, RuleId.EXIT2, None)
+
+
+def test_a_cut_below_the_top_choice_point_raises(ex1_program):
+    # every cut is at or above the top of cps; the first state with a
+    # choice point after the root is cut at the root instead
+    states = run_virtual(ex1_program, 100).states
+    state = next(s for s in states if any(p > 0 for p in Machine(s).cps))
+    m = Machine(state)
+    with pytest.raises(AssertionError):
+        m.cut(0)
+
+
+def test_a_node_word_with_a_component_past_9_prints_with_dots():
+    assert (node_str(()), node_str((1, 2)), node_str((1, 10))) == ("eps", "12", "1.10")
 
 
 def test_a_violation_carries_the_condition_table(ex1_program):

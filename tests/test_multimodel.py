@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from byrdbox import (
@@ -32,6 +34,17 @@ def test_example2_golden_traces(ex2_program, model):
     assert run.halted
     assert len(run.events) == count
     assert normalize_trace(format_trace(run.events)) == load_golden(filename)
+
+
+@pytest.mark.parametrize("model", list(ModelId), ids=str)
+def test_run_model_rejects_zero_fuel(ex2_program, model):
+    with pytest.raises(ValueError):
+        run_model(ex2_program, model, 0)
+
+
+def test_a_current_node_outside_the_tree_is_refused(ex2_program):
+    with pytest.raises(ValueError):
+        ExtMachine(dataclasses.replace(init_extended(ex2_program), current=(1,)))
 
 
 def test_example2_model_inclusion(ex2_program):

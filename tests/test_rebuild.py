@@ -13,6 +13,7 @@ from byrdbox import (
     identify_rule,
     initial_restricted,
     parse_term,
+    parse_trace,
     reconstruct_step,
     reconstruct_trace,
     restrict,
@@ -20,7 +21,7 @@ from byrdbox import (
 )
 from byrdbox.rebuild import Rebuilder, RestrictedState, format_restricted, matching_conds
 
-from conftest import assert_nodes_canonical
+from conftest import FORGED_BROTHER, assert_nodes_canonical
 
 
 def ev(chrono, r, l, port, pred):
@@ -188,6 +189,12 @@ def test_malformed_trace_on_dead_node_reference():
     ]
     with pytest.raises(MalformedTrace):
         reconstruct_trace(q0, events)
+
+
+def test_a_brother_that_exists_already_is_malformed():
+    events = parse_trace(FORGED_BROTHER)
+    with pytest.raises(MalformedTrace, match=r"^brother 2 already exists$"):
+        reconstruct_trace(initial_restricted(parse_term("goal")), events)
 
 
 def test_reconstruction_total_on_every_prefix(ex1_program):

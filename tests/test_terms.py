@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
 from itertools import count
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import byrdbox
 from byrdbox import (
     BOTTOM,
     Clause,
@@ -153,8 +158,27 @@ def test_equal_terms_hash_alike():
     for a, b in pairs:
         assert a == b and hash(a) == hash(b)
         assert a is not b
+    # a Struct hashes its functor and arity alone, so a deep one hashes in O(1)
+    assert all(hash(a) == hash(a.indicator) for a, _ in pairs if isinstance(a, Struct))
     assert Var("X", 3) != Var("X", 4) and Var("X") != Var("Y")
     assert term("f(a)") != term("f(b)") and Struct("f") != term("f(a)")
+
+
+def test_hashing_a_term_100000_deep_returns():
+    # Tuple hashing recurses in C with no depth guard, and a crash there
+    # ends the process, so the three hashes run in a child.
+    code = (
+        "from byrdbox import Clause, parse_program, parse_term\n"
+        "d = 's(' * 100000 + 'z' + ')' * 100000\n"
+        "hash(parse_term(d))\n"
+        "hash(parse_program('nat(z).\\nnat(s(X)) :- nat(X).\\n:- nat(' + d + ').\\n'))\n"
+        "hash(Clause('c', parse_term(d)))\n"
+    )
+    src = str(Path(byrdbox.__file__).parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}, capture_output=True
+    )
+    assert (done.returncode, done.stderr) == (0, b"")
 
 
 def test_a_variable_never_equals_a_compound_term():

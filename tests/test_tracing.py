@@ -160,10 +160,14 @@ def test_parse_event_rejects_malformed():
         ("+2 1 1 Call goal", "+2", 1),
         ("\u0663 1 1 Call goal", "\u0663", 1),  # an Arabic-Indic three
         ("1 -1 1 Call goal", "-1", 3),
+        pytest.param(
+            "1 " + "9" * 5000 + " 1 Call goal", "9" * 5000, 3, id="past int()'s digit limit"
+        ),
     ],
 )
 def test_numeric_fields_are_ascii_decimal_digits(line, field, column):
-    # int() reads all four; the trace format's numbers are plain digits
+    # int() reads the first four; the trace format's numbers are plain
+    # digits, and no more of them than int() converts
     for read in (parse_event, parse_trace):
         with pytest.raises(ParseError) as err:
             read(line)
