@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 from .adequacy import check_adequacy
@@ -21,11 +22,11 @@ from .tracing import format_event, parse_trace, run_actual_trace
 __all__ = ["main", "cmd_trace", "cmd_reconstruct", "cmd_verify", "cmd_compare"]
 
 
-def _emit(text: str, output):
-    if output:
-        Path(output).write_text(text + ("\n" if text else ""), encoding="utf-8")
-    else:
-        print(text)
+def _emit(lines, output):
+    """Write each line as it comes, to the file `output` or to stdout."""
+    with open(output, "w", encoding="utf-8") if output else nullcontext(sys.stdout) as out:
+        for line in lines:
+            out.write(line + "\n")
 
 
 def _read(path) -> str:
@@ -48,7 +49,7 @@ def cmd_trace(args) -> int:
     else:
         run = run_model(program, ModelId(args.model), args.max_steps)
     names = VarNames()
-    _emit("\n".join(format_event(e, names) for e in run.events), args.output)
+    _emit((format_event(e, names) for e in run.events), args.output)
     return 0 if run.halted else 2
 
 
@@ -58,16 +59,20 @@ def cmd_reconstruct(args) -> int:
     result = reconstruct_trace(
         initial_restricted(goal), events, final_peek=args.final_peek
     )
-    names = VarNames()
-    blocks = []
-    for i, q in enumerate(result.states):
-        blocks.append(f"q{i}")
-        blocks.append(format_restricted(q, names))
-    if not result.final_known:
-        blocks.append(f"q{len(result.states)}")
-        blocks.append("  unknown (final event needs a successor)")
-    _emit("\n".join(blocks), args.output)
+    # a bad trace has raised by now, before a line is written; the states
+    # are rebuilt again as they are written, one at a time
+    _emit(_state_blocks(result), args.output)
     return 0
+
+
+def _state_blocks(result):
+    names = VarNames()
+    for i, q in enumerate(result.states):
+        yield f"q{i}"
+        yield format_restricted(q, names)
+    if not result.final_known:
+        yield f"q{len(result.states)}"
+        yield "  unknown (final event needs a successor)"
 
 
 def cmd_verify(args) -> int:
@@ -113,13 +118,13 @@ def cmd_verify(args) -> int:
                 lines.append(f"  condition violation at step {step}: {conds}")
             for pos, pair in report.port_violations:
                 lines.append(f"  forbidden ports at {pos}: {pair[0]}->{pair[1]}")
-    _emit("\n".join(lines), args.output)
+    _emit(lines, args.output)
     return worst
 
 
 def cmd_compare(args) -> int:
     comparison = compare_models(_load_program(args.program), args.max_steps)
-    _emit(comparison.summary(), args.output)
+    _emit([comparison.summary()], args.output)
     ok = comparison.m1_in_m2 and comparison.m2_in_m3 and all(
         comparison.halted.values()
     )

@@ -18,6 +18,25 @@ FORGED_BROTHER = (
     "6 2 2 Call p\n7 5 3 Exit t\n8 2 2 Exit p\n9 6 2 Call u\n"
 )
 
+# Forged traces that give two live nodes one number, so that the rebuilder
+# keeps creation stamps (`born`), with what their rebuilt states must show
+# at some steps: the (current node, tree) of each.
+SHARED_NUMBER_TRACES = {
+    # Call2 from the root numbers both 1 and 2 with 5; a Redo of 5 resumes 1.
+    "resume-first": (
+        "1 1 0 Call goal\n2 5 0 Call p\n3 5 0 Exit p\n4 1 0 Call goal\n"
+        "5 5 0 Call q\n6 5 0 Redo p\n7 5 0 Exit p",
+        {6: ((1,), frozenset({(), (1,)}))},
+    ),
+    # 2 and then 11 carry 5; a Redo to 12 prunes 2, and 11 carries 5 alone.
+    "prune-first": (
+        "1 1 0 Call goal\n2 2 0 Call p\n3 2 0 Exit p\n4 1 0 Call goal\n"
+        "5 5 0 Call q\n6 5 0 Fail q\n7 2 0 Call p\n8 5 0 Exit s\n"
+        "9 6 0 Call t\n10 6 0 Redo t\n11 6 0 Exit t",
+        {10: ((1, 2), frozenset({(), (1,), (1, 1), (1, 2)}))},
+    ),
+}
+
 # Variables inside a predication token: either machine-style (_86) or
 # source-style (X); both normalize to position-of-first-occurrence names.
 _VAR_TOKEN = re.compile(r"\b(_[A-Za-z0-9]*|[A-Z][A-Za-z0-9_]*)\b")

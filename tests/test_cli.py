@@ -125,17 +125,51 @@ RECORDED_REBUILDS = {
 }
 
 
+def assert_rebuild_writes(tmp_path, capsys, trace_path, flags, expected):
+    """`reconstruct` writes `expected` to stdout, and the same bytes to an
+    --output file."""
+    argv = ["reconstruct", "--trace", str(trace_path), "--goal", "goal", *flags]
+    assert run_cli(capsys, *argv) == (0, expected)
+    output = tmp_path / "states.txt"
+    assert run_cli(capsys, *argv, "--output", str(output)) == (0, "")
+    assert output.read_bytes() == expected.encode("utf-8")
+
+
 @pytest.mark.parametrize("case", RECORDED_REBUILDS)
 def test_reconstruct_prints_the_recorded_states(tmp_path, capsys, data_dir, case):
     name, flags, recording = RECORDED_REBUILDS[case]
     lines = (data_dir / name).read_text(encoding="utf-8").splitlines()
     trace_path = tmp_path / name
     trace_path.write_text("\n".join(l for l in lines if l != "yes") + "\n", encoding="utf-8")
-    code, out = run_cli(
-        capsys, "reconstruct", "--trace", str(trace_path), "--goal", "goal", *flags
-    )
-    assert code == 0
-    assert out == (data_dir / recording).read_text(encoding="utf-8")
+    expected = (data_dir / recording).read_text(encoding="utf-8")
+    assert_rebuild_writes(tmp_path, capsys, trace_path, flags, expected)
+
+
+# (trace text, flags, output) of short rebuilds: the empty trace, a
+# pending final event, and a final Exit that --final-peek commits as an
+# Exit to the root.
+SHORT_REBUILDS = {
+    "empty": ("# nothing here\n", [], "q0\n  eps * #1 goal\n"),
+    "pending": (
+        "1 1 1 Call goal\n", [],
+        "q0\n  eps * #1 goal\nq1\n  unknown (final event needs a successor)\n",
+    ),
+    "final peek": (
+        "1 1 1 Call goal\n2 2 2 Call p\n3 2 2 Exit p\n", ["--final-peek"],
+        "q0\n  eps * #1 goal\n"
+        "q1\n  eps #1 goal\n  1 * #2 p\n"
+        "q2\n  eps #1 goal\n  1 * #2 p\n"
+        "q3\n  eps * #1 goal\n  1 #2 p\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", SHORT_REBUILDS)
+def test_reconstruct_prints_short_rebuilds(tmp_path, capsys, case):
+    text, flags, expected = SHORT_REBUILDS[case]
+    trace_path = tmp_path / "short.trace"
+    trace_path.write_text(text, encoding="utf-8")
+    assert_rebuild_writes(tmp_path, capsys, trace_path, flags, expected)
 
 
 def test_reconstruct_empty_trace(tmp_path, capsys):
@@ -198,6 +232,16 @@ def test_reconstruct_a_forged_brother_is_one_error_line(tmp_path, capsys):
     captured = capsys.readouterr()
     assert (code, captured.out) == (1, "")
     assert captured.err == "error: brother 2 already exists\n"
+
+
+def test_reconstruct_a_forged_brother_creates_no_output_file(tmp_path, capsys):
+    # the trace fails at its eighth event, before a state is written
+    trace, output = tmp_path / "brother.trace", tmp_path / "states.txt"
+    trace.write_text(FORGED_BROTHER, encoding="utf-8")
+    argv = ["reconstruct", "--trace", str(trace), "--goal", "goal", "--output", str(output)]
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", "error: brother 2 already exists\n")
+    assert not output.exists()
 
 
 @pytest.mark.parametrize("both", [True, False], ids=["both", "neither"])

@@ -21,7 +21,10 @@ from byrdbox import (
 )
 from byrdbox.rebuild import Rebuilder, RestrictedState, format_restricted, matching_conds
 
-from conftest import FORGED_BROTHER, assert_nodes_canonical
+from byrdbox.corpus import corpus
+from byrdbox.engine import EPSILON
+
+from conftest import FORGED_BROTHER, SHARED_NUMBER_TRACES, assert_nodes_canonical
 
 
 def ev(chrono, r, l, port, pred):
@@ -253,6 +256,98 @@ def test_depth_attribute_is_never_read(ex1_program, ex2_program):
         mutated = reconstruct_trace(q0, zeroed)
         assert list(mutated.states) == list(reference.states)
         assert mutated.final_known == reference.final_known
+
+
+# ----------------------------------------------------------------------
+# The rebuilt states: a read-only sequence that rebuilds a state when it
+# is read, and reads as the tuple of the states would
+# ----------------------------------------------------------------------
+
+def eager_states(q0, events, final_peek=False):
+    """The reference: one snapshot of a rebuilder after each committed
+    event."""
+    rebuilder, states = Rebuilder(q0), [q0]
+    for i, e in enumerate(events):
+        e_next = events[i + 1] if i + 1 < len(events) else None
+        try:
+            rule = identify_rule(e, e_next)
+        except AmbiguousOrUndecidable:
+            if not final_peek:
+                break
+            rule = RuleId.EXIT1
+        rebuilder.step(rule, e, e_next)
+        states.append(rebuilder.snapshot())
+    return states
+
+
+def columns(q):
+    return q.current, q.nodes, q.observed, q.born
+
+
+def test_rebuilt_states_read_as_a_tuple(ex1_program):
+    trace = run_actual_trace(ex1_program, 100)
+    q0 = q0_example1()
+    states = reconstruct_trace(q0, trace.events).states
+    as_tuple = tuple(eager_states(q0, trace.events))
+    assert len(states) == len(as_tuple) == 11
+    assert states[0] is q0
+    assert states[-1] is states[10] and states[-1] == as_tuple[-1]
+    for i in range(-11, 11):
+        assert columns(states[i]) == columns(as_tuple[i])
+    for i in (11, 12, -12, -20):
+        with pytest.raises(IndexError):
+            states[i]
+    for key in (slice(None), slice(2, 5), slice(5, 2), slice(-3, None), slice(None, None, -2),
+                slice(1, 9, 3), slice(20, 30), slice(-1, -1)):
+        assert type(states[key]) is tuple and states[key] == as_tuple[key]
+    assert list(states) == list(states) == list(as_tuple)
+    assert states == as_tuple and as_tuple == states and not states != as_tuple
+    assert hash(states) == hash(as_tuple)
+    again = reconstruct_trace(q0, trace.events).states
+    assert states == again and hash(states) == hash(again)
+    shorter = reconstruct_trace(q0, trace.events[:5]).states
+    assert states != shorter and shorter != as_tuple and shorter == as_tuple[:len(shorter)]
+    assert states != list(as_tuple)  # a tuple never equals a list either
+
+
+def test_short_rebuilds_read_as_a_tuple():
+    q0, goal = q0_example1(), parse_term("goal")
+    empty = reconstruct_trace(q0, [])
+    assert empty.final_known and empty.states == (q0,) and empty.states[-1] is q0
+    pending = reconstruct_trace(q0, [ev(1, 1, 1, "Call", "goal")])
+    assert pending.pending is not None and not pending.final_known
+    assert pending.states == (q0,) and pending.states[-1] is q0
+    events = [ev(1, 1, 1, "Call", "goal"), ev(2, 2, 2, "Call", "p(a)"), ev(3, 2, 2, "Exit", "p(a)")]
+    plain = reconstruct_trace(q0, events)
+    assert not plain.final_known and list(plain.states) == eager_states(q0, events)
+    assert len(plain.states) == 3
+    # final_peek commits the last Exit as an Exit to the root
+    peeked = reconstruct_trace(q0, events, final_peek=True)
+    assert peeked.final_known and len(peeked.states) == 4
+    assert list(peeked.states) == eager_states(q0, events, True)
+    assert peeked.states[-1].current == EPSILON and peeked.states[-1].preds[EPSILON] == goal
+    for result in (empty, pending, plain, peeked):
+        as_tuple = tuple(result.states)
+        assert result.states == as_tuple and hash(result.states) == hash(as_tuple)
+
+
+def _oracle_cases():
+    for program in corpus(60):
+        trace = run_actual_trace(program, 120)
+        yield initial_restricted(trace.run.initial.preds[EPSILON]), trace.events, trace.halted
+    for text, _ in SHARED_NUMBER_TRACES.values():
+        yield initial_restricted(parse_term("goal")), parse_trace(text), False
+
+
+def test_rebuilt_states_are_the_eager_snapshots():
+    cases = list(_oracle_cases())
+    assert any(q.born is not None for q0, events, _ in cases[-2:] for q in eager_states(q0, events))
+    for q0, events, final_peek in cases:
+        states = reconstruct_trace(q0, events, final_peek=final_peek).states
+        reference = eager_states(q0, events, final_peek)
+        assert list(states) == reference
+        assert list(map(columns, states)) == list(map(columns, reference))
+        assert columns(states[-1]) == columns(reference[-1])
 
 
 # ----------------------------------------------------------------------

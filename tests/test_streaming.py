@@ -10,6 +10,7 @@ its input as it was.
 """
 
 import copy
+import tracemalloc
 from dataclasses import fields
 
 import pytest
@@ -21,7 +22,9 @@ from byrdbox import (
     extract_event,
     init_extended,
     init_state,
+    initial_restricted,
     parse_program,
+    reconstruct_trace,
     run_actual_trace,
     run_model,
     run_virtual,
@@ -143,7 +146,8 @@ def test_streaming_runs_keep_no_states(monkeypatch):
         assert made[ExtendedState] == 4 + 1 + len(run.transitions)
 
 
-def test_adequacy_check_keeps_no_rebuilt_states(monkeypatch):
+def count_rebuilt_states(monkeypatch):
+    """The RestrictedStates constructed from now on."""
     made = []
     init = RestrictedState.__init__
 
@@ -152,9 +156,52 @@ def test_adequacy_check_keeps_no_rebuilt_states(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(RestrictedState, "__init__", counted)
+    return made
+
+
+def test_adequacy_check_keeps_no_rebuilt_states(monkeypatch):
+    made = count_rebuilt_states(monkeypatch)
     for program in PROGRAMS:
         made.clear()
         report = check_adequacy(program, FUEL)
         assert report.passed and report.steps_checked > 1
         # the initial state, and none per step
         assert len(made) == 1
+
+
+def test_a_rebuild_snapshots_only_its_last_state(monkeypatch):
+    made = count_rebuilt_states(monkeypatch)
+    for program in PROGRAMS:
+        trace = run_actual_trace(program, FUEL)
+        q0 = initial_restricted(trace.run.initial.preds[()])
+        made.clear()
+        states = reconstruct_trace(q0, trace.events, final_peek=trace.halted).states
+        assert len(states) > 2 and made == [states[-1]]
+        made.clear()
+        assert states[0] is q0 and states[-1] is states[len(states) - 1]
+        assert made == []
+        # a read of a state in between rebuilds that one state
+        states[1]
+        assert len(made) == 1
+
+
+NAT = parse_program("nat(s(X)) :- nat(X).\nnat(z).\n:- nat(N).\n")
+
+
+def rebuild_peak(events) -> int:
+    """The tracemalloc peak, in bytes, of a rebuild of `events`."""
+    q0 = initial_restricted(NAT.goal)
+    tracemalloc.start()
+    try:
+        reconstruct_trace(q0, events)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_rebuild_grows_linearly_with_the_trace():
+    # nat(N) recurses for ever: its tree is as deep as its trace is long,
+    # so a state per event would be quadratic
+    small, large = (run_actual_trace(NAT, n).events for n in (1000, 2000))
+    assert len(small) == 1000 and len(large) == 2000
+    assert rebuild_peak(large) <= 2.3 * rebuild_peak(small)

@@ -51,7 +51,7 @@ from byrdbox.multimodel import (
 )
 from byrdbox.rebuild import Rebuilder, _next_child, identify_rule
 
-from conftest import DATA, assert_canonical, assert_nodes_canonical
+from conftest import DATA, SHARED_NUMBER_TRACES, assert_canonical, assert_nodes_canonical
 
 FUEL = 120
 
@@ -329,23 +329,6 @@ def test_live_model_machine_answers_as_scans_of_its_snapshot(index, model):
 
 # Forged traces can give two live nodes one number.  node_of must then
 # answer with the first of them in the numbering, as a scan finds it.
-SHARED_NUMBER_TRACES = {
-    # Call2 from the root numbers both 1 and 2 with 5; a Redo of 5 resumes 1.
-    "resume-first": (
-        "1 1 0 Call goal\n2 5 0 Call p\n3 5 0 Exit p\n4 1 0 Call goal\n"
-        "5 5 0 Call q\n6 5 0 Redo p\n7 5 0 Exit p",
-        {6: ((1,), frozenset({(), (1,)}))},
-    ),
-    # 2 and then 11 carry 5; a Redo to 12 prunes 2, and 11 carries 5 alone.
-    "prune-first": (
-        "1 1 0 Call goal\n2 2 0 Call p\n3 2 0 Exit p\n4 1 0 Call goal\n"
-        "5 5 0 Call q\n6 5 0 Fail q\n7 2 0 Call p\n8 5 0 Exit s\n"
-        "9 6 0 Call t\n10 6 0 Redo t\n11 6 0 Exit t",
-        {10: ((1, 2), frozenset({(), (1,), (1, 1), (1, 2)}))},
-    ),
-}
-
-
 @pytest.mark.parametrize("name", SHARED_NUMBER_TRACES)
 def test_node_of_with_a_number_carried_twice(name):
     text, expected = SHARED_NUMBER_TRACES[name]
