@@ -115,7 +115,7 @@ def _check_transition(report, rule, e, e_next, rebuilder, machine):
     rebuilder, or None on a failure.  Both are node stacks in Dewey order
     (see rebuild), so the current positions and the node, numbering and
     predication lists are compared as they stand, one identity check per
-    entry on a passing run (see dewey).  Only when they differ are the
+    entry on a passing run (see engine).  Only when they differ are the
     word-keyed maps of both sides built, to decide by value and to report
     the difference."""
     conds = matching_conds(e, e_next)

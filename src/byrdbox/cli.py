@@ -38,12 +38,8 @@ def _read(path) -> str:
         raise OSError(f"{path}: not UTF-8 text ({reason})") from None
 
 
-def _load_program(path: str):
-    return parse_program(_read(path))
-
-
 def cmd_trace(args) -> int:
-    program = _load_program(args.program)
+    program = parse_program(_read(args.program))
     if args.model == "m1":
         run = run_actual_trace(program, args.max_steps)
     else:
@@ -87,23 +83,13 @@ def cmd_verify(args) -> int:
     lines = []
     for path in paths:
         try:
-            program = parse_program(_read(path))
-        except ParseError as exc:
-            print(f"error: {path.name}: {exc}", file=sys.stderr)
-            lines.append(f"FAIL {path.name} 0 parse-error")
-            worst = 1
-            continue
-        except OSError as exc:
+            report = check_adequacy(parse_program(_read(path)), args.max_steps)
+        except (OSError, ParseError, CyclicTerm) as exc:
             # the message of a read error already names the file
-            print(f"error: {exc}", file=sys.stderr)
-            lines.append(f"FAIL {path.name} 0 read-error")
-            worst = 1
-            continue
-        try:
-            report = check_adequacy(program, args.max_steps)
-        except CyclicTerm as exc:
-            print(f"error: {path.name}: {exc}", file=sys.stderr)
-            lines.append(f"FAIL {path.name} 0 cyclic-term")
+            read = isinstance(exc, OSError)
+            print(f"error: {exc}" if read else f"error: {path.name}: {exc}", file=sys.stderr)
+            kind = "parse-error" if isinstance(exc, ParseError) else "cyclic-term"
+            lines.append(f"FAIL {path.name} 0 {'read-error' if read else kind}")
             worst = 1
             continue
         lines.append(report.machine_line(path.name))
@@ -123,7 +109,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    comparison = compare_models(_load_program(args.program), args.max_steps)
+    comparison = compare_models(parse_program(_read(args.program)), args.max_steps)
     _emit([comparison.summary()], args.output)
     ok = comparison.m1_in_m2 and comparison.m2_in_m3 and all(
         comparison.halted.values()

@@ -1,10 +1,10 @@
 """The box-model tracer's state machine for pure-Prolog resolution.
 
 The observable state has nine parameters: the partial proof tree T (nodes
-in Dewey notation), the current node u, the last creation number n, the
-node-numbering map, the node-predication map, the per-node clause boxes,
-the first-visit flags, and the two booleans ct (construction complete,
-back at the root) and flr (failure in progress).
+in Dewey notation, see below), the current node u, the last creation
+number n, the node-numbering map, the node-predication map, the per-node
+clause boxes, the first-visit flags, and the two booleans ct
+(construction complete, back at the root) and flr (failure in progress).
 
 Exactly seven named transition rules drive the machine: Call1, Call2,
 Exit1, Exit2, Fail2, Redo1, Redo2.  (There is no Fail1; the numbering gap
@@ -22,6 +22,24 @@ dict itself, not a copy.
 A run fires its rules in place on one mutable `Machine`.  A frozen
 `VirtualState` is a snapshot of it, made only where states are kept
 (`step`, `run_virtual`); the streaming runs keep none.
+
+A node is named by its Dewey word, a tuple of ints whose Python order is
+the Dewey (lexicographic) order: a prefix sorts before its extensions,
+siblings by component.  A node's children are numbered 1..k without gaps
+in every reachable state of both engines and in every rebuilt state:
+children are created in order (a clause's body slots all at once), and
+pruning removes a lexicographic suffix of the tree or all of a node's
+children.  So v is a leaf iff v + (1,) is not in the tree, and the
+rebuilder numbers v's next child one more than the children it counts in
+v's subtree.  Every node a state stores is the canonical tuple of its
+word, made by `child` and kept for the life of the process in one table,
+so all states share one object per node.  Equality never depends on it,
+but list, set and dict comparisons test identity first.  The adequacy
+check compares the rebuilder's node list with the machine's as it
+stands, so that costs one step per node, not one per node component.
+Words are built where they are observed (the stacks' `nodes` lists,
+snapshots, `node_str`); a tree query reads positions, and a word only
+for a depth or a child index.
 
 The machine holds its tree as a node stack.  Each node is a position in
 parallel lists: its word (`nodes`), its parent's position (`up`; the root,
@@ -61,11 +79,12 @@ snapshot is tuple copies, and derives its word-keyed maps (`tree`,
 `numbers`, `preds`, ...) from them the first time they are read.
 `_subtree_end` finds where a subtree ends.  The adequacy check compares
 the rebuilder's lists with the machine's as they stand.  Both engines
-also share the clause selection: `_peek_visit` unifies each head at most
-once, and `_take` consumes what it found without unifying (see "Visit
-resolution" below).  The tree queries below take the live machine and a
-position; a caller that holds a snapshot builds `Machine(state)` first,
-as `step`, `applicable_rule` and `tracing.extract_event` do.
+also fill every box with `box_init` and share the clause selection:
+`_peek_visit` unifies each head at most once, and `_take` consumes what
+it found without unifying (see "Visit resolution" below).  The tree
+queries below take the live machine and a position; a caller that holds
+a snapshot builds `Machine(state)` first, as `step`, `applicable_rule`
+and `tracing.extract_event` do.
 """
 
 from __future__ import annotations
@@ -76,7 +95,6 @@ from enum import Enum
 from functools import cached_property
 from typing import Optional, Tuple
 
-from .dewey import child
 from .terms import (
     BOTTOM,
     Clause,
@@ -97,6 +115,7 @@ __all__ = [
     "drive",
     "RunResult",
     "DeterminismViolation",
+    "child",
     "node_str",
     "is_leaf",
     "lpath",
@@ -167,6 +186,23 @@ class _Snapshot:
     tree = cached_property(lambda s: frozenset(s.nodes))
     numbers, preds, boxes, fresh = map(_word_map, ("numbers", "preds", "boxes", "fresh"))
     call_preds, call_snaps, chosen = map(_word_map, ("call_preds", "call_snaps", "chosen"))
+
+
+# The link map is keyed by the id of a canonical node, which the table
+# keeps alive, so that id is never reused; it makes `child` O(1) on
+# canonical nodes.
+_NODES = {(): ()}
+_CHILDREN = {}  # (id(v), i) -> v.i
+
+
+def child(v: tuple, i: int) -> tuple:
+    """The canonical node v.i (see the module docstring)."""
+    node = _CHILDREN.get((id(v), i))
+    if node is None:
+        v = _NODES.setdefault(v, v)
+        w = v + (i,)
+        node = _CHILDREN[id(v), i] = _NODES.setdefault(w, w)
+    return node
 
 
 class _Live:
@@ -278,12 +314,15 @@ class RunResult:
 # module docstring); only `node_str` takes a Dewey word.
 # ----------------------------------------------------------------------
 
+_DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")  # byte i -> digit i
+
+
 def node_str(v: NodeId) -> str:
     if v == EPSILON:
         return "eps"
-    if all(i <= 9 for i in v):
-        return "".join(str(i) for i in v)
-    return ".".join(str(i) for i in v)
+    if max(v) <= 9:  # one digit per component, each made in C
+        return bytes(v).translate(_DIGITS).decode()
+    return ".".join(map(str, v))
 
 
 def is_leaf(m: Machine, p: int) -> bool:
@@ -568,14 +607,6 @@ def _take(m, v, peek: _Peek):
     return peek.clause, peek.bindings
 
 
-def _visit(m: Machine, v: int, peek: _Peek) -> None:
-    """Consume the visit decided by `peek` at position v: choose its clause
-    and extend the bindings, or, when the box is drained, choose None and
-    roll the bindings back to `peek.base`."""
-    taken = _take(m, v, peek)
-    m.chosen[v], m.bindings = (None, peek.base) if taken is None else taken
-
-
 def _child_slot(m: Machine, atom: Term, p: int, i: int) -> None:
     """Push child i of the node at position p, labeled with `atom`
     instantiated by the current substitution: number it, fill its box, and
@@ -636,7 +667,10 @@ def _fire(m: Machine, rule: RuleId, peek: Optional[_Peek]) -> None:
             m.cut(v)  # backtracking to v deletes every node after it
             m.current = v
             m.complete = False
-        _visit(m, v, peek)
+        # the visit chooses its clause and extends the bindings, or, when
+        # the box is drained, chooses None and rolls them back to its base
+        taken = _take(m, v, peek)
+        m.chosen[v], m.bindings = (None, peek.base) if taken is None else taken
         m.failing = False
         if rule in (RuleId.CALL2, RuleId.REDO2):
             _child_slot(m, m.chosen[v].body[0], v, 1)

@@ -21,8 +21,8 @@ Three mutually exclusive models select how backtracking is traced:
 The live machine runs on engine's node stack (`_Live`, `_Snapshot`; see
 engine for its layout), with the per-node maps and bookkeeping as
 columns under their state names, and it shares engine's clause
-selection (`_peek_visit`, `_take`) and next-node query
-(`may_have_new_brother`).  Two invariants of its own hold:
+selection (`_peek_visit`, `_take`), box fill (`box_init`) and next-node
+query (`may_have_new_brother`).  Two invariants of its own hold:
 
   1. a clause's body slots are made at once, by CLAUSSUCCEEDS at a leaf
      after which every node is an unvisited slot (a leaf with no box), so
@@ -55,9 +55,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional, Tuple
 
-from .dewey import child
-from .engine import EPSILON, DeterminismViolation, NodeId, _peek_visit, _take, node_str
-from .engine import _Live, _Snapshot, _Tag, _word_map, lpath, may_have_new_brother
+from .engine import EPSILON, DeterminismViolation, NodeId, _peek_visit, _take, box_init, child
+from .engine import _Live, _Snapshot, _Tag, _word_map, lpath, may_have_new_brother, node_str
 from .terms import Program, resolve
 from .tracing import Port, TraceEvent
 
@@ -273,7 +272,7 @@ def applicable_extended(state, model: ModelId) -> Optional[ExtRuleId]:
 # ----------------------------------------------------------------------
 
 def init_extended(program: Program) -> ExtendedState:
-    called = program.goal
+    box, called = box_init(program, program.goal, {})
     return ExtendedState(
         nodes=(EPSILON,),
         up=(0,),
@@ -282,10 +281,7 @@ def init_extended(program: Program) -> ExtendedState:
         # unnumbered and with no clause chosen; the first visit
         # re-initializes the box anyway, but the initial state already
         # advertises the goal's clause list
-        observed=(
-            (None,), (called,), (None,),
-            (program.clauses_for(called.functor, called.arity),), ({},), (True,),
-        ),
+        observed=((None,), (called,), (None,), (box,), ({},), (True,)),
         complete=False,
         failing=False,
         success=False,
@@ -359,10 +355,10 @@ def _fire(m: ExtMachine, model: ModelId, chrono: int, rule: ExtRuleId):
     R = ExtRuleId
 
     if rule is R.CALLONE:
-        called = resolve(m.bindings, m.preds[u])
+        box, called = box_init(m.program, m.preds[u], m.bindings)
         m.counter += 1
         m.numbers[u] = m.counter
-        m.set_box(u, m.program.clauses_for(called.functor, called.arity))
+        m.set_box(u, box)
         m.chosen[u] = None
         m.sigmas[u] = m.bindings
         m.fresh[u] = False

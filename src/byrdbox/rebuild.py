@@ -52,8 +52,8 @@ from functools import cached_property
 from itertools import islice
 from typing import Optional
 
-from .dewey import child
-from .engine import EPSILON, NodeId, RuleId, VirtualState, _Live, _Snapshot, _subtree_end, node_str
+from .engine import EPSILON, NodeId, RuleId, VirtualState, _Live, _Snapshot, _subtree_end, child
+from .engine import node_str
 from .terms import Term, VarNames, format_term
 from .tracing import Port, TraceEvent
 
@@ -229,7 +229,7 @@ def identify_rule(e: TraceEvent, e_next: Optional[TraceEvent]) -> RuleId:
 def _next_child(q, p: int) -> tuple:
     """(the word of the next child of the node at position p, the position
     it takes) in q, a rebuilt state or the rebuilder.  Children are
-    numbered from 1 without gaps (see dewey), so the next one is numbered
+    numbered from 1 without gaps (see engine), so the next one is numbered
     one more than the children p has, and it goes at the end of p's
     subtree."""
     end = _subtree_end(q, p)

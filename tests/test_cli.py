@@ -145,9 +145,23 @@ def test_reconstruct_prints_the_recorded_states(tmp_path, capsys, data_dir, case
     assert_rebuild_writes(tmp_path, capsys, trace_path, flags, expected)
 
 
+def _brothers_rebuilt() -> str:
+    """The rebuild of `Call goal`, `Call p` and ten Exits whose r rises by
+    one: each Exit2 adds the next brother under node 1, so the last state
+    holds nodes 11 ... 19 and 1.10 (a component past 9 prints dotted), and
+    the final Exit waits for a successor."""
+    rows = [f"  1{k} #{k + 2} q\n" for k in range(1, 10)] + ["  1.10 #12 q\n"]
+    states = ["  eps * #1 goal\n", "  eps #1 goal\n  1 * #2 p\n"]
+    for i in range(1, 11):
+        last = rows[i - 1].replace(" #", " * #")
+        states.append("  eps #1 goal\n  1 #2 p\n" + "".join(rows[: i - 1]) + last)
+    blocks = "".join(f"q{i}\n{state}" for i, state in enumerate(states))
+    return blocks + "q12\n  unknown (final event needs a successor)\n"
+
+
 # (trace text, flags, output) of short rebuilds: the empty trace, a
-# pending final event, and a final Exit that --final-peek commits as an
-# Exit to the root.
+# pending final event, a final Exit that --final-peek commits as an Exit
+# to the root, and a node word with a component past 9.
 SHORT_REBUILDS = {
     "empty": ("# nothing here\n", [], "q0\n  eps * #1 goal\n"),
     "pending": (
@@ -160,6 +174,11 @@ SHORT_REBUILDS = {
         "q1\n  eps #1 goal\n  1 * #2 p\n"
         "q2\n  eps #1 goal\n  1 * #2 p\n"
         "q3\n  eps * #1 goal\n  1 #2 p\n",
+    ),
+    "brother 10": (
+        "1 1 1 Call goal\n2 2 2 Call p\n" + "".join(f"{k} {k} 3 Exit q\n" for k in range(3, 13)),
+        [],
+        _brothers_rebuilt(),
     ),
 }
 

@@ -28,8 +28,7 @@ from byrdbox import (
     run_actual_trace,
 )
 from byrdbox.corpus import corpus
-from byrdbox.dewey import child, parent
-from byrdbox.engine import EPSILON, node_str
+from byrdbox.engine import EPSILON, child, node_str
 from byrdbox.rebuild import RestrictedState, format_restricted, identify_rule
 
 from conftest import load_golden
@@ -78,17 +77,17 @@ class RefRebuilder:
             self.add(self.next_child(self.node_of(e.r)), e_next)
         elif rule is RuleId.EXIT1:
             self.preds[u] = e.pred
-            self.current = parent(u)
+            self.current = u[:-1]
         elif rule is RuleId.EXIT2:
             if u == EPSILON:
                 raise MalformedTrace("the root cannot acquire a brother")
-            v = child(parent(u), u[-1] + 1)
+            v = child(u[:-1], u[-1] + 1)
             if v in self.numbers:
                 raise MalformedTrace(f"brother {node_str(v)} already exists")
             self.preds[u] = e.pred
             self.add(v, e_next)
         elif rule is RuleId.FAIL2:
-            self.current = parent(u)
+            self.current = u[:-1]
         else:
             v = self.current = self.node_of(e.r)
             for w in [w for w in self.numbers if w > v]:
