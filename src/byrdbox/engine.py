@@ -20,8 +20,14 @@ never updated in place (`unify` returns a new one), so a snapshot is the
 dict itself, not a copy.
 
 A run fires its rules in place on one mutable `Machine`.  A frozen
-`VirtualState` is a snapshot of it, made only where states are kept
-(`step`, `run_virtual`); the streaming runs keep none.
+`VirtualState` is a snapshot of it, made only where a state is asked
+for: `step` returns one, and the streaming runs make none.  The states of
+a whole run are a `StateLog`, kept as the rules that replay them: the
+first state, each step's rule and the last state.  A state in between is
+rebuilt when it is read, by firing the kept rules on a fresh live stack,
+so a run keeps two states, not one per step (runs are deterministic).
+The other engine's `ModelRun` and the rebuilder's `reconstruct_trace`
+keep theirs in the same way.
 
 A node is named by its Dewey word, a tuple of ints whose Python order is
 the Dewey (lexicographic) order: a prefix sorts before its extensions,
@@ -89,10 +95,13 @@ and `tracing.extract_event` do.
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect_left
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
+from itertools import chain, islice
 from typing import Optional, Tuple
 
 from .terms import (
@@ -114,6 +123,7 @@ __all__ = [
     "Machine",
     "drive",
     "RunResult",
+    "StateLog",
     "DeterminismViolation",
     "child",
     "node_str",
@@ -267,6 +277,71 @@ class _Live:
             column.insert(at, value)
 
 
+class StateLog(Sequence):
+    """The states of a run, of either engine or of the rebuilder, kept as
+    the rules that replay them: the first state, each step's rule, and the
+    last state.  `len`, `[0]` and `[-1]` build no state; `[i]` replays i
+    steps on a fresh live stack `live(first)`, `fire(stack, rule, i)`
+    firing step i, and iteration replays once, with one snapshot per
+    state.  Slices, equality and hash are those of the tuple of its items.
+    `transitions()` is the same log read as the run's transitions, each
+    (rule, state after it): its item i holds state i + 1."""
+
+    def __init__(self, first, rules: list, final, live, fire, pairs: bool = False):
+        self.first, self.rules, self.final = first, rules, final
+        self._live, self._fire, self._pairs = live, fire, pairs
+
+    def transitions(self) -> StateLog:
+        return StateLog(self.first, self.rules, self.final, self._live, self._fire, True)
+
+    def _replay(self, steps: int):
+        """A fresh live stack from the first state, after each of its first `steps` steps."""
+        stack = self._live(self.first)
+        for i in range(steps):
+            self._fire(stack, self.rules[i], i)
+            yield stack
+
+    def _state(self, i: int):
+        if i in (0, len(self.rules)):
+            return self.final if i else self.first
+        return next(islice(self._replay(i), i - 1, None)).snapshot()
+
+    def __len__(self):
+        return len(self.rules) + (not self._pairs)
+
+    def __iter__(self):
+        replayed = (stack.snapshot() for stack in self._replay(len(self.rules) - 1))
+        later = chain(replayed, (self.final,))
+        if self._pairs:
+            return zip(self.rules, later)
+        return chain((self.first,), islice(later, len(self.rules)))
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            want = range(len(self))[key]
+            # one replay, up to the last item wanted
+            picked = {i: x for i, x in zip(range(max(want, default=-1) + 1), self) if i in want}
+            return tuple(map(picked.__getitem__, want))
+        i = range(len(self))[key]  # IndexError out of range, as a tuple's
+        return (self.rules[i], self._state(i + 1)) if self._pairs else self._state(i)
+
+    def __eq__(self, other):
+        if not isinstance(other, (tuple, StateLog)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    def __hash__(self):
+        # a tuple's hash reads only its items' hashes: hand it those
+        return hash(tuple(_Hashed(hash(x)) for x in self))
+
+
+class _Hashed(int):
+    """An int whose hash is itself at any size (an int's own hash is its
+    value modulo 2**61 - 1)."""
+
+    __hash__ = int.__int__
+
+
 @dataclass(frozen=True)
 class VirtualState(_Snapshot):
     """A snapshot of the core machine, by position.  `nodes` is the tree
@@ -294,19 +369,20 @@ class VirtualState(_Snapshot):
 
 @dataclass(frozen=True)
 class RunResult:
-    """A derivation: the initial state plus every fired transition.
+    """A derivation: its states S_0 .. S_k, a `StateLog` that keeps S_0,
+    the rules and S_k (it reads as a tuple, not a list: compare
+    `list(run.states)` with a list).  `initial` is S_0, and `transitions`
+    the same log read as (rule, state after it) pairs.
 
     `halted` is True when the machine reached the no-rule-applies state,
     False when the step budget ran out first (the two are distinguishable
     by construction)."""
 
-    initial: VirtualState
-    transitions: tuple  # of (RuleId, VirtualState)
+    states: StateLog
     halted: bool
 
-    @property
-    def states(self) -> list:
-        return [self.initial] + [s for _, s in self.transitions]
+    initial = property(lambda run: run.states.first)
+    transitions = property(lambda run: run.states.transitions())
 
 
 # ----------------------------------------------------------------------
@@ -679,12 +755,12 @@ def _fire(m: Machine, rule: RuleId, peek: Optional[_Peek]) -> None:
 
 def run_virtual(program: Program, max_steps: int) -> RunResult:
     """Iterate the machine from the initial state until Halt or until the
-    step budget runs out, keeping every state.  Traces may be infinite, so
-    the budget is mandatory."""
-    machine = Machine(init_state(program))
-    rules, states = [], []
-    for rule in drive(machine, max_steps):
-        rules.append(rule)
-        states.append(machine.snapshot())
-    states.append(machine.snapshot())
-    return RunResult(states[0], tuple(zip(rules, states[1:])), machine.halted)
+    step budget runs out, keeping its rules and its first and last states
+    (see `StateLog`).  Traces may be infinite, so the budget is
+    mandatory."""
+    first = init_state(program)
+    machine = Machine(first)
+    rules = list(drive(machine, max_steps))
+    # a kept rule fires again with the clause scan `_select` made for it
+    refire = lambda m, rule, _i: _fire(m, rule, _pending_visit(m))
+    return RunResult(StateLog(first, rules, machine.snapshot(), Machine, refire), machine.halted)

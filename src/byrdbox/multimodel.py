@@ -55,8 +55,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional, Tuple
 
-from .engine import EPSILON, DeterminismViolation, NodeId, _peek_visit, _take, box_init, child
-from .engine import _Live, _Snapshot, _Tag, _word_map, lpath, may_have_new_brother, node_str
+from .engine import EPSILON, DeterminismViolation, NodeId, StateLog, _peek_visit, _take, box_init
+from .engine import _Live, _Snapshot, _Tag, _word_map, child, lpath, may_have_new_brother, node_str
 from .terms import Program, resolve
 from .tracing import Port, TraceEvent
 
@@ -483,8 +483,10 @@ def step_extended(
 @dataclass(frozen=True)
 class ModelRun:
     """A run under one model: its events, and whether it halted.  The run
-    keeps no states; `initial` and `transitions` (rule, state after it)
-    replay it (deterministically) on first access."""
+    keeps no states.  `initial` is `init_extended(program)`, and
+    `transitions`, each (rule, state after it), replays the run
+    (deterministically) on first read and keeps its rules and its last
+    state, an `engine.StateLog` that rebuilds a state when it is read."""
 
     model: ModelId
     events: tuple
@@ -492,23 +494,14 @@ class ModelRun:
     program: Program = field(compare=False, repr=False)
     max_steps: int = field(compare=False, repr=False)
 
+    initial = cached_property(lambda run: init_extended(run.program))
+
     @cached_property
-    def _states(self) -> tuple:
-        initial = init_extended(self.program)
-        machine = ExtMachine(initial)
-        transitions = tuple(
-            (rule, machine.snapshot())
-            for rule, _ in _drive(machine, self.model, self.max_steps)
-        )
-        return initial, transitions
-
-    @property
-    def initial(self) -> ExtendedState:
-        return self._states[0]
-
-    @property
-    def transitions(self) -> tuple:
-        return self._states[1]
+    def transitions(self) -> StateLog:
+        machine, model = ExtMachine(self.initial), self.model
+        rules = [rule for rule, _ in _drive(machine, model, self.max_steps)]
+        fire = lambda m, rule, _i: _fire(m, model, 0, rule)
+        return StateLog(self.initial, rules, machine.snapshot(), ExtMachine, fire).transitions()
 
 
 def run_model(program: Program, model: ModelId, max_steps: int) -> ModelRun:

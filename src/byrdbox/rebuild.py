@@ -25,7 +25,8 @@ the nodes that carry a number.  `snapshot` copies the lists (all but
 runs the whole rebuild and takes one snapshot, of the last state: it
 keeps the states as the trace they decompress from (Q_0, each committed
 step's rule and event, and the last state), and a state in between is
-rebuilt when it is read.  `adequacy.check_adequacy` compares the
+rebuilt when it is read: an `engine.StateLog`, as the engines keep
+their runs.  `adequacy.check_adequacy` compares the
 rebuilder's lists with the machine's and takes none, and
 `reconstruct_step` is one step from a given state, which it leaves as
 it was.
@@ -44,16 +45,13 @@ number is 1 for the whole run, so `nd(r) = root` is just `r = 1`):
 
 from __future__ import annotations
 
-import operator
 from bisect import bisect_left
-from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice
 from typing import Optional
 
-from .engine import EPSILON, NodeId, RuleId, VirtualState, _Live, _Snapshot, _subtree_end, child
-from .engine import node_str
+from .engine import EPSILON, NodeId, RuleId, StateLog, VirtualState, _Live, _Snapshot
+from .engine import _subtree_end, child, node_str
 from .terms import Term, VarNames, format_term
 from .tracing import Port, TraceEvent
 
@@ -330,85 +328,16 @@ def reconstruct_step(
     return rebuilder.snapshot()
 
 
-class _States(Sequence):
-    """Q_0 .. Q_k of a rebuild, kept as the trace they decompress from:
-    Q_0, the committed steps (each step's rule and event, the next event
-    being its successor in `events`) and Q_k.  `len`, `[0]` and `[-1]`
-    rebuild nothing; `[i]` replays i steps from Q_0 on a fresh Rebuilder,
-    and iteration replays once, forward, with one snapshot per state.
-    Slices, equality and hash are those of the tuple of the states."""
-
-    def __init__(self, q0: RestrictedState, events: list, rules: list,
-                 final: RestrictedState):
-        self._q0, self._events, self._rules, self._final = q0, events, rules, final
-
-    def _replay(self):
-        """A fresh Rebuilder from Q_0, stepped once more at each next()."""
-        rebuilder, events = Rebuilder(self._q0), self._events
-        for i, rule in enumerate(self._rules):
-            rebuilder.step(rule, events[i], events[i + 1] if i + 1 < len(events) else None)
-            yield rebuilder
-
-    def __len__(self):
-        return len(self._rules) + 1
-
-    def __iter__(self):
-        yield self._q0
-        if self._rules:
-            for rebuilder in islice(self._replay(), len(self._rules) - 1):
-                yield rebuilder.snapshot()
-            yield self._final
-
-    def __getitem__(self, key):
-        if isinstance(key, slice):
-            wanted = range(len(self))[key]
-            if not wanted:
-                return ()
-            # one replay, up to the last state wanted
-            picked = {i: q for i, q in zip(range(max(wanted) + 1), self) if i in wanted}
-            return tuple(map(picked.__getitem__, wanted))
-        i = range(len(self))[key]  # IndexError out of range, as a tuple's
-        if i == 0:
-            return self._q0
-        if i == len(self._rules):
-            return self._final
-        return next(islice(self._replay(), i - 1, None)).snapshot()
-
-    def __eq__(self, other):
-        if not isinstance(other, (tuple, _States)):
-            return NotImplemented
-        return len(self) == len(other) and all(map(operator.eq, self, other))
-
-    def __hash__(self):
-        # a tuple's hash reads only its items' hashes: hand it those
-        return hash(tuple(_Hashed(hash(q)) for q in self))
-
-    def __repr__(self):
-        return f"<{len(self)} rebuilt states>"
-
-
-class _Hashed:
-    """An item that hashes to a given hash."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value: int):
-        self.value = value
-
-    def __hash__(self):
-        return self.value
-
-
 @dataclass(frozen=True)
 class ReconstructionResult:
     """Q_0 .. Q_k, one state per committed event, as a read-only sequence
-    that rebuilds a state when it is read (see `_States`).
+    that rebuilds a state when it is read (an `engine.StateLog`).
 
     `pending` holds the final event when its rule could not be identified
     without a successor; the state it leads to is then unknown and absent
     from `states`."""
 
-    states: Sequence
+    states: StateLog
     pending: Optional[TraceEvent]
 
     @property
@@ -430,10 +359,10 @@ def reconstruct_trace(
     again when they are read.
     """
     events = list(events)
+    successors = events[1:] + [None]
     rules, pending = [], None
     rebuilder = Rebuilder(q0)
-    for i, e in enumerate(events):
-        e_next = events[i + 1] if i + 1 < len(events) else None
+    for e, e_next in zip(events, successors):
         try:
             rule = identify_rule(e, e_next)
         except AmbiguousOrUndecidable:
@@ -448,7 +377,8 @@ def reconstruct_trace(
         rebuilder.step(rule, e, e_next)
         rules.append(rule)
     final = rebuilder.snapshot() if rules else q0
-    return ReconstructionResult(_States(q0, events, rules, final), pending)
+    fire = lambda rebuilder, rule, i: rebuilder.step(rule, events[i], successors[i])
+    return ReconstructionResult(StateLog(q0, rules, final, Rebuilder, fire), pending)
 
 
 def format_restricted(q: RestrictedState, names: VarNames = None) -> str:

@@ -89,7 +89,8 @@ class TraceEvent:
 @dataclass(frozen=True)
 class TraceResult:
     """A traced run: its events, and whether it halted.  The run keeps no
-    states; `run` replays it (deterministically) on first access."""
+    states; `run` replays it (deterministically) on first access, as a
+    `RunResult` that keeps its rules and its first and last states."""
 
     events: tuple
     halted: bool

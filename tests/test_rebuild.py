@@ -7,10 +7,13 @@ from byrdbox import (
     AmbiguousOrUndecidable,
     CondViolation,
     MalformedTrace,
+    ModelId,
     Port,
     RuleId,
     TraceEvent,
     identify_rule,
+    init_extended,
+    init_state,
     initial_restricted,
     parse_term,
     parse_trace,
@@ -18,11 +21,14 @@ from byrdbox import (
     reconstruct_trace,
     restrict,
     run_actual_trace,
+    run_model,
+    run_virtual,
 )
 from byrdbox.rebuild import Rebuilder, RestrictedState, format_restricted, matching_conds
 
 from byrdbox.corpus import corpus
-from byrdbox.engine import EPSILON
+from byrdbox.engine import EPSILON, Machine, drive
+from byrdbox.multimodel import ExtMachine, _drive
 
 from conftest import FORGED_BROTHER, SHARED_NUMBER_TRACES, assert_nodes_canonical
 
@@ -284,6 +290,48 @@ def columns(q):
     return q.current, q.nodes, q.observed, q.born
 
 
+def full(item):
+    """Everything an item of a state log holds: a rebuilt state's columns,
+    every field of an engine state but its program, and a transition's
+    rule with its state."""
+    if isinstance(item, tuple):
+        return item[0], full(item[1])
+    if isinstance(item, RestrictedState):
+        return columns(item)
+    return {f.name: getattr(item, f.name) for f in dataclasses.fields(item) if f.name != "program"}
+
+
+def assert_reads_as_a_tuple(log, as_tuple, again, shorter):
+    """`log` reads as `as_tuple`, the tuple of its items, does: its length,
+    every index (negative ones too), out-of-range indexes, slices, two
+    iterations, and `==` and `hash` both ways.  `again` is the log of a
+    second run, `shorter` that of a shorter one."""
+    n = len(as_tuple)
+    assert len(log) == n > 9
+    for i in range(-n, n):
+        assert full(log[i]) == full(as_tuple[i])
+    for i in (n, n + 1, -n - 1, -n - 9):
+        with pytest.raises(IndexError):
+            log[i]
+    for key in (slice(None), slice(2, 5), slice(5, 2), slice(-3, None), slice(None, None, -2),
+                slice(1, 9, 3), slice(n + 9, n + 19), slice(-1, -1)):
+        assert type(log[key]) is tuple and log[key] == as_tuple[key]
+    assert list(log) == list(log) == list(as_tuple)
+    assert list(map(full, log)) == list(map(full, as_tuple))
+    assert log == as_tuple and as_tuple == log and not log != as_tuple
+    assert log == again and again == log
+    assert log != shorter and shorter != as_tuple and shorter == as_tuple[:len(shorter)]
+    assert log != list(as_tuple)  # a tuple never equals a list either
+    try:
+        want = hash(as_tuple)
+    except TypeError:  # a state with a dict among its compared fields
+        for unhashable in (log, again):
+            with pytest.raises(TypeError):
+                hash(unhashable)
+    else:
+        assert hash(log) == want == hash(again)
+
+
 def test_rebuilt_states_read_as_a_tuple(ex1_program):
     trace = run_actual_trace(ex1_program, 100)
     q0 = q0_example1()
@@ -292,22 +340,65 @@ def test_rebuilt_states_read_as_a_tuple(ex1_program):
     assert len(states) == len(as_tuple) == 11
     assert states[0] is q0
     assert states[-1] is states[10] and states[-1] == as_tuple[-1]
-    for i in range(-11, 11):
-        assert columns(states[i]) == columns(as_tuple[i])
-    for i in (11, 12, -12, -20):
-        with pytest.raises(IndexError):
-            states[i]
-    for key in (slice(None), slice(2, 5), slice(5, 2), slice(-3, None), slice(None, None, -2),
-                slice(1, 9, 3), slice(20, 30), slice(-1, -1)):
-        assert type(states[key]) is tuple and states[key] == as_tuple[key]
-    assert list(states) == list(states) == list(as_tuple)
-    assert states == as_tuple and as_tuple == states and not states != as_tuple
-    assert hash(states) == hash(as_tuple)
     again = reconstruct_trace(q0, trace.events).states
-    assert states == again and hash(states) == hash(again)
     shorter = reconstruct_trace(q0, trace.events[:5]).states
-    assert states != shorter and shorter != as_tuple and shorter == as_tuple[:len(shorter)]
-    assert states != list(as_tuple)  # a tuple never equals a list either
+    assert_reads_as_a_tuple(states, as_tuple, again, shorter)
+
+
+def eager_run(program, budget):
+    """The reference: (rules, states) of a core run that snapshots the
+    machine before every rule and after the last."""
+    machine = Machine(init_state(program))
+    rules, states = [], []
+    for rule in drive(machine, budget):
+        rules.append(rule)
+        states.append(machine.snapshot())
+    return rules, states + [machine.snapshot()]
+
+
+def eager_model_run(program, model, budget):
+    """The reference: (rules, states) of a model run that snapshots the
+    machine after every rule."""
+    machine = ExtMachine(init_extended(program))
+    rules, states = [], [machine.snapshot()]
+    for rule, _ in _drive(machine, model, budget):
+        rules.append(rule)
+        states.append(machine.snapshot())
+    return rules, states
+
+
+def pairs(rules, states):
+    """Transitions: each rule with the state after it."""
+    return tuple(zip(rules, states[1:]))
+
+
+LOGS = {
+    # name -> (the log of a run at a budget, its reference tuple)
+    "core states": (
+        lambda program, budget: run_virtual(program, budget).states,
+        lambda program, budget: tuple(eager_run(program, budget)[1]),
+    ),
+    "core transitions": (
+        lambda program, budget: run_virtual(program, budget).transitions,
+        lambda program, budget: pairs(*eager_run(program, budget)),
+    ),
+    "m3 transitions": (
+        lambda program, budget: run_model(program, ModelId.M3, budget).transitions,
+        lambda program, budget: pairs(*eager_model_run(program, ModelId.M3, budget)),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", LOGS)
+def test_state_logs_read_as_a_tuple(name, ex2_program):
+    log_of, reference = LOGS[name]
+    log, as_tuple = log_of(ex2_program, 100), reference(ex2_program, 100)
+    assert_reads_as_a_tuple(log, as_tuple, log_of(ex2_program, 100), log_of(ex2_program, 7))
+    # the first and last states are kept, not rebuilt
+    if name == "core states":
+        assert log[0] is log.first and log[-1] is log[len(log) - 1] is log.final
+    else:
+        assert log[-1][1] is log[len(log) - 1][1] is log.final
 
 
 def test_short_rebuilds_read_as_a_tuple():

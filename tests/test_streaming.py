@@ -1,12 +1,12 @@
-"""Streaming runs against the runs that keep every state.
+"""Streaming runs against the runs that keep their states.
 
 The traced run, the model runs and the adequacy check fire their rules
 in place on one live machine and keep no states (the adequacy check also
-steps one live rebuilder); `run_virtual`, `step`,
-`step_extended` and the lazy `.run` / `.transitions` make frozen
-snapshots of it.  Both must tell the same story, no snapshot may share a
-map or set with the machine that goes on running, and a step must leave
-its input as it was.
+steps one live rebuilder); `step`, `step_extended` and the state logs of
+`run_virtual`, `.run` and `.transitions` make frozen snapshots of it, a
+log only of the states read.  Both must tell the same story, no snapshot
+may share a map or set with the machine that goes on running, and a step
+must leave its input as it was.
 """
 
 import copy
@@ -140,10 +140,11 @@ def test_streaming_runs_keep_no_states(monkeypatch):
         run = run_model(program, ModelId.M3, FUEL)
         # one initial state per run, none per step
         assert made == {VirtualState: 2, ExtendedState: 4}
+        # a replay keeps its first and last states, none per step
         assert len(trace.run.states) == len(trace.events) + 1
-        assert made[VirtualState] == 2 + 1 + len(trace.events) + 1
+        assert made[VirtualState] == 2 + 2
         assert len(run.transitions) >= len(run.events)
-        assert made[ExtendedState] == 4 + 1 + len(run.transitions)
+        assert made[ExtendedState] == 4 + 2
 
 
 def count_rebuilt_states(monkeypatch):
@@ -205,3 +206,53 @@ def test_a_rebuild_grows_linearly_with_the_trace():
     small, large = (run_actual_trace(NAT, n).events for n in (1000, 2000))
     assert len(small) == 1000 and len(large) == 2000
     assert rebuild_peak(large) <= 2.3 * rebuild_peak(small)
+
+
+def state_log_peak(run) -> int:
+    """The tracemalloc peak, in bytes, of `run()`."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_run_that_keeps_its_states_peaks_as_a_streaming_run():
+    # nat(N)'s tree grows one node per step: a snapshot per step would
+    # make run_virtual's peak quadratic beside the streaming run's.  The
+    # first run also fills engine's table of canonical words, which
+    # outlives it, so both peaks are measured after it.
+    assert len(run_virtual(NAT, 1000).transitions) == 1000
+    kept = state_log_peak(lambda: run_virtual(NAT, 1000))
+    assert kept <= 1.1 * state_log_peak(lambda: run_actual_trace(NAT, 1000))
+
+
+@pytest.mark.parametrize("model", ModelId)
+def test_model_transitions_peak_as_the_run(model):
+    # the transitions keep their rules and last state, not a state per rule
+    assert len(run_model(NAT, model, 1000).transitions) == 1000
+    transitions = state_log_peak(lambda: len(run_model(NAT, model, 1000).transitions))
+    assert transitions <= 1.1 * state_log_peak(lambda: run_model(NAT, model, 1000))
+
+
+def test_a_state_log_builds_only_the_states_read(monkeypatch):
+    made = count_states(monkeypatch)
+    program = PROGRAMS[1]  # example2: it backtracks
+    for log, cls in (
+        (run_virtual(program, FUEL).states, VirtualState),
+        (run_virtual(program, FUEL).transitions, VirtualState),
+        (run_model(program, ModelId.M3, FUEL).transitions, ExtendedState),
+    ):
+        made[cls] = 0
+        # the first and last states are kept: a state log's `[0]` and
+        # `[-1]`, and a transition log's `[-1]`
+        states = log if isinstance(log[-1], cls) else None
+        assert len(log) > 20 and log[-1] is not None
+        assert states is None or states[0] is states[0]
+        assert made[cls] == 0
+        # a read of an item in between rebuilds that one state
+        for i in (1, len(log) // 2, -2) + ((0,) if states is None else ()):
+            log[i]
+            assert made[cls] == 1
+            made[cls] = 0
