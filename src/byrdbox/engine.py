@@ -316,6 +316,15 @@ class StateLog(Sequence):
             return zip(self.rules, later)
         return chain((self.first,), islice(later, len(self.rules)))
 
+    # Sequence's own versions read item by item, a replay each; these replay once
+    __reversed__ = lambda self: reversed(tuple(self))
+
+    def index(self, value, start=0, stop=None):
+        for i, x in islice(enumerate(self), *slice(start, stop).indices(len(self))[:2]):
+            if x is value or x == value:
+                return i
+        raise ValueError("value not in the log")
+
     def __getitem__(self, key):
         if isinstance(key, slice):
             want = range(len(self))[key]

@@ -22,7 +22,7 @@ The live machine runs on engine's node stack (`_Live`, `_Snapshot`; see
 engine for its layout), with the per-node maps and bookkeeping as
 columns under their state names, and it shares engine's clause
 selection (`_peek_visit`, `_take`), box fill (`box_init`) and next-node
-query (`may_have_new_brother`).  Two invariants of its own hold:
+query (`may_have_new_brother`).  Three invariants of its own hold:
 
   1. a clause's body slots are made at once, by CLAUSSUCCEEDS at a leaf
      after which every node is an unvisited slot (a leaf with no box), so
@@ -30,7 +30,12 @@ query (`may_have_new_brother`).  Two invariants of its own hold:
      choice point;
   2. no choice point lies after the current node's subtree, so the
      greatest one in the subtree of the current node or an ancestor is
-     the top of `cps` when that is at or after it.
+     the top of `cps` when that is at or after it;
+  3. until flr, ct or bk3 holds or the rule that applies is not in
+     `_SHARED`, every model's gate table is m1's (only those flags open a
+     model's own rules) and the rule fired reads the model only for its
+     event's r (LEAFFAIL1, gated alike, sets bk3 under m3): so
+     `compare_models` runs this shared prefix once, under m1, then forks.
 
 A body inserted before a visited node raises.  The queries take the live
 machine and the position of the current node or one of its ancestors (a
@@ -196,6 +201,9 @@ def _num_for(m, model, node):
 # Every gate closed.  `_gates` starts from a copy of it: a dict copy
 # rehashes no key.
 _CLOSED = dict.fromkeys(ExtRuleId, False)
+# The rules that fire alike under every model, but for their event's r.
+_SHARED = frozenset((ExtRuleId.CALLONE, ExtRuleId.CHOICE, ExtRuleId.FACTSUCCEEDS,
+                     ExtRuleId.CLAUSSUCCEEDS, ExtRuleId.EXIT1, ExtRuleId.EXIT2))
 
 
 def _gates(state, model: ModelId) -> dict:
@@ -447,16 +455,18 @@ def _fire(m: ExtMachine, model: ModelId, chrono: int, rule: ExtRuleId):
     r, l = _num_for(m, model, node), lpath(m, node)
     return rule, TraceEvent(chrono=chrono, r=r, l=l, port=port, pred=pred)
 
-def _drive(machine: ExtMachine, model: ModelId, max_steps: int):
+def _drive(machine: ExtMachine, model: ModelId, max_steps: int, shared: bool = False):
     """Fire the rules of a run under `model` of at most `max_steps`
     transitions, yielding (rule, event|None) after each.  At the end
     `machine.halted` is True when no rule applies, False when the budget
-    ran out first."""
+    ran out first or, with `shared`, the models may part (invariant 3)."""
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
     chrono = 1
     for _ in range(max_steps):
         rule = applicable_extended(machine, model)
+        if shared and (rule not in _SHARED or machine.failing or machine.complete or machine.reverse):
+            return
         if rule is None:
             machine.halted = True
             return
@@ -543,12 +553,20 @@ class ModelComparison:
 
 def compare_models(program: Program, max_steps: int) -> ModelComparison:
     """Run all three models and check that the port sequences nest:
-    m1's within m2's, m2's within m3's."""
-    runs = {m: run_model(program, m, max_steps) for m in ModelId}
-    ports = {m: [e.port for e in runs[m].events] for m in ModelId}
+    m1's within m2's, m2's within m3's.  Their shared prefix (invariant 3)
+    runs once, under m1; each model goes on from there on its own copy."""
+    machine = ExtMachine(init_extended(program))
+    fired = list(_drive(machine, ModelId.M1, max_steps, shared=True))
+    prefix = [e.port for _, e in fired if e is not None]
+    left, ports, halted = max_steps - len(fired), {}, {}
+    for model in ModelId:
+        m = machine if model is ModelId.M3 else ExtMachine(machine.snapshot())
+        run = _drive(m, model, left) if left else ()  # none when the prefix spent the budget
+        ports[model] = prefix + [e.port for _, e in run if e is not None]
+        halted[model] = m.halted if left else applicable_extended(m, model) is None
     return ModelComparison(
-        counts={m: len(runs[m].events) for m in ModelId},
-        halted={m: runs[m].halted for m in ModelId},
+        counts={m: len(ports[m]) for m in ModelId},
+        halted=halted,
         m1_in_m2=_is_subsequence(ports[ModelId.M1], ports[ModelId.M2]),
         m2_in_m3=_is_subsequence(ports[ModelId.M2], ports[ModelId.M3]),
     )

@@ -416,7 +416,10 @@ def rename_clause(clause: Clause, stamp: int) -> Clause:
         else:
             functor, n = op
             stack[-n:] = [_new(Struct, (functor, tuple(stack[-n:])))]
-    return Clause(clause.id, stack[0], tuple(stack[1:]))
+    renamed = object.__new__(Clause)  # not the frozen __init__'s object.__setattr__
+    fields = renamed.__dict__
+    fields["id"], fields["head"], fields["body"] = clause.id, stack[0], tuple(stack[1:])
+    return renamed
 
 
 def walk(subst: dict, t: Term) -> Term:

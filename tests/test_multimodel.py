@@ -1,4 +1,5 @@
 import dataclasses
+from itertools import chain
 
 import pytest
 
@@ -15,9 +16,19 @@ from byrdbox import (
     run_model,
     step_extended,
 )
-from byrdbox.multimodel import ExtMachine, ExtRuleId, applicable_extended, init_extended
+from byrdbox.multimodel import (
+    ExtMachine,
+    ExtRuleId,
+    ModelComparison,
+    _drive,
+    _gates,
+    _is_subsequence,
+    applicable_extended,
+    init_extended,
+)
+from byrdbox.terms import CyclicTerm
 
-from conftest import load_golden, normalize_trace
+from conftest import DATA, load_golden, normalize_trace
 
 
 GOLDEN = {
@@ -224,3 +235,105 @@ def test_a_violation_carries_the_gate_table(ex1_program, model):
         applicable_extended(m, model)
     assert str(caught.value) == f"[{model}] no rule applies at node eps"
     assert list(caught.value.table.items()) == [(rule, False) for rule in ExtRuleId]
+
+
+# ----------------------------------------------------------------------
+# compare_models runs the models' shared prefix once, then forks
+# ----------------------------------------------------------------------
+
+NAT = parse_program("nat(s(X)) :- nat(X).\nnat(z).\n:- nat(N).\n")
+DATA_PROGRAMS = {path.name: parse_program(path.read_text(encoding="utf-8")) for path in sorted(DATA.glob("*.pl"))}
+
+
+def three_runs(program, max_steps):
+    """The comparison as three independent runs make it."""
+    runs = {m: run_model(program, m, max_steps) for m in ModelId}
+    ports = {m: [e.port for e in run.events] for m, run in runs.items()}
+    return ModelComparison(
+        counts={m: len(run.events) for m, run in runs.items()},
+        halted={m: run.halted for m, run in runs.items()},
+        m1_in_m2=_is_subsequence(ports[ModelId.M1], ports[ModelId.M2]),
+        m2_in_m3=_is_subsequence(ports[ModelId.M2], ports[ModelId.M3]),
+    )
+
+
+def shared_prefix(program, max_steps):
+    """The rules of the prefix that compare_models runs once."""
+    machine = ExtMachine(init_extended(program))
+    return [rule for rule, _ in _drive(machine, ModelId.M1, max_steps, shared=True)]
+
+
+def test_compare_agrees_with_three_runs_over_the_corpus(corpus_200):
+    for program in corpus_200:
+        assert compare_models(program, 500) == three_runs(program, 500)
+
+
+@pytest.mark.parametrize("name", DATA_PROGRAMS)
+def test_compare_agrees_with_three_runs_at_every_small_budget(name):
+    # budgets 1 to 3 end inside every program's prefix
+    program = DATA_PROGRAMS[name]
+    for budget in chain(range(1, 61), (2000,)):
+        assert compare_models(program, budget) == three_runs(program, budget), budget
+
+
+def test_a_leaf_failure_ends_the_prefix():
+    # q has no clause: LEAFFAIL1 fires at step 2, and under m3 it starts the sweep
+    program = DATA_PROGRAMS["undefined_goal.pl"]
+    assert shared_prefix(program, 10) == [ExtRuleId.CALLONE]
+    rules = {m: [rule for rule, _ in run_model(program, m, 10).transitions] for m in ModelId}
+    assert all(r == [ExtRuleId.CALLONE, ExtRuleId.LEAFFAIL1] for r in rules.values())
+    assert run_model(program, ModelId.M3, 10).transitions[-1][1].reverse
+
+
+@pytest.mark.parametrize("source, prefix", [
+    # ct with a choice point left, and no failure before it
+    ("p(a).\np(b).\n:- p(X).\n", 4),
+    ((DATA / "example2.pl").read_text(encoding="utf-8"), None),
+])
+def test_the_models_part_at_a_completed_tree_with_choice_points(source, prefix):
+    program = parse_program(source)
+    if prefix is not None:
+        assert len(shared_prefix(program, 100)) == prefix
+    rules = {m: {rule for rule, _ in run_model(program, m, 1000).transitions} for m in ModelId}
+    assert ExtRuleId.REDO_M1 in rules[ModelId.M1]
+    assert ExtRuleId.REDO_M2A in rules[ModelId.M2]
+    assert ExtRuleId.REDO_M3B in rules[ModelId.M3]
+    for budget in range(1, 60):
+        assert compare_models(program, budget) == three_runs(program, budget), budget
+
+
+def test_a_run_with_no_failure_is_all_prefix():
+    # nat(N) tries its recursive clause first: it never fails, so the
+    # prefix spends the whole budget and no model forks
+    assert len(shared_prefix(NAT, 400)) == 400
+    assert compare_models(NAT, 400) == three_runs(NAT, 400)
+
+
+@pytest.mark.parametrize("source", [
+    # cyclic inside the prefix
+    "eq(X, X).\np(Y) :- eq(Y, f(Y)), q(Y).\nq(f(Z)).\n:- p(A).\n",
+    # cyclic after a failure: in the models' own runs
+    "eq(X, X).\nr(a).\nr(b).\np(Y) :- r(W), eq(W, b), eq(Y, f(Y)), q(Y).\nq(f(Z)).\n:- p(A).\n",
+])
+def test_compare_raises_a_cyclic_term_as_m1_does(source):
+    program = parse_program(source)
+    with pytest.raises(CyclicTerm) as m1:
+        run_model(program, ModelId.M1, 100)
+    with pytest.raises(CyclicTerm) as compared:
+        compare_models(program, 100)
+    assert str(compared.value) == str(m1.value)
+
+
+def test_the_models_gate_alike_on_every_prefix_state(ex1_program, ex2_program, corpus_200):
+    # flr, ct and bk3 are clear on a prefix state, and only they open a
+    # model's own rules: so m1's gate table is m2's and m3's
+    checked = 0
+    for program in [ex1_program, ex2_program, NAT] + list(corpus_200):
+        m = ExtMachine(init_extended(program))
+        for _ in chain([None], _drive(m, ModelId.M1, 500, shared=True)):
+            if m.failing or m.complete or m.reverse:
+                continue  # the state the models part at
+            gates = _gates(m, ModelId.M1)
+            assert gates == _gates(m, ModelId.M2) == _gates(m, ModelId.M3)
+            checked += 1
+    assert checked > 10000

@@ -256,3 +256,36 @@ def test_a_state_log_builds_only_the_states_read(monkeypatch):
             log[i]
             assert made[cls] == 1
             made[cls] = 0
+
+
+@pytest.mark.parametrize("log", ["states", "transitions", "m3 transitions"])
+def test_a_state_log_reads_backwards_and_finds_an_item_in_one_replay(log):
+    # Sequence's own reversed() and index() would replay once per item
+    log = {
+        "states": lambda: run_virtual(NAT, 200).states,
+        "transitions": lambda: run_virtual(NAT, 200).transitions,
+        "m3 transitions": lambda: run_model(NAT, ModelId.M3, 200).transitions,
+    }[log]()
+    items, fire, fired = tuple(log), log._fire, []
+
+    def counted(*args):
+        fired.append(args[2])
+        return fire(*args)
+
+    log._fire = counted
+    reads = [
+        (lambda: list(reversed(log)), list(reversed(items))),
+        (lambda: log.index(items[-1]), len(items) - 1),
+        (lambda: log.index(items[0]), 0),
+        (lambda: log.index(items[50], 10, 60), 50),
+        (lambda: log.index(items[50], -len(items) + 40), 50),
+    ]
+    for read, expected in reads:
+        fired.clear()
+        assert read() == expected
+        assert len(fired) <= 2 * len(log)
+    for start, stop in ((0, len(items) - 1), (51, None), (10, 50), (60, 10)):
+        fired.clear()
+        with pytest.raises(ValueError):
+            log.index(items[-1] if stop else items[50], start, stop)
+        assert len(fired) <= 2 * len(log)

@@ -144,6 +144,22 @@ def test_rename_shares_the_ground_subterms_of_its_clause():
         assert r.head.args[2] == Struct("h", (Var("X", stamp), Struct("c")))
 
 
+@pytest.mark.parametrize("source", ["p(X, f(X)) :- q(X), r(a).", "p(a).", "p(X, Y)."])
+def test_a_renamed_clause_is_a_clause_built_from_its_fields(source):
+    # the renaming builds its clause without the dataclass's __init__
+    c = parse_program(f"{source}\n:- p(a).\n").clauses[0]
+    r = rename_clause(c, 4)
+    built = Clause(r.id, r.head, r.body)
+    assert type(r) is Clause
+    assert r == built and built == r
+    assert hash(r) == hash(built)
+    assert repr(r) == repr(built) == f"Clause({c.id})"
+    assert r.is_fact == built.is_fact == (not c.body)
+    assert r._template == built._template == c._template
+    with pytest.raises(AttributeError):  # still frozen
+        r.id = "other"
+
+
 # ----------------------------------------------------------------------
 # Term values
 # ----------------------------------------------------------------------
