@@ -61,7 +61,7 @@ positions.  The layout relies on three invariants:
   2. the current node is the last node or an ancestor of it, so every
      node after the current one lies in its subtree;
   3. `cps` only grows on top: a node enters it only when it is created,
-     and a drained box leaves it from the top.
+     through `set_box`, and a drained box leaves it from the top.
 
 So node u is a leaf iff it is the last node or the next node's parent is
 not u, the greatest choice point in u's subtree is the top of `cps` when
@@ -73,7 +73,8 @@ machine holds each node once, in its lists: nothing is keyed by word.
 The node stack is one substrate, written once here, for three stacks:
 this engine's `Machine` and `VirtualState`, the other engine's
 (multimodel) `ExtMachine` and `ExtendedState`, and the rebuilder's
-(rebuild) `Rebuilder` and `RestrictedState`.  `_Live` is the live stack.
+(rebuild) `Rebuilder` and `RestrictedState`.  The two engines' states
+declare their shared fields once, in `_State`.  `_Live` is the live stack.
 It copies a snapshot's lists in, in one column order for every stack
 (`nodes` and `up`, then the state's OBSERVED and KEPT columns), and finds
 the current node with one bisection of `nodes`; each stack has its own
@@ -252,7 +253,8 @@ class _Live:
 
     def set_box(self, p: int, box: tuple) -> None:
         """Fill or shrink the box at p: p enters `cps` on top when its box
-        fills, and leaves it, from the top, when its box drains."""
+        fills (the only way in), and leaves it, from the top, when its box
+        drains."""
         cps = self.cps
         if box and not self.boxes[p]:
             assert not cps or p > cps[-1], "a push below the top of cps"
@@ -352,28 +354,37 @@ class _Hashed(int):
 
 
 @dataclass(frozen=True)
-class VirtualState(_Snapshot):
-    """A snapshot of the core machine, by position.  `nodes` is the tree
-    in Dewey order, so comparing the columns compares the maps: equality
-    and repr see the tree, u, n, the observable columns and the flags."""
-
-    OBSERVED = ("numbers", "preds", "boxes", "fresh")
-    # node -> as called, bindings then, clause in use (None before the
-    # first visit and after a drained one)
-    KEPT = ("call_preds", "call_snaps", "chosen")
+class _State(_Snapshot):
+    """The state both engines share, frozen: the core machine's nine
+    parameters, which the other engine's thirteen extend (see multimodel).
+    `nodes` is the tree in Dewey order, so comparing the columns compares
+    the maps: equality and repr see the tree, u, n, the observable columns
+    (`observed`, one per name of the subclass's OBSERVED), ct and flr, in
+    that order.  The rest is not observable, neither compared nor shown:
+    the parent positions, the program, and the resolution bookkeeping (the
+    current branch's bindings, the renaming stamp and the KEPT columns)."""
 
     nodes: tuple
     up: tuple = field(compare=False, repr=False)  # given by the nodes
     current: NodeId
     counter: int
     observed: tuple
-    complete: bool
-    failing: bool
+    complete: bool  # ct
+    failing: bool   # flr
     program: Program = field(compare=False, repr=False)
-    # Resolution bookkeeping, not observable: neither compared nor shown.
     bindings: dict = field(compare=False, repr=False)  # current branch
     stamp: int = field(compare=False, repr=False)      # renaming counter
     kept: tuple = field(compare=False, repr=False)
+
+
+class VirtualState(_State):
+    """A snapshot of the core machine, by position: the shared state with
+    the core's columns and nothing more."""
+
+    OBSERVED = ("numbers", "preds", "boxes", "fresh")
+    # node -> as called, bindings then, clause in use (None before the
+    # first visit and after a drained one)
+    KEPT = ("call_preds", "call_snaps", "chosen")
 
 
 @dataclass(frozen=True)
@@ -487,15 +498,18 @@ def updated_pred(m: Machine, p: int) -> Term:
 # without unifying (clause indexing on the principal functor, as the
 # WAM's switch_on_term does); every other head is unified once, renamed
 # with the stamp the visit will take, and the winner's renaming and
-# unifier are what the visit consumes.
+# unifier are what the visit consumes.  Every visit, in both engines,
+# extends the bindings of the visited node's call (`call_snaps`), the
+# mark a WAM trail would record there.  At a first visit those are the
+# machine's own bindings: no rule fires between a node's push and its
+# visit.
 # ----------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class _Peek:
     skipped: int              # leading clauses that fail head unification
     clause: Optional[Clause]  # first unifying clause, renamed; None when drained
-    bindings: Optional[dict]  # its unifier, extending `base`
-    base: dict                # substitution the unification extends
+    bindings: Optional[dict]  # its unifier, extending the node's call bindings
     stamp: int                # the renaming stamp: the machine's stamp + 1
 
     @property
@@ -520,13 +534,14 @@ def _clash(goal: Struct, head: Struct) -> bool:
     return False
 
 
-def _peek_visit(state, v, base: dict) -> _Peek:
-    """The visit of node v under `base`, decided without changing
-    anything.  A trial renames a clause with the stamp the visit will
-    take, which no variable of the call or the store carries yet, and
-    unifies its head; both build new objects, so a peek that is not fired
+def _peek_visit(state, v) -> _Peek:
+    """The visit of node v, decided without changing anything: it extends
+    the bindings of v's call, which at a first visit are the machine's
+    own.  A trial renames a clause with the stamp the visit will take,
+    which no variable of the call or the store carries yet, and unifies
+    its head; both build new objects, so a peek that is not fired
     (`_conditions`, `applicable_rule`) leaves the state as it was."""
-    goal = state.call_preds[v]
+    goal, base = state.call_preds[v], state.call_snaps[v]
     stamp = state.stamp + 1
     skipped = 0
     for c in state.boxes[v]:
@@ -534,9 +549,9 @@ def _peek_visit(state, v, base: dict) -> _Peek:
             inst = rename_clause(c, stamp)
             bindings = unify(goal, inst.head, base, resolved=False)
             if bindings is not BOTTOM:
-                return _Peek(skipped, inst, bindings, base, stamp)
+                return _Peek(skipped, inst, bindings, stamp)
         skipped += 1
-    return _Peek(skipped, None, None, base, stamp)
+    return _Peek(skipped, None, None, stamp)
 
 
 # ----------------------------------------------------------------------
@@ -549,14 +564,10 @@ def _pending_visit(m: Machine) -> Optional[_Peek]:
     would make from the machine; None when neither kind can apply."""
     u = m.current
     if m.fresh[u]:
-        if not m.complete:
-            return _peek_visit(m, u, m.bindings)
-    elif m.failing or m.complete:
-        v = greatest_choice_point(m, u)
-        if v is not None:
-            # A Redo rolls the substitution back to the choice point's call.
-            return _peek_visit(m, v, m.call_snaps[v])
-    return None
+        v = None if m.complete else u
+    else:
+        v = greatest_choice_point(m, u) if m.failing or m.complete else None
+    return None if v is None else _peek_visit(m, v)
 
 
 def _rule_conditions(m: Machine, peek: Optional[_Peek]) -> dict:
@@ -629,7 +640,8 @@ def init_state(program: Program) -> VirtualState:
     """The state right after top level enters the root box (the top
     level transition itself is not modeled).  An undefined goal predicate
     simply yields an empty root box and a Call/Fail trace."""
-    boxes, called = box_init(program, program.goal, {})
+    bindings = {}  # the machine's, and the root's call bindings
+    boxes, called = box_init(program, program.goal, bindings)
     return VirtualState(
         nodes=(EPSILON,),
         up=(0,),
@@ -639,9 +651,9 @@ def init_state(program: Program) -> VirtualState:
         complete=False,
         failing=False,
         program=program,
-        bindings={},
+        bindings=bindings,
         stamp=0,
-        kept=((called,), ({},), (None,)),  # no clause before the first visit
+        kept=((called,), (bindings,), (None,)),  # no clause before the first visit
     )
 
 
@@ -681,8 +693,8 @@ def drive(machine: Machine, max_steps: int):
 def _take(m, v, peek: _Peek):
     """Consume the visit decided by `peek` at node v, in either engine:
     drop the silently skipped clauses and the chosen one from v's box, and
-    return (the chosen clause renamed apart, the unifier extending
-    `peek.base`), both as the peek made them; None when the box is
+    return (the chosen clause renamed apart, the unifier extending v's
+    call bindings), both as the peek made them; None when the box is
     drained."""
     assert peek.stamp == m.stamp + 1, "a peek made at another stamp"
     m.set_box(v, m.boxes[v][peek.skipped + 1:])
@@ -701,11 +713,11 @@ def _child_slot(m: Machine, atom: Term, p: int, i: int) -> None:
     box, called = box_init(m.program, atom, m.bindings)
     m.counter += 1
     m.current = len(m.nodes)
-    if box:
-        m.cps.append(m.current)
     # LISTS, then the columns in OBSERVED and KEPT order.  The new node
-    # gets no chosen clause until its visit.
-    m.insert(m.current, (v, p, m.counter, called, box, True, called, m.bindings, None))
+    # gets its box once it is on the stack, and no chosen clause until its
+    # visit.
+    m.insert(m.current, (v, p, m.counter, called, (), True, called, m.bindings, None))
+    m.set_box(m.current, box)
 
 
 def step(state: VirtualState) -> Tuple[RuleId, VirtualState]:
@@ -753,9 +765,9 @@ def _fire(m: Machine, rule: RuleId, peek: Optional[_Peek]) -> None:
             m.current = v
             m.complete = False
         # the visit chooses its clause and extends the bindings, or, when
-        # the box is drained, chooses None and rolls them back to its base
+        # the box is drained, chooses None and rolls them back to v's call
         taken = _take(m, v, peek)
-        m.chosen[v], m.bindings = (None, peek.base) if taken is None else taken
+        m.chosen[v], m.bindings = (None, m.call_snaps[v]) if taken is None else taken
         m.failing = False
         if rule in (RuleId.CALL2, RuleId.REDO2):
             _child_slot(m, m.chosen[v].body[0], v, 1)

@@ -18,10 +18,12 @@ Three mutually exclusive models select how backtracking is traced:
     m3  original box model: full stepwise undo; every completed box is
         re-entered (Redo) and closed (Fail) in reverse order
 
-The live machine runs on engine's node stack (`_Live`, `_Snapshot`; see
-engine for its layout), with the per-node maps and bookkeeping as
-columns under their state names, and it shares engine's clause
-selection (`_peek_visit`, `_take`), box fill (`box_init`) and next-node
+Its state is engine's `_State` plus scs, bk3 and the unifier a CHOICE
+leaves to commit (`pending`).  The live machine runs on engine's node
+stack (`_Live`; see engine for its layout), with the per-node maps and
+bookkeeping as columns under their state names.  It shares engine's
+clause selection (`_peek_visit`, `_take`; a CHOICE, as every visit,
+extends its node's call bindings), box fill (`box_init`) and next-node
 query (`may_have_new_brother`).  Three invariants of its own hold:
 
   1. a clause's body slots are made at once, by CLAUSSUCCEEDS at a leaf
@@ -60,8 +62,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional, Tuple
 
-from .engine import EPSILON, DeterminismViolation, NodeId, StateLog, _peek_visit, _take, box_init
-from .engine import _Live, _Snapshot, _Tag, _word_map, child, lpath, may_have_new_brother, node_str
+from .engine import EPSILON, DeterminismViolation, StateLog, _peek_visit, _take, box_init
+from .engine import _Live, _State, _Tag, _word_map, child, lpath, may_have_new_brother, node_str
 from .terms import Program, resolve
 from .tracing import Port, TraceEvent
 
@@ -105,10 +107,11 @@ class ExtRuleId(_Tag):
 
 
 @dataclass(frozen=True)
-class ExtendedState(_Snapshot):
-    """A snapshot of the machine, by position.  `nodes` is the tree in
-    Dewey order, so comparing the columns compares the maps: equality and
-    repr see the tree, u, n, the observable columns and the four flags."""
+class ExtendedState(_State):
+    """A snapshot of the machine, by position: engine's shared state with
+    this engine's columns and three fields more: the flags scs and bk3,
+    which equality and repr see after ct and flr, and the unifier a CHOICE
+    leaves for a success rule to commit (`pending`), which they skip."""
 
     # preds are the skeleton predications (raw body atoms), chosen the
     # renamed clause instance in use, sigmas the paper's per-node
@@ -117,21 +120,9 @@ class ExtendedState(_Snapshot):
     # node -> as (re)called, bindings then, last shown, closed by m3's sweep
     KEPT = ("call_preds", "call_snaps", "display", "marks")
 
-    nodes: tuple
-    up: tuple = field(compare=False, repr=False)  # given by the nodes
-    current: NodeId
-    counter: int
-    observed: tuple
-    complete: bool     # ct
-    failing: bool      # flr
     success: bool      # scs
     reverse: bool      # bk3
-    program: Program = field(compare=False, repr=False)
-    # Resolution bookkeeping, not observable: neither compared nor shown.
-    bindings: dict = field(compare=False, repr=False)
-    stamp: int = field(compare=False, repr=False)
     pending: Optional[dict] = field(compare=False, repr=False)  # to commit
-    kept: tuple = field(compare=False, repr=False)
 
     sigmas = _word_map("sigmas")
     marks = cached_property(lambda s: frozenset(v for v, x in zip(s.nodes, s.kept[3]) if x))
@@ -324,30 +315,19 @@ class ExtMachine(_Live):
         if self.current is None:
             raise ValueError("a state's u must be in its tree")
 
-    def prune_after(self, v):
-        """Tear down everything behind a resumed choice point: interior
-        nodes vanish, later body slots of still-standing clauses (the
-        nodes after v whose parent is before v) move behind v and revert
-        to unvisited skeleton nodes awaiting a fresh number."""
+    def rechoice(self, v):
+        """Resume the choice point v: every node behind it is torn down.
+        Interior nodes vanish; later body slots of still-standing clauses
+        (the nodes after v whose parent is before v) move behind v and
+        revert to unvisited skeleton nodes awaiting a fresh number."""
         nodes, up, preds = self.nodes, self.up, self.preds
         later = [(nodes[y], up[y], None, preds[y]) for y in range(v + 1, len(nodes)) if up[y] < v]
         self.cut(v)  # every box behind v is gone or emptied
         for row in later:
             self.insert(len(nodes), row + _BLANK)
-
-    def rechoice(self, v):
-        self.prune_after(v)
         self.chosen[v] = None
         self.pending = None
         self.success = self.failing = self.complete = False
-
-    def fail_at(self, u):
-        self.marks[u] = True
-        self.current = self.up[u]
-        if u == 0:
-            self.complete = True
-        self.failing = True
-        self.success = False
 
 
 def _fire(m: ExtMachine, model: ModelId, chrono: int, rule: ExtRuleId):
@@ -378,7 +358,7 @@ def _fire(m: ExtMachine, model: ModelId, chrono: int, rule: ExtRuleId):
         port, node, pred = Port.CALL, u, called
 
     elif rule is R.CHOICE:
-        taken = _take(m, u, _peek_visit(m, u, m.call_snaps[u]))
+        taken = _take(m, u, _peek_visit(m, u))
         if taken is not None:
             m.chosen[u], m.pending = taken
 
@@ -414,7 +394,12 @@ def _fire(m: ExtMachine, model: ModelId, chrono: int, rule: ExtRuleId):
 
     elif rule in (R.LEAFFAIL1, R.TREEFAIL_M12, R.REDO_M3C, R.REDO_M3D):
         port, node, pred = Port.FAIL, u, m.call_preds[u]
-        m.fail_at(u)
+        m.marks[u] = True
+        m.current = m.up[u]
+        if u == 0:
+            m.complete = True
+        m.failing = True
+        m.success = False
         if model is ModelId.M3:  # a failure starts or goes on with the sweep
             m.reverse = True
 

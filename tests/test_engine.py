@@ -19,7 +19,9 @@ from byrdbox import (
     step,
     updated_pred,
 )
-from byrdbox.engine import EPSILON, Machine, _fire, _select, has_choice_point, is_leaf, node_str
+from byrdbox.engine import EPSILON, Machine, _fire, _select, drive, has_choice_point, is_leaf, node_str
+
+from conftest import DATA
 
 
 def alpha_equal(pairs_a, pairs_b):
@@ -365,3 +367,18 @@ def test_a_violation_carries_the_condition_table(ex1_program):
         _select(m)
     assert str(caught.value) == "no rule applies at node eps in a live state"
     assert list(caught.value.table.items()) == [(rule, False) for rule in RuleId]
+
+
+def test_a_first_visit_extends_the_machines_own_bindings(corpus_200):
+    # every visit unifies against its node's call bindings: at a first
+    # visit they are the machine's, as no rule fires between a push and
+    # the pushed node's Call
+    data = [parse_program(p.read_text(encoding="utf-8")) for p in sorted(DATA.glob("*.pl"))]
+    calls = 0
+    for program in corpus_200[:60] + data:
+        m = Machine(init_state(program))
+        for rule in drive(m, 150):
+            if rule in (RuleId.CALL1, RuleId.CALL2):
+                assert m.call_snaps[m.current] is m.bindings
+                calls += 1
+    assert calls > 4000

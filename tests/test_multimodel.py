@@ -337,3 +337,20 @@ def test_the_models_gate_alike_on_every_prefix_state(ex1_program, ex2_program, c
             assert gates == _gates(m, ModelId.M2) == _gates(m, ModelId.M3)
             checked += 1
     assert checked > 10000
+
+
+def test_every_node_after_the_last_visited_one_is_a_fresh_slot(corpus_200):
+    # the whole-stack form of CLAUSSUCCEEDS's assert: past the current
+    # node and the last visited one, every node is a body slot not yet
+    # visited, with no number and no box
+    slots = 0
+    for program in corpus_200[:60] + list(DATA_PROGRAMS.values()):
+        for model in ModelId:
+            m = ExtMachine(init_extended(program))
+            for _ in chain([None], _drive(m, model, 150)):
+                visited = [p for p, fresh in enumerate(m.fresh) if not fresh]
+                last = max(visited + [m.current])
+                for p in range(last + 1, len(m.nodes)):
+                    assert m.fresh[p] and m.numbers[p] is None and m.boxes[p] == ()
+                slots += len(m.nodes) - last - 1
+    assert slots > 10000

@@ -38,11 +38,12 @@ def ref_peek_visit(state, v, base):
 
 
 def check_visit(m, v, base) -> int:
-    """Check the visit of position v under `base`; its skipped count."""
-    peek = _peek_visit(m, v, base)
+    """Check the visit of position v, which extends v's call bindings,
+    against the scan under `base`; its skipped count."""
+    peek = _peek_visit(m, v)
     got = (peek.skipped, peek.clause, None if peek.bindings is None else list(peek.bindings.items()))
     assert got == ref_peek_visit(m, v, base)
-    assert peek.base is base and peek.stamp == m.stamp + 1
+    assert peek.stamp == m.stamp + 1
     return peek.skipped
 
 
