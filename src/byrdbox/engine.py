@@ -13,11 +13,12 @@ applies, or the machine halts.
 
 Resolution proper (unification, clause choice, bindings) is not part of
 the observable state.  It is bookkeeping that the rules consult, kept in
-fields of the same state that equality and repr skip: one global
-substitution per derivation branch, snapshotted at every node's call so
-that a Redo can roll it back to the choice point.  A binding dict is
-never updated in place (`unify` returns a new one), so a snapshot is the
-dict itself, not a copy.
+fields of the same state that equality and repr skip: one substitution
+for the current derivation branch, and at every node's call a mark, the
+number of bindings it held then, so that a Redo can roll it back to the
+choice point.  The live machine keeps the substitution as one mutable
+store that is its own trail (see "Visit resolution"); a snapshot keeps
+the store as it stands, and the machine copies it before its next write.
 
 A run fires its rules in place on one mutable `Machine`.  A frozen
 `VirtualState` is a snapshot of it, made only where a state is asked
@@ -50,7 +51,7 @@ for a depth or a child index.
 The machine holds its tree as a node stack.  Each node is a position in
 parallel lists: its word (`nodes`), its parent's position (`up`; the root,
 at 0, is its own parent) and the per-node bookkeeping the rules read
-(`numbers`, `preds`, `boxes`, `fresh`, `call_preds`, `call_snaps`,
+(`numbers`, `preds`, `boxes`, `fresh`, `call_preds`, `call_marks`,
 `chosen`).  A visit that finds its box drained chooses None, which the
 rules read as the node's failure, so the kept `chosen` map of a snapshot
 has no entry for that node.  The choice points `cps` are a list of
@@ -80,7 +81,8 @@ It copies a snapshot's lists in, in one column order for every stack
 the current node with one bisection of `nodes`; each stack has its own
 rule for a u that is not where it allows.  It keeps the choice points
 (`set_box`), drops every node after a position that no choice point lies
-after (`cut`), adds one (`insert`) and freezes the lists (`snapshot`).
+after (`cut`), adds one (`insert`) and freezes the lists (`snapshot`);
+an engine's stack also holds the binding store (`undo`).
 `_Snapshot` is the frozen stack: it holds the lists as tuples, so a
 snapshot is tuple copies, and derives its word-keyed maps (`tree`,
 `numbers`, `preds`, ...) from them the first time they are read.
@@ -103,18 +105,9 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from itertools import chain, islice
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
-from .terms import (
-    BOTTOM,
-    Clause,
-    Program,
-    Struct,
-    Term,
-    rename_clause,
-    resolve,
-    unify,
-)
+from .terms import Clause, Program, Struct, Term, _bind, _new, rename_clause, resolve
 
 __all__ = [
     "NodeId",
@@ -196,7 +189,7 @@ class _Snapshot:
     born = None
     tree = cached_property(lambda s: frozenset(s.nodes))
     numbers, preds, boxes, fresh = map(_word_map, ("numbers", "preds", "boxes", "fresh"))
-    call_preds, call_snaps, chosen = map(_word_map, ("call_preds", "call_snaps", "chosen"))
+    call_preds, call_marks, chosen = map(_word_map, ("call_preds", "call_marks", "chosen"))
 
 
 # The link map is keyed by the id of a canonical node, which the table
@@ -225,9 +218,16 @@ class _Live:
     node's position, found by bisection as the lists are in Dewey order;
     None when the state's u is not in its tree.  `set_box`, `cut` and
     `insert` keep the lists in Dewey order, so positions compare as the
-    nodes do."""
+    nodes do.
+
+    An engine's stack also holds `bindings`, the one binding store of the
+    current branch: a dict in binding order, which is its own trail.  A
+    mark is its length, `undo` takes it back to a mark, `frozen_bindings`
+    hands it out to keep and `owned_bindings` to write to, and
+    `bindings_at` copies its first bindings."""
 
     LISTS = ("nodes", "up")
+    shared = True  # whether the store was handed out (see frozen_bindings)
 
     def __init__(self, state):
         lists = tuple(getattr(state, name) for name in self.LISTS) + state.observed + state.kept
@@ -241,7 +241,7 @@ class _Live:
         p = bisect_left(nodes, u)
         self.current = p if p < len(nodes) and nodes[p] == u else None
 
-    def snapshot(self):
+    def snapshot(self, **fields):
         frozen = lambda name: tuple(getattr(self, name))
         return self.STATE(
             current=self.nodes[self.current],
@@ -249,7 +249,41 @@ class _Live:
             kept=tuple(map(frozen, self.STATE.KEPT)),
             **{name: frozen(name) for name in self.LISTS},
             **{name: getattr(self, name) for name in self.SCALARS},
+            **fields,
         )
+
+    def undo(self, mark: int):
+        """Take back every binding made since the store held `mark`, the
+        newest first, and return them, the oldest first."""
+        store = self.bindings
+        if len(store) == mark:
+            return ()
+        if self.shared:
+            store = self.owned_bindings()
+        taken = []
+        while len(store) > mark:
+            taken.append(store.popitem())
+        taken.reverse()
+        return taken
+
+    def bindings_at(self, mark: int) -> dict:
+        """A copy of the store as it was when it held `mark` bindings."""
+        return dict(islice(self.bindings.items(), mark))
+
+    def frozen_bindings(self) -> dict:
+        """The store as it stands, for a state or a column to keep: no one
+        writes to it again, as the next write copies it first, so every
+        caller until the store changes shares one dict, and the store is
+        copied at most once per change."""
+        self.shared = True
+        return self.bindings
+
+    def owned_bindings(self) -> dict:
+        """The store, to write to: a copy of it when it was handed out."""
+        if self.shared:
+            self.bindings = dict(self.bindings)
+            self.shared = False
+        return self.bindings
 
     def set_box(self, p: int, box: tuple) -> None:
         """Fill or shrink the box at p: p enters `cps` on top when its box
@@ -382,9 +416,9 @@ class VirtualState(_State):
     the core's columns and nothing more."""
 
     OBSERVED = ("numbers", "preds", "boxes", "fresh")
-    # node -> as called, bindings then, clause in use (None before the
-    # first visit and after a drained one)
-    KEPT = ("call_preds", "call_snaps", "chosen")
+    # node -> as called, the store's length then (its mark), clause in
+    # use (None before the first visit and after a drained one)
+    KEPT = ("call_preds", "call_marks", "chosen")
 
 
 @dataclass(frozen=True)
@@ -498,18 +532,29 @@ def updated_pred(m: Machine, p: int) -> Term:
 # without unifying (clause indexing on the principal functor, as the
 # WAM's switch_on_term does); every other head is unified once, renamed
 # with the stamp the visit will take, and the winner's renaming and
-# unifier are what the visit consumes.  Every visit, in both engines,
-# extends the bindings of the visited node's call (`call_snaps`), the
-# mark a WAM trail would record there.  At a first visit those are the
-# machine's own bindings: no rule fires between a node's push and its
-# visit.
+# bindings are what the visit consumes.
+#
+# Both engines keep one binding store, a dict that only grows by `_bind`
+# on top and shrinks by `popitem` from the top, so it is its own trail:
+# its first k bindings are the store as it was when it held k.  Each node
+# keeps the store's length at its call (`call_marks`), and while the
+# node stands the store extends what it held then: a rule that rolls the
+# store back (the core's Redo, multimodel's `rechoice`) cuts every node
+# called after the mark it pops to.  Every visit, in both engines, binds
+# at its node's mark, and a drained one leaves the store there.  At a
+# first visit the mark is the whole store: no rule fires between a
+# node's push and its visit.
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Peek:
+class _Peek(NamedTuple):
+    """A visit's clause scan; built with `_new`, as a peek is made per
+    visit and a NamedTuple's own `__new__` runs in Python."""
+
     skipped: int              # leading clauses that fail head unification
     clause: Optional[Clause]  # first unifying clause, renamed; None when drained
-    bindings: Optional[dict]  # its unifier, extending the node's call bindings
+    # the (variable, term) pairs its head unification adds at the node's
+    # mark, in binding order; None when drained
+    bindings: Optional[Sequence]
     stamp: int                # the renaming stamp: the machine's stamp + 1
 
     @property
@@ -523,8 +568,8 @@ def _clash(goal: Struct, head: Struct) -> bool:
     """Whether some argument of `goal` and the same argument of `head` are
     both compound terms with a different functor or arity.  Such a pair
     never unifies, whatever the bindings or the renaming, so the head is
-    dropped without unifying.  That skips no CyclicTerm that `unify` would
-    raise: the engines' stores start empty and grow only through `unify`,
+    dropped without unifying.  That skips no CyclicTerm that `_bind` would
+    raise: the engines' stores start empty and grow only through `_bind`,
     which never binds a variable into a variable-to-variable cycle."""
     for a, b in zip(goal.args, head.args):
         if a.__class__ is Struct is b.__class__ and (
@@ -534,24 +579,31 @@ def _clash(goal: Struct, head: Struct) -> bool:
     return False
 
 
-def _peek_visit(state, v) -> _Peek:
-    """The visit of node v, decided without changing anything: it extends
-    the bindings of v's call, which at a first visit are the machine's
-    own.  A trial renames a clause with the stamp the visit will take,
-    which no variable of the call or the store carries yet, and unifies
-    its head; both build new objects, so a peek that is not fired
-    (`_conditions`, `applicable_rule`) leaves the state as it was."""
-    goal, base = state.call_preds[v], state.call_snaps[v]
-    stamp = state.stamp + 1
+def _peek_visit(m, v) -> _Peek:
+    """The visit of node v on a live machine, decided on the store at v's
+    mark, which at a first visit is the whole store.  A trial renames a
+    clause with the stamp the visit will take, which no variable of the
+    call or the store carries yet, and binds its head in the store; the
+    winner's bindings are taken back into the peek, and the bindings made
+    since v's call, set aside for the trials, are put back.  So a peek
+    that is not fired (`_conditions`, `applicable_rule`, or a rule that
+    `drive` yields) leaves the machine's store as it was."""
+    goal, mark = m.call_preds[v], m.call_marks[v]
+    store = m.owned_bindings() if m.shared else m.bindings
+    later = m.undo(mark) if len(store) > mark else ()
+    stamp = m.stamp + 1
     skipped = 0
-    for c in state.boxes[v]:
+    for c in m.boxes[v]:
         if not _clash(goal, c.head):
             inst = rename_clause(c, stamp)
-            bindings = unify(goal, inst.head, base, resolved=False)
-            if bindings is not BOTTOM:
-                return _Peek(skipped, inst, bindings, stamp)
+            if _bind(store, goal, inst.head):
+                peek = _new(_Peek, (skipped, inst, m.undo(mark), stamp))
+                break
         skipped += 1
-    return _Peek(skipped, None, None, stamp)
+    else:
+        peek = _new(_Peek, (skipped, None, None, stamp))
+    store.update(later)
+    return peek
 
 
 # ----------------------------------------------------------------------
@@ -640,7 +692,7 @@ def init_state(program: Program) -> VirtualState:
     """The state right after top level enters the root box (the top
     level transition itself is not modeled).  An undefined goal predicate
     simply yields an empty root box and a Call/Fail trace."""
-    bindings = {}  # the machine's, and the root's call bindings
+    bindings = {}
     boxes, called = box_init(program, program.goal, bindings)
     return VirtualState(
         nodes=(EPSILON,),
@@ -653,7 +705,7 @@ def init_state(program: Program) -> VirtualState:
         program=program,
         bindings=bindings,
         stamp=0,
-        kept=((called,), (bindings,), (None,)),  # no clause before the first visit
+        kept=((called,), (0,), (None,)),  # no clause before the first visit
     )
 
 
@@ -663,14 +715,18 @@ class Machine(_Live):
     not its last node or an ancestor of it (invariant 2)."""
 
     STATE = VirtualState
-    SCALARS = ("counter", "complete", "failing", "program", "bindings", "stamp")
+    SCALARS = ("counter", "complete", "failing", "program", "stamp")
 
     def __init__(self, state: VirtualState):
         super().__init__(state)
         u = state.current
         if self.current is None or self.nodes[-1][: len(u)] != u:
             raise ValueError("a state's u must be its last node or an ancestor of it")
+        self.bindings = state.bindings  # copied on the first write
         self.resolved = None  # (position, Exit predication), see updated_pred
+
+    def snapshot(self) -> VirtualState:
+        return super().snapshot(bindings=self.frozen_bindings())
 
 
 def drive(machine: Machine, max_steps: int):
@@ -691,17 +747,18 @@ def drive(machine: Machine, max_steps: int):
 
 
 def _take(m, v, peek: _Peek):
-    """Consume the visit decided by `peek` at node v, in either engine:
-    drop the silently skipped clauses and the chosen one from v's box, and
-    return (the chosen clause renamed apart, the unifier extending v's
-    call bindings), both as the peek made them; None when the box is
-    drained."""
+    """Consume the visit decided by `peek` at node v, in either engine,
+    with the store at v's mark: drop the silently skipped clauses and the
+    chosen one from v's box, and commit the chosen clause's bindings;
+    return the chosen clause renamed apart, as the peek made it, or None
+    when the box is drained."""
     assert peek.stamp == m.stamp + 1, "a peek made at another stamp"
     m.set_box(v, m.boxes[v][peek.skipped + 1:])
     if peek.clause is None:
         return None
     m.stamp += 1
-    return peek.clause, peek.bindings
+    (m.owned_bindings() if m.shared else m.bindings).update(peek.bindings)
+    return peek.clause
 
 
 def _child_slot(m: Machine, atom: Term, p: int, i: int) -> None:
@@ -716,7 +773,7 @@ def _child_slot(m: Machine, atom: Term, p: int, i: int) -> None:
     # LISTS, then the columns in OBSERVED and KEPT order.  The new node
     # gets its box once it is on the stack, and no chosen clause until its
     # visit.
-    m.insert(m.current, (v, p, m.counter, called, (), True, called, m.bindings, None))
+    m.insert(m.current, (v, p, m.counter, called, (), True, called, len(m.bindings), None))
     m.set_box(m.current, box)
 
 
@@ -761,13 +818,15 @@ def _fire(m: Machine, rule: RuleId, peek: Optional[_Peek]) -> None:
             m.fresh[u] = False
         else:
             v = greatest_choice_point(m, u)
-            m.cut(v)  # backtracking to v deletes every node after it
+            # backtracking to v deletes every node after it, and every
+            # binding made since v's call
+            m.cut(v)
+            m.undo(m.call_marks[v])
             m.current = v
             m.complete = False
-        # the visit chooses its clause and extends the bindings, or, when
-        # the box is drained, chooses None and rolls them back to v's call
-        taken = _take(m, v, peek)
-        m.chosen[v], m.bindings = (None, m.call_snaps[v]) if taken is None else taken
+        # the visit chooses its clause and binds its head, or, when the
+        # box is drained, chooses None
+        m.chosen[v] = _take(m, v, peek)
         m.failing = False
         if rule in (RuleId.CALL2, RuleId.REDO2):
             _child_slot(m, m.chosen[v].body[0], v, 1)

@@ -18,13 +18,19 @@ Three mutually exclusive models select how backtracking is traced:
     m3  original box model: full stepwise undo; every completed box is
         re-entered (Redo) and closed (Fail) in reverse order
 
-Its state is engine's `_State` plus scs, bk3 and the unifier a CHOICE
+Its state is engine's `_State` plus scs, bk3 and the store a CHOICE
 leaves to commit (`pending`).  The live machine runs on engine's node
 stack (`_Live`; see engine for its layout), with the per-node maps and
-bookkeeping as columns under their state names.  It shares engine's
-clause selection (`_peek_visit`, `_take`; a CHOICE, as every visit,
-extends its node's call bindings), box fill (`box_init`) and next-node
-query (`may_have_new_brother`).  Three invariants of its own hold:
+bookkeeping as columns under their state names, and its binding store:
+a CHOICE binds its clause's head in the store, as every visit of either
+engine does, and keeps its mark in `pending` until a success rule
+commits it, and `rechoice` takes the store back to the choice point's
+mark.  A substitution column entry (`sigmas`) is the store as it stood,
+handed out by `frozen_bindings`: the machine copies the store before its
+next write, so it is copied at most once per change, and a node called
+right after a success shares its dict.  It shares engine's clause selection
+(`_peek_visit`, `_take`), box fill (`box_init`) and next-node query
+(`may_have_new_brother`).  Three invariants of its own hold:
 
   1. a clause's body slots are made at once, by CLAUSSUCCEEDS at a leaf
      after which every node is an unvisited slot (a leaf with no box), so
@@ -110,15 +116,18 @@ class ExtRuleId(_Tag):
 class ExtendedState(_State):
     """A snapshot of the machine, by position: engine's shared state with
     this engine's columns and three fields more: the flags scs and bk3,
-    which equality and repr see after ct and flr, and the unifier a CHOICE
-    leaves for a success rule to commit (`pending`), which they skip."""
+    which equality and repr see after ct and flr, and the store as a
+    CHOICE extended it, which a success rule commits (`pending`, None when
+    there is none; while there is one, `bindings` is the store before the
+    CHOICE), which they skip."""
 
     # preds are the skeleton predications (raw body atoms), chosen the
     # renamed clause instance in use, sigmas the paper's per-node
     # substitution parameter, which no rule reads
     OBSERVED = ("numbers", "preds", "chosen", "boxes", "sigmas", "fresh")
-    # node -> as (re)called, bindings then, last shown, closed by m3's sweep
-    KEPT = ("call_preds", "call_snaps", "display", "marks")
+    # node -> as (re)called, the store's length then (its mark), last
+    # shown, closed by m3's sweep
+    KEPT = ("call_preds", "call_marks", "display", "marks")
 
     success: bool      # scs
     reverse: bool      # bk3
@@ -289,7 +298,7 @@ def init_extended(program: Program) -> ExtendedState:
         bindings={},
         stamp=0,
         pending=None,
-        kept=((called,), ({},), (called,), (False,)),
+        kept=((called,), (0,), (called,), (False,)),
     )
 
 
@@ -305,15 +314,22 @@ class ExtMachine(_Live):
     its tree."""
 
     STATE = ExtendedState
-    SCALARS = (
-        "counter", "complete", "failing", "success", "reverse",
-        "program", "bindings", "stamp", "pending",
-    )
+    SCALARS = ("counter", "complete", "failing", "success", "reverse", "program", "stamp")
 
     def __init__(self, state: ExtendedState):
         super().__init__(state)
         if self.current is None:
             raise ValueError("a state's u must be in its tree")
+        # a CHOICE's bindings are in the store; `pending` is its mark
+        committed = state.pending is None
+        self.bindings = state.bindings if committed else state.pending  # copied on the first write
+        self.pending = None if committed else len(state.bindings)
+
+    def snapshot(self) -> ExtendedState:
+        store = self.frozen_bindings()
+        if self.pending is None:
+            return super().snapshot(bindings=store, pending=None)
+        return super().snapshot(bindings=self.bindings_at(self.pending), pending=store)
 
     def rechoice(self, v):
         """Resume the choice point v: every node behind it is torn down.
@@ -325,6 +341,7 @@ class ExtMachine(_Live):
         self.cut(v)  # every box behind v is gone or emptied
         for row in later:
             self.insert(len(nodes), row + _BLANK)
+        self.undo(self.call_marks[v])
         self.chosen[v] = None
         self.pending = None
         self.success = self.failing = self.complete = False
@@ -348,24 +365,23 @@ def _fire(m: ExtMachine, model: ModelId, chrono: int, rule: ExtRuleId):
         m.numbers[u] = m.counter
         m.set_box(u, box)
         m.chosen[u] = None
-        m.sigmas[u] = m.bindings
+        m.sigmas[u] = m.frozen_bindings()
         m.fresh[u] = False
         m.success = m.failing = False
         m.call_preds[u] = called
-        m.call_snaps[u] = m.bindings
+        m.call_marks[u] = len(m.bindings)
         m.display[u] = called
         m.marks[u] = False
         port, node, pred = Port.CALL, u, called
 
     elif rule is R.CHOICE:
-        taken = _take(m, u, _peek_visit(m, u))
-        if taken is not None:
-            m.chosen[u], m.pending = taken
+        clause = _take(m, u, _peek_visit(m, u))
+        if clause is not None:
+            m.chosen[u], m.pending = clause, m.call_marks[u]
 
     elif rule in (R.FACTSUCCEEDS, R.CLAUSSUCCEEDS):
-        m.bindings = m.pending
         m.pending = None
-        m.sigmas[u] = m.bindings
+        m.sigmas[u] = m.frozen_bindings()
         if rule is R.FACTSUCCEEDS:
             m.success = True
             m.failing = False

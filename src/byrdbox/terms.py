@@ -453,22 +453,14 @@ def resolve(subst: dict, t: Term) -> Term:
     return _fold(t, lambda v: v, _rebuild, subst)
 
 
-def unify(a: Term, b: Term, subst: Optional[dict] = None, resolved: bool = True):
-    """Most general unifier of `a` and `b`, or BOTTOM.
-
-    No occur check, as in standard Prolog.  By default the result is fully
-    resolved, hence idempotent: applying it twice equals applying it once.
-    The engines pass resolved=False to keep the binding store triangular
-    (walked on demand), which avoids rebuilding it on every unification.
-    `subst` is never mutated: the result is a new dict, and nothing else
-    updates a binding dict in place, so the engines share them uncopied.
-    Bindings may be cyclic (no occur check): a compound pair reached again
-    through them is skipped, as it is already being unified; a loop of
-    variable-to-variable bindings raises CyclicTerm (see `walk`).  Two
-    compound terms are never compared whole (tuple comparison recurses in
-    C): they descend, and only an identical pair or two equal variables is
-    skipped."""
-    s = dict(subst) if subst else {}
+def _bind(s: dict, a: Term, b: Term) -> bool:
+    """Unify `a` and `b` in the binding store `s`, in place: add the
+    bindings of their most general unifier under `s`, in the order they
+    are made, and return True; or return False with `s` as it was, its
+    own bindings taken back (a dict keeps insertion order, so each
+    `popitem` takes back the newest).  The binder of `unify` and of both
+    engines' visits; see `unify` for how it binds."""
+    start = len(s)
     stack = [(a, b)]
     seen = None  # (id, id) of compound pairs reached through a binding
     while stack:
@@ -498,7 +490,29 @@ def unify(a: Term, b: Term, subst: Optional[dict] = None, resolved: bool = True)
                 seen.add(key)
             stack.extend(zip(x.args, y.args))
         else:
-            return BOTTOM
+            for _ in range(len(s) - start):
+                s.popitem()
+            return False
+    return True
+
+
+def unify(a: Term, b: Term, subst: Optional[dict] = None, resolved: bool = True):
+    """Most general unifier of `a` and `b`, or BOTTOM.
+
+    No occur check, as in standard Prolog.  By default the result is fully
+    resolved, hence idempotent: applying it twice equals applying it once.
+    With resolved=False the result is the triangular store the engines
+    keep (walked on demand): `subst` extended by `_bind`, which the
+    engines call on their own store.  `subst` is never mutated: the
+    result is a new dict.  Bindings may be cyclic (no occur check): a
+    compound pair reached again through them is skipped, as it is already
+    being unified; a loop of variable-to-variable bindings raises
+    CyclicTerm (see `walk`).  Two compound terms are never compared whole
+    (tuple comparison recurses in C): they descend, and only an identical
+    pair or two equal variables is skipped."""
+    s = dict(subst) if subst else {}
+    if not _bind(s, a, b):
+        return BOTTOM
     if not resolved:
         return s
     return {v: resolve(s, t) for v, t in s.items()}

@@ -143,7 +143,7 @@ def run_actual_trace(program: Program, max_steps: int) -> TraceResult:
 # ----------------------------------------------------------------------
 
 def format_event(e: TraceEvent, names: VarNames = None) -> str:
-    return f"{e.chrono} {e.r} {e.l} {e.port} {format_term(e.pred, names)}"
+    return f"{e.chrono} {e.r} {e.l} {e.port.value} {format_term(e.pred, names)}"
 
 
 def format_trace(events, names: VarNames = None) -> str:

@@ -370,15 +370,14 @@ def test_a_violation_carries_the_condition_table(ex1_program):
 
 
 def test_a_first_visit_extends_the_machines_own_bindings(corpus_200):
-    # every visit unifies against its node's call bindings: at a first
-    # visit they are the machine's, as no rule fires between a push and
-    # the pushed node's Call
+    # every visit binds at its node's mark: at a first visit that is the
+    # whole store, as no rule fires between a push and the pushed node's Call
     data = [parse_program(p.read_text(encoding="utf-8")) for p in sorted(DATA.glob("*.pl"))]
     calls = 0
     for program in corpus_200[:60] + data:
         m = Machine(init_state(program))
         for rule in drive(m, 150):
             if rule in (RuleId.CALL1, RuleId.CALL2):
-                assert m.call_snaps[m.current] is m.bindings
+                assert m.call_marks[m.current] == len(m.bindings)
                 calls += 1
     assert calls > 4000

@@ -228,6 +228,16 @@ def test_a_run_that_keeps_its_states_peaks_as_a_streaming_run():
     assert kept <= 1.1 * state_log_peak(lambda: run_actual_trace(NAT, 1000))
 
 
+@pytest.mark.parametrize("run", [run_actual_trace, check_adequacy], ids=lambda f: f.__name__)
+def test_a_deep_run_grows_linearly_with_its_steps(run):
+    # nat(N) binds one variable per step: a copy of the bindings per node
+    # would make the peak quadratic.  The warm-up run fills engine's table
+    # of canonical words, which outlives it, for both sizes.
+    run_actual_trace(NAT, 2000)
+    small, large = (state_log_peak(lambda: run(NAT, n)) for n in (1000, 2000))
+    assert large <= 2.3 * small
+
+
 @pytest.mark.parametrize("model", ModelId)
 def test_model_transitions_peak_as_the_run(model):
     # the transitions keep their rules and last state, not a state per rule
