@@ -81,8 +81,9 @@ It copies a snapshot's lists in, in one column order for every stack
 the current node with one bisection of `nodes`; each stack has its own
 rule for a u that is not where it allows.  It keeps the choice points
 (`set_box`), drops every node after a position that no choice point lies
-after (`cut`), adds one (`insert`) and freezes the lists (`snapshot`);
-an engine's stack also holds the binding store (`undo`).
+after (`cut`), adds one (`insert`), freezes the lists (`snapshot`) and
+copies them (`copy`); an engine's stack also holds the binding store
+(`undo`).
 `_Snapshot` is the frozen stack: it holds the lists as tuples, so a
 snapshot is tuple copies, and derives its word-keyed maps (`tree`,
 `numbers`, `preds`, ...) from them the first time they are read.
@@ -251,6 +252,19 @@ class _Live:
             **{name: getattr(self, name) for name in self.SCALARS},
             **fields,
         )
+
+    def copy(self):
+        """A second stack in the same state: its own columns and `cps`,
+        and the same store, which the first write of either copies.  Every
+        other attribute is shared: the engines keep no other mutable one
+        (the rebuilder's `born` is one)."""
+        twin = object.__new__(type(self))
+        vars(twin).update(vars(self), shared=True)
+        twin.columns = tuple(map(list, self.columns))
+        vars(twin).update(zip(self.LISTS + self.STATE.OBSERVED + self.STATE.KEPT, twin.columns))
+        twin.cps = list(self.cps)
+        self.shared = True
+        return twin
 
     def undo(self, mark: int):
         """Take back every binding made since the store held `mark`, the

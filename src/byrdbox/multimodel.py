@@ -30,7 +30,7 @@ handed out by `frozen_bindings`: the machine copies the store before its
 next write, so it is copied at most once per change, and a node called
 right after a success shares its dict.  It shares engine's clause selection
 (`_peek_visit`, `_take`), box fill (`box_init`) and next-node query
-(`may_have_new_brother`).  Three invariants of its own hold:
+(`may_have_new_brother`).  Four invariants of its own hold:
 
   1. a clause's body slots are made at once, by CLAUSSUCCEEDS at a leaf
      after which every node is an unvisited slot (a leaf with no box), so
@@ -43,7 +43,14 @@ right after a success shares its dict.  It shares engine's clause selection
      `_SHARED`, every model's gate table is m1's (only those flags open a
      model's own rules) and the rule fired reads the model only for its
      event's r (LEAFFAIL1, gated alike, sets bk3 under m3): so
-     `compare_models` runs this shared prefix once, under m1, then forks.
+     `compare_models` runs such a shared segment once, under m1;
+  4. where they part, each model backtracks until it re-chooses at a
+     choice point (REDO_M1, REDO_M2B or REDO_M3A, each by `rechoice`), or
+     halts; after the k-th re-choice the three models' machines are equal
+     in every field (the columns, `up` and `cps`, the store's items in
+     order, the stamp, `pending`, scs and bk3), a state from which the
+     next shared segment starts: so `compare_models` forks each model's
+     backtrack and goes on from any one of them.
 
 A body inserted before a visited node raises.  The queries take the live
 machine and the position of the current node or one of its ancestors (a
@@ -552,19 +559,41 @@ class ModelComparison:
         )
 
 
+# The rules that end a backtrack, each by re-choosing at a choice point.
+_RECHOICE = frozenset((ExtRuleId.REDO_M1, ExtRuleId.REDO_M2B, ExtRuleId.REDO_M3A))
+
+
 def compare_models(program: Program, max_steps: int) -> ModelComparison:
     """Run all three models and check that the port sequences nest:
-    m1's within m2's, m2's within m3's.  Their shared prefix (invariant 3)
-    runs once, under m1; each model goes on from there on its own copy."""
+    m1's within m2's, m2's within m3's.  Each segment that they share
+    (invariant 3) runs once, under m1, and each model takes the events of
+    the steps its budget has left.  Where they part, each model with
+    budget left backtracks on its own copy until it re-chooses, and they
+    go on from the machine of any that did (invariant 4)."""
     machine = ExtMachine(init_extended(program))
-    fired = list(_drive(machine, ModelId.M1, max_steps, shared=True))
-    prefix = [e.port for _, e in fired if e is not None]
-    left, ports, halted = max_steps - len(fired), {}, {}
-    for model in ModelId:
-        m = machine if model is ModelId.M3 else ExtMachine(machine.snapshot())
-        run = _drive(m, model, left) if left else ()  # none when the prefix spent the budget
-        ports[model] = prefix + [e.port for _, e in run if e is not None]
-        halted[model] = m.halted if left else applicable_extended(m, model) is None
+    left, ports, halted = dict.fromkeys(ModelId, max_steps), {m: [] for m in ModelId}, {}
+    while left:
+        fired = list(_drive(machine, ModelId.M1, max(left.values()), shared=True))
+        for model, budget in list(left.items()):
+            ports[model] += [e.port for _, e in fired[:budget] if e is not None]
+            left[model] -= len(fired)
+            if left[model] <= 0:  # a shared rule fired after its last step, unless none did
+                del left[model]
+                halted[model] = budget == len(fired) and applicable_extended(machine, model) is None
+        parted, forks = machine, list(left)
+        for model in forks:
+            m = parted if model is forks[-1] else parted.copy()
+            for rule, event in _drive(m, model, left[model]):
+                left[model] -= 1
+                if event is not None:
+                    ports[model].append(event.port)
+                if rule in _RECHOICE and left[model]:
+                    break
+            else:  # it halted or ran out of budget first
+                halted[model] = m.halted
+                del left[model]
+                continue
+            machine = m
     return ModelComparison(
         counts={m: len(ports[m]) for m in ModelId},
         halted=halted,

@@ -1,4 +1,5 @@
 import dataclasses
+import random
 from itertools import chain
 
 import pytest
@@ -20,6 +21,7 @@ from byrdbox.multimodel import (
     ExtMachine,
     ExtRuleId,
     ModelComparison,
+    _RECHOICE,
     _drive,
     _gates,
     _is_subsequence,
@@ -238,7 +240,8 @@ def test_a_violation_carries_the_gate_table(ex1_program, model):
 
 
 # ----------------------------------------------------------------------
-# compare_models runs the models' shared prefix once, then forks
+# compare_models runs each segment the models share once, forks where
+# they part, and re-joins them at each backtrack's re-choice
 # ----------------------------------------------------------------------
 
 NAT = parse_program("nat(s(X)) :- nat(X).\nnat(z).\n:- nat(N).\n")
@@ -337,6 +340,110 @@ def test_the_models_gate_alike_on_every_prefix_state(ex1_program, ex2_program, c
             assert gates == _gates(m, ModelId.M2) == _gates(m, ModelId.M3)
             checked += 1
     assert checked > 10000
+
+
+def machine_fields(m):
+    """Every field of the live machine: its columns (the tree, the
+    parents, the observed and kept columns), its choice points, u, n, the
+    four flags, the stamp, the pending mark and the store's items in
+    order."""
+    return (tuple(map(list, m.columns)), list(m.cps), m.current, m.counter,
+            m.complete, m.failing, m.success, m.reverse,
+            m.stamp, m.pending, list(m.bindings.items()))
+
+
+def test_the_models_join_at_each_rechoice(corpus_200):
+    # invariant 4: after its k-th re-choice, each model's own run holds
+    # the same machine, so compare_models goes on with any one of them
+    joins = 0
+    for program in list(corpus_200) + list(DATA_PROGRAMS.values()):
+        rechosen = []
+        for model in ModelId:
+            m = ExtMachine(init_extended(program))
+            rechosen.append([machine_fields(m) for rule, _ in _drive(m, model, 500) if rule in _RECHOICE])
+        for m1, m2, m3 in zip(*rechosen):
+            assert m1 == m2 == m3
+            joins += 1
+    assert joins > 600
+
+
+def test_every_shared_segment_gates_alike(corpus_200):
+    # as test_the_models_gate_alike_on_every_prefix_state, on every segment
+    # the models share: each re-join goes on with the machine of one
+    # model's backtrack, m1's, m2's and m3's in turn
+    checked = joins = 0
+    for program in list(corpus_200) + list(DATA_PROGRAMS.values()):
+        m, spent = ExtMachine(init_extended(program)), 0
+        while spent < 500:
+            for fired in chain([None], _drive(m, ModelId.M1, 500, shared=True)):
+                spent += fired is not None
+                if not (m.failing or m.complete or m.reverse):
+                    assert _gates(m, ModelId.M1) == _gates(m, ModelId.M2) == _gates(m, ModelId.M3)
+                    checked += 1
+            model = list(ModelId)[joins % 3]
+            for rule, _ in _drive(m, model, 500):
+                spent += 1
+                if rule in _RECHOICE:
+                    joins += 1
+                    break
+            else:
+                break
+    assert joins > 600 and checked > 40000
+
+
+def test_a_copy_leaves_its_machine_as_it_was(corpus_200):
+    # compare_models forks the machine where the models part: a copy's run
+    # writes neither the columns, the choice points nor the store it came from
+    copies = 0
+    for program in corpus_200[:60] + list(DATA_PROGRAMS.values()):
+        m = ExtMachine(init_extended(program))
+        for step, _ in enumerate(_drive(m, ModelId.M1, 150)):
+            if step % 25 == 0:
+                before, twin = machine_fields(m), m.copy()
+                assert machine_fields(twin) == before
+                for _ in _drive(twin, ModelId.M1, 50):
+                    pass
+                assert machine_fields(m) == before
+                copies += 1
+    assert copies > 200
+
+
+def generate_and_test(seed, constants=4, rows=6):
+    """The shape of a generate-and-test search over fact tables: d/1
+    generates every triple, and t/3, a few random rows, admits some."""
+    rng = random.Random(seed)
+    names = [f"k{i}" for i in range(constants)]
+    lines = ["goal :- d(X), d(Y), d(Z), t(X, Y, Z)."] + [f"d({c})." for c in names]
+    lines += [f"t({', '.join(rng.choice(names) for _ in range(3))})." for _ in range(rows)]
+    return parse_program("\n".join(lines + [":- goal.", ""]))
+
+
+def ends(program, model, fuel):
+    """For each budget up to `fuel`, where `model`'s own run ends: inside
+    a backtrack (flr, ct or bk3 holds), and after how many re-choices."""
+    m, rechoices, where = ExtMachine(init_extended(program)), 0, []
+    for rule, _ in _drive(m, model, fuel):
+        rechoices += rule in _RECHOICE
+        where.append((m.failing or m.complete or m.reverse, rechoices))
+    return where
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_compare_agrees_with_three_runs_across_rejoins(seed):
+    program = generate_and_test(seed)
+    budgets = list(range(1, 121)) + [2000]
+    for model in ModelId:
+        where = ends(program, model, 120)
+        # some budgets end inside a later backtrack, some inside a later shared segment
+        assert {(True, True), (False, True)} <= {(inside, k > 0) for inside, k in where}
+    for budget in budgets:
+        assert compare_models(program, budget) == three_runs(program, budget), budget
+
+
+def test_compare_agrees_with_three_runs_over_the_corpus_at_small_budgets(corpus_200):
+    for program in corpus_200:
+        for budget in (5, 50, 150):
+            assert compare_models(program, budget) == three_runs(program, budget), budget
 
 
 def test_every_node_after_the_last_visited_one_is_a_fresh_slot(corpus_200):

@@ -139,12 +139,12 @@ def test_streaming_runs_keep_no_states(monkeypatch):
         compare_models(program, FUEL)
         run = run_model(program, ModelId.M3, FUEL)
         # one initial state per run, none per step
-        assert made == {VirtualState: 2, ExtendedState: 4}
+        assert made == {VirtualState: 2, ExtendedState: 2}
         # a replay keeps its first and last states, none per step
         assert len(trace.run.states) == len(trace.events) + 1
         assert made[VirtualState] == 2 + 2
         assert len(run.transitions) >= len(run.events)
-        assert made[ExtendedState] == 4 + 2
+        assert made[ExtendedState] == 2 + 2
 
 
 def count_rebuilt_states(monkeypatch):
