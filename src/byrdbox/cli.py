@@ -50,7 +50,7 @@ def cmd_trace(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
-    goal = parse_term(args.goal)
+    goal = parse_term(args.goal, predication=True)
     events = parse_trace(_read(args.trace))
     result = reconstruct_trace(
         initial_restricted(goal), events, final_peek=args.final_peek

@@ -461,7 +461,7 @@ def _fire(m: ExtMachine, model: ModelId, chrono: int, rule: ExtRuleId):
     if port is None:
         return rule, None
     r, l = _num_for(m, model, node), lpath(m, node)
-    return rule, TraceEvent(chrono=chrono, r=r, l=l, port=port, pred=pred)
+    return rule, TraceEvent(chrono, r, l, port, pred)
 
 def _drive(machine: ExtMachine, model: ModelId, max_steps: int, shared: bool = False):
     """Fire the rules of a run under `model` of at most `max_steps`

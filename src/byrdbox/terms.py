@@ -9,6 +9,10 @@ No function here recurses: every term walk keeps its work on an explicit
 stack, so any term that parses can be resolved, renamed and printed,
 however deeply it nests.
 
+One reader serves programs, goals and trace predications: one regex
+pass yields the token texts, and a line and column are worked out only
+for an error.  A stray character wins over every other error.
+
 Terms are tuples (NamedTuples), so building and comparing them runs in
 C.  No byrdbox code relies on two consequences: a `Var` equals the plain
 tuple `(name, stamp)`, and terms order.  A `Var` never equals a `Struct`.
@@ -136,20 +140,22 @@ class ParseError(Exception):
         self.column = column
 
 
-# One alternative per token, in one pass: white space, a `%` comment,
-# `:-`, an atom, a variable, punctuation, and any other character, which
-# is an error.  A token's kind is read off its first character.
-_TOKEN_RE = re.compile(
-    r"\s+|%[^\n]*|:-|[a-z][A-Za-z0-9_]*|[A-Z_][A-Za-z0-9_]*|[().,:]|.", re.DOTALL
-)
+# One match per token: white space before it is skipped in the same
+# match, and the group holds punctuation, an atom or a variable, `:-`, a
+# `%` comment (dropped after the pass), or "" at the end (eof, once or
+# twice).  A stray character takes the rest of the text with it, so only
+# the token before the last can start with one.  A token's kind is read
+# off its first character.
+_TOKEN_RE = re.compile(r"\s*([().,]|[A-Za-z_][A-Za-z0-9_]*|:-?|%[^\n]*|.+|\Z)", re.DOTALL)
 _KIND = {
     **dict.fromkeys(string.ascii_lowercase, "atom"),
     **dict.fromkeys(string.ascii_uppercase + "_", "var"),
     **{c: c for c in "().,:"},
+    "": "eof",
 }
 
 
-class _Token(NamedTuple):
+class _Token(NamedTuple):  # one token whole, as `peek` and `next` give it
     kind: str
     text: str
     line: int
@@ -159,82 +165,85 @@ class _Token(NamedTuple):
 _new = tuple.__new__  # builds a NamedTuple without its Python-level __new__
 
 
-def _tokenize(source: str) -> list:
-    tokens = []
-    line, line_start, pos = 1, 0, 0  # line_start: where the current line begins
-    for text in _TOKEN_RE.findall(source):
-        kind = _KIND.get(text[0])
-        if kind is None:  # white space, a comment, or a stray character
-            if text.isspace():
-                newlines = text.count("\n")
-                if newlines:
-                    line += newlines
-                    line_start = pos + text.rfind("\n") + 1
-            elif text[0] != "%":
-                raise ParseError(f"unexpected character {text!r}", line, pos - line_start + 1)
-        else:
-            if text == ":-":
-                kind = "ife"
-            tokens.append(_new(_Token, (kind, text, line, pos - line_start + 1)))
-        pos += len(text)
-    tokens.append(_new(_Token, ("eof", "", line, pos - line_start + 1)))
-    return tokens
-
-
 class _Parser:
-    def __init__(self, source: str):
-        self.tokens = _tokenize(source)
-        self.pos = 0
-        self.anon_count = 0
+    """Reads the token texts in place from `pos`, which never passes eof.
+    `peek` and `next` give whole tokens, for a reader that goes one token
+    at a time (as the recursive reference reader of the tests does)."""
 
-    def peek(self, ahead: int = 0) -> _Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+    __slots__ = ("source", "tokens", "pos", "anon_count")
+
+    def __init__(self, source: str):
+        tokens = _TOKEN_RE.findall(source)
+        if "%" in source:
+            tokens = [text for text in tokens if text[:1] != "%"]
+        self.source, self.tokens, self.pos, self.anon_count = source, tokens, 0, 0
+        if len(tokens) > 1 and tokens[-2][:1] not in _KIND:  # before any parse error
+            raise self.error(f"unexpected character {tokens[-2][0]!r}", len(tokens) - 2)
+
+    def _where(self, i: int) -> tuple:
+        """Line and column of token i: a line feed alone ends a line."""
+        offset = [m.start(1) for m in _TOKEN_RE.finditer(self.source) if m[1][:1] != "%"][i]
+        line_start = self.source.rfind("\n", 0, offset) + 1
+        return self.source.count("\n", 0, offset) + 1, offset - line_start + 1
+
+    def error(self, message: str, i: int) -> ParseError:
+        return ParseError(message, *self._where(i))
+
+    def peek(self) -> _Token:
+        text = self.tokens[self.pos]
+        return _Token("ife" if text == ":-" else _KIND[text[:1]], text, *self._where(self.pos))
 
     def next(self) -> _Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "eof":
+        tok = self.peek()
+        if tok.text:  # not eof
             self.pos += 1
         return tok
 
-    def expect(self, kind: str) -> _Token:
-        tok = self.next()
-        if tok.kind != kind:
-            raise ParseError(f"expected {kind!r}, found {tok.text!r}", tok.line, tok.column)
-        return tok
+    def skip(self, text: str) -> bool:
+        """Whether the next token is `text`, read if it is."""
+        if self.tokens[self.pos] != text:
+            return False
+        self.pos += 1
+        return True
+
+    def expect(self, text: str) -> None:
+        if not self.skip(text):
+            found = self.tokens[self.pos]
+            raise self.error(f"expected {text!r}, found {found!r}", self.pos)
 
     def term(self) -> Term:
-        # Reads the tokens in place: a token read is never "eof" unless
-        # it is an error, so the position never passes the last token.
+        # A token read is never eof unless it is an error, so the position
+        # never passes the last token.
         tokens, pos = self.tokens, self.pos
         open_terms = []  # (functor, arguments so far) of each open compound
         while True:
-            tok = tokens[pos]
+            text = tokens[pos]
+            kind = _KIND[text[:1]]
             pos += 1
-            if tok.kind == "var":
-                if tok.text == "_":
+            if kind == "var":
+                if text == "_":
                     # every anonymous variable is distinct
                     self.anon_count += 1
-                    t = _new(Var, (f"_A{self.anon_count}", 0))
-                else:
-                    t = _new(Var, (tok.text, 0))
-            elif tok.kind != "atom":
-                raise ParseError(f"expected a term, found {tok.text!r}", tok.line, tok.column)
-            elif tokens[pos].kind == "(":
+                    text = f"_A{self.anon_count}"
+                t = _new(Var, (text, 0))
+            elif kind != "atom":
+                raise self.error(f"expected a term, found {text!r}", pos - 1)
+            elif tokens[pos] == "(":
                 pos += 1
-                open_terms.append((tok.text, []))
+                open_terms.append((text, []))
                 continue
             else:
-                t = _new(Struct, (tok.text, ()))
+                t = _new(Struct, (text, ()))
             # t is complete: it is an argument of the innermost open term,
             # which a ")" closes or a "," keeps open for its next argument
             while open_terms:
                 open_terms[-1][1].append(t)
-                tok = tokens[pos]
+                text = tokens[pos]
                 pos += 1
-                if tok.kind == ",":
+                if text == ",":
                     break
-                if tok.kind != ")":
-                    raise ParseError(f"expected ')', found {tok.text!r}", tok.line, tok.column)
+                if text != ")":
+                    raise self.error(f"expected ')', found {text!r}", pos - 1)
                 functor, args = open_terms.pop()
                 t = _new(Struct, (functor, tuple(args)))
             else:
@@ -242,43 +251,22 @@ class _Parser:
                 return t
 
     def predication(self) -> Struct:
-        tok = self.peek()
+        start = self.pos
         t = self.term()
-        if isinstance(t, Var):
-            raise ParseError("a predication cannot be a variable", tok.line, tok.column)
+        if t.__class__ is Var:
+            raise self.error("a predication cannot be a variable", start)
         return t
 
-    def clause_or_directive(self):
-        tok = self.peek()
-        if tok.kind == "ife":
-            self.next()
-            goal = self.predication()
-            self.expect(".")
-            return ("goal", goal, tok)
-        label = None
-        if tok.kind == "atom" and self.peek(1).kind == ":":
-            label = tok.text
-            self.next()
-            self.next()
-        head = self.predication()
-        body = []
-        if self.peek().kind == "ife":
-            self.next()
-            body.append(self.predication())
-            while self.peek().kind == ",":
-                self.next()
-                body.append(self.predication())
-        self.expect(".")
-        return ("clause", (label, head, tuple(body)), tok)
 
-
-def parse_term(text: str) -> Term:
-    """Parse a single term, e.g. for a goal given on the command line."""
+def parse_term(text: str, predication: bool = False) -> Term:
+    """Parse a single term, e.g. for a goal given on the command line.  A
+    `predication` is a term that is not a variable."""
     parser = _Parser(text)
     t = parser.term()
-    tok = parser.peek()
-    if tok.kind != "eof":
-        raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.column)
+    if parser.tokens[parser.pos]:
+        raise parser.error(f"trailing input {parser.tokens[parser.pos]!r}", parser.pos)
+    if predication and t.__class__ is Var:
+        raise parser.error("a predication cannot be a variable", 0)
     return t
 
 
@@ -289,26 +277,38 @@ def parse_program(source: str) -> Program:
     (c1..cn) otherwise.
     """
     parser = _Parser(source)
+    tokens = parser.tokens
     clauses = []
     goal = None
-    while parser.peek().kind != "eof":
-        kind, payload, tok = parser.clause_or_directive()
-        if kind == "goal":
+    while tokens[parser.pos]:
+        start = parser.pos  # the clause's first token: its label, or its head
+        if parser.skip(":-"):
+            atom = parser.predication()
+            parser.expect(".")
             if goal is not None:
-                raise ParseError("duplicate goal directive", tok.line, tok.column)
-            goal = payload
-        else:
-            clauses.append((payload, tok))
+                raise parser.error("duplicate goal directive", start)
+            goal = atom
+            continue
+        label = None
+        if tokens[start + 1] == ":" and _KIND[tokens[start][:1]] == "atom":
+            label = tokens[start]
+            parser.pos += 2
+        head = parser.predication()
+        body = []
+        if parser.skip(":-"):
+            body.append(parser.predication())
+            while parser.skip(","):
+                body.append(parser.predication())
+        parser.expect(".")
+        clauses.append((label, head, tuple(body), start))
     if goal is None:
-        line = parser.peek().line
-        raise ParseError("missing goal directive", line, 1)
+        raise ParseError("missing goal directive", parser._where(parser.pos)[0], 1)
     named = []
     seen = set()
-    for i, ((label, head, body), tok) in enumerate(clauses, start=1):
+    for i, (label, head, body, start) in enumerate(clauses, start=1):
         c = Clause(label if label else f"c{i}", head, body)
         if c.id in seen:
-            # tok starts the clause: its label, or its head when unlabeled
-            raise ParseError(f"duplicate clause id {c.id!r}", tok.line, tok.column)
+            raise parser.error(f"duplicate clause id {c.id!r}", start)
         seen.add(c.id)
         named.append(c)
     return Program(tuple(named), goal)

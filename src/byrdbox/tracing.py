@@ -17,13 +17,18 @@ The text form is one event per line.  `parse_trace` reads a whole trace:
 it parses each distinct predication text once per call, through a memo
 that lives only for that call, so events that repeat a predication share
 its term (terms are frozen).  `parse_event` reads one line, and words
-every error.  A numeric field is ASCII decimal digits and nothing else.
+every error.  A numeric field is ASCII decimal digits and nothing else,
+and a predication is a term that is not a variable.
+
+A `TraceEvent` has slots, filled by a hand-written `__init__` through
+the slots' own setters; equality, hashing, `repr` and
+`dataclasses.replace` are the dataclass's own.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 from .engine import (
@@ -77,13 +82,27 @@ PORT_OF_RULE = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class TraceEvent:
     chrono: int
     r: int
     l: int
     port: Port
     pred: Term
+
+    def __init__(self, chrono: int, r: int, l: int, port: Port, pred: Term):
+        # each field is set by its slot's own setter: the generated
+        # __init__ looks up object.__setattr__ again for every field
+        _set_chrono(self, chrono)
+        _set_r(self, r)
+        _set_l(self, l)
+        _set_port(self, port)
+        _set_pred(self, pred)
+
+
+_set_chrono, _set_r, _set_l, _set_port, _set_pred = (
+    TraceEvent.__dict__[f.name].__set__ for f in fields(TraceEvent)
+)
 
 
 @dataclass(frozen=True)
@@ -118,13 +137,7 @@ def extract_event(rule: RuleId, s_before, chrono: int) -> TraceEvent:
     else:
         node = greatest_choice_point(m, u)
         pred = m.preds[node]
-    return TraceEvent(
-        chrono=chrono,
-        r=m.numbers[node],
-        l=lpath(m, node),
-        port=PORT_OF_RULE[rule],
-        pred=pred,
-    )
+    return TraceEvent(chrono, m.numbers[node], lpath(m, node), PORT_OF_RULE[rule], pred)
 
 
 def run_actual_trace(program: Program, max_steps: int) -> TraceResult:
@@ -190,7 +203,7 @@ def parse_event(line: str, line_number: int = 1) -> TraceEvent:
             f"unknown port {parts[3]!r}", line, line_number, 3
         ) from None
     try:
-        pred = parse_term(parts[4])
+        pred = parse_term(parts[4], predication=True)
     except ParseError as exc:
         raise _field_error(
             exc.message, line, line_number, 4, exc.column - 1
@@ -216,7 +229,7 @@ def parse_trace(text: str) -> list:
             chrono, r, l, port = int(chrono), int(r), int(l), _PORTS[port]
             term = preds.get(pred)
             if term is None:
-                term = preds[pred] = parse_term(pred)
+                term = preds[pred] = parse_term(pred, predication=True)
         except (ValueError, KeyError, ParseError):
             events.append(parse_event(line, number))
         else:

@@ -211,6 +211,23 @@ def test_reconstruct_forged_trace_fails(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "trace, goal, where",
+    [
+        ("1 1 1 Call X\n2 1 1 Exit X\n", "goal", "(line 1, column 12)"),
+        ("1 1 1 Call goal\n2 1 1 Exit goal\n", "X", "(line 1, column 1)"),
+        ("1 1 1 Call goal\n2 1 1 Exit goal\n", " _", "(line 1, column 2)"),
+    ],
+)
+def test_reconstruct_refuses_a_variable_predication(tmp_path, capsys, trace, goal, where):
+    trace_path = tmp_path / "v.trace"
+    trace_path.write_text(trace, encoding="utf-8")
+    code = main(["reconstruct", "--trace", str(trace_path), "--goal", goal, "--final-peek"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == f"error: a predication cannot be a variable {where}\n"
+
+
 def test_verify_example1(capsys, data_dir):
     code, out = run_cli(capsys, "verify", "--program", str(data_dir / "example1.pl"))
     assert code == 0

@@ -1,29 +1,40 @@
-"""The term walkers against recursive reference implementations.
+"""The term walkers and the term reader against reference implementations.
 
 `byrdbox.terms` walks terms on explicit stacks.  The functions below are
 the plain recursive walks those replace, kept here as an oracle: on every
 term shallow enough for Python's recursion, both must agree.  Three input
 sets: every clause of the 200-program corpus, the binding store and call
 predication at every step of corpus(60) runs, and generated terms.
+
+The reader keeps its tokens as texts and works out a line and column only
+for an error.  The reference reader below tokenizes first, each token
+with its line and column, as the reader once did; `parse_term` and
+`parse_program` must give its result or its error, on generated text and
+on edited corpus sources.
 """
 
 import re
+import string
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from byrdbox.corpus import corpus
+from byrdbox.corpus import corpus, program_source
 from byrdbox.engine import Machine, drive, init_state
 from byrdbox.terms import (
     Clause,
     CyclicTerm,
     ParseError,
+    Program,
     Struct,
     Var,
     VarNames,
     _Parser,
     apply_subst,
     format_term,
+    parse_program,
+    parse_term,
     rename_clause,
     resolve,
     variables,
@@ -272,3 +283,224 @@ def test_resolve_agrees_on_generated_stores(subst, t):
             seen.add(x)
             x = subst[x]
     check_resolve(subst, t)
+
+
+# ----------------------------------------------------------------------
+# The reference reader: the whole text tokenized first, every token with
+# its line and column, then read token by token
+# ----------------------------------------------------------------------
+
+_REF_TOKEN_RE = re.compile(
+    r"\s+|%[^\n]*|:-|[a-z][A-Za-z0-9_]*|[A-Z_][A-Za-z0-9_]*|[().,:]|.", re.DOTALL
+)
+_REF_KIND = {
+    **dict.fromkeys(string.ascii_lowercase, "atom"),
+    **dict.fromkeys(string.ascii_uppercase + "_", "var"),
+    **{c: c for c in "().,:"},
+}
+
+
+class RefToken(NamedTuple):
+    kind: str
+    text: str
+    line: int
+    column: int
+
+
+def ref_tokenize(source):
+    tokens = []
+    line, line_start, pos = 1, 0, 0  # line_start: where the current line begins
+    for text in _REF_TOKEN_RE.findall(source):
+        kind = _REF_KIND.get(text[0])
+        if kind is None:  # white space, a comment, or a stray character
+            if text.isspace():
+                newlines = text.count("\n")
+                if newlines:
+                    line += newlines
+                    line_start = pos + text.rfind("\n") + 1
+            elif text[0] != "%":
+                raise ParseError(f"unexpected character {text!r}", line, pos - line_start + 1)
+        else:
+            if text == ":-":
+                kind = "ife"
+            tokens.append(RefToken(kind, text, line, pos - line_start + 1))
+        pos += len(text)
+    tokens.append(RefToken("eof", "", line, pos - line_start + 1))
+    return tokens
+
+
+class RefReader:
+    def __init__(self, source):
+        self.tokens = ref_tokenize(source)
+        self.pos = 0
+        self.anon_count = 0
+
+    def peek(self, ahead=0):
+        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+
+    def next(self):
+        tok = self.tokens[self.pos]
+        if tok.kind != "eof":
+            self.pos += 1
+        return tok
+
+    def expect(self, kind):
+        tok = self.next()
+        if tok.kind != kind:
+            raise ParseError(f"expected {kind!r}, found {tok.text!r}", tok.line, tok.column)
+        return tok
+
+    def term(self):
+        tokens, pos = self.tokens, self.pos
+        open_terms = []  # (functor, arguments so far) of each open compound
+        while True:
+            tok = tokens[pos]
+            pos += 1
+            if tok.kind == "var":
+                if tok.text == "_":
+                    self.anon_count += 1
+                    t = Var(f"_A{self.anon_count}")
+                else:
+                    t = Var(tok.text)
+            elif tok.kind != "atom":
+                raise ParseError(f"expected a term, found {tok.text!r}", tok.line, tok.column)
+            elif tokens[pos].kind == "(":
+                pos += 1
+                open_terms.append((tok.text, []))
+                continue
+            else:
+                t = Struct(tok.text)
+            while open_terms:
+                open_terms[-1][1].append(t)
+                tok = tokens[pos]
+                pos += 1
+                if tok.kind == ",":
+                    break
+                if tok.kind != ")":
+                    raise ParseError(f"expected ')', found {tok.text!r}", tok.line, tok.column)
+                functor, args = open_terms.pop()
+                t = Struct(functor, tuple(args))
+            else:
+                self.pos = pos
+                return t
+
+    def predication(self):
+        tok = self.peek()
+        t = self.term()
+        if isinstance(t, Var):
+            raise ParseError("a predication cannot be a variable", tok.line, tok.column)
+        return t
+
+    def clause_or_directive(self):
+        tok = self.peek()
+        if tok.kind == "ife":
+            self.next()
+            goal = self.predication()
+            self.expect(".")
+            return ("goal", goal, tok)
+        label = None
+        if tok.kind == "atom" and self.peek(1).kind == ":":
+            label = tok.text
+            self.next()
+            self.next()
+        head = self.predication()
+        body = []
+        if self.peek().kind == "ife":
+            self.next()
+            body.append(self.predication())
+            while self.peek().kind == ",":
+                self.next()
+                body.append(self.predication())
+        self.expect(".")
+        return ("clause", (label, head, tuple(body)), tok)
+
+
+def ref_parse_term(text):
+    reader = RefReader(text)
+    t = reader.term()
+    tok = reader.peek()
+    if tok.kind != "eof":
+        raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.column)
+    return t
+
+
+def ref_parse_program(source):
+    reader = RefReader(source)
+    clauses = []
+    goal = None
+    while reader.peek().kind != "eof":
+        kind, payload, tok = reader.clause_or_directive()
+        if kind == "goal":
+            if goal is not None:
+                raise ParseError("duplicate goal directive", tok.line, tok.column)
+            goal = payload
+        else:
+            clauses.append((payload, tok))
+    if goal is None:
+        raise ParseError("missing goal directive", reader.peek().line, 1)
+    named = []
+    seen = set()
+    for i, ((label, head, body), tok) in enumerate(clauses, start=1):
+        c = Clause(label if label else f"c{i}", head, body)
+        if c.id in seen:
+            raise ParseError(f"duplicate clause id {c.id!r}", tok.line, tok.column)
+        seen.add(c.id)
+        named.append(c)
+    return Program(tuple(named), goal)
+
+
+def check_read(read, ref_read, text):
+    """`read` gives the reference's result, or its error at its place."""
+    try:
+        want = ref_read(text)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as raised:
+            read(text)
+        got = raised.value
+        assert (got.message, got.line, got.column) == (exc.message, exc.line, exc.column)
+    else:
+        assert read(text) == want
+
+
+# White space of several kinds (only "\n" ends a line), characters no
+# token takes, and the pieces of terms and clauses.
+_PIECES = [
+    "a", "nat", "X", "Y1", "_", "_7", "7", "(", ")", ",", ".", ":", ":-", "%", "-",
+    " ", "\n", "\t", "\r", "\x0b", "\x0c", "\x85", "\x1c", "\xa0", "\u2028", "\u3000",
+    "é", "$",
+]
+_flat = st.lists(st.sampled_from(_PIECES), max_size=12).map("".join)
+_reader_texts = st.recursive(
+    _flat,
+    lambda sub: st.builds(
+        lambda functor, args, tail: f"{functor}({','.join(args)}{tail}",
+        st.sampled_from(["f", "s", "X", "é", " g ", "h%c\n"]),
+        st.lists(sub, max_size=3),
+        st.sampled_from([")", "", "))", ") .", ")\n:- p."]),
+    ),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_reader_texts)
+def test_the_reader_agrees_with_the_reference_on_generated_text(text):
+    check_read(parse_term, ref_parse_term, text)
+    check_read(parse_program, ref_parse_program, text)
+    check_read(parse_program, ref_parse_program, f"p :- {text}.\n:- p.")
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(0, 199),
+    st.lists(
+        st.tuples(st.integers(0, 10**6), st.integers(0, 3), st.sampled_from(_PIECES)),
+        max_size=4,
+    ),
+)
+def test_the_reader_agrees_with_the_reference_on_edited_sources(corpus_200, program, edits):
+    source = program_source(corpus_200[program])
+    for at, cut, piece in edits:
+        i = at % (len(source) + 1)
+        source = source[:i] + piece + source[i + cut:]
+    check_read(parse_program, ref_parse_program, source)

@@ -1,9 +1,11 @@
+import dataclasses
 import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from byrdbox import (
+    ModelId,
     ParseError,
     Port,
     TraceEvent,
@@ -16,10 +18,12 @@ from byrdbox import (
     parse_term,
     parse_trace,
     run_actual_trace,
+    run_model,
     run_virtual,
 )
 from byrdbox.corpus import corpus
 from byrdbox.engine import Machine, RuleId, drive, init_state
+from byrdbox.terms import Var
 
 from conftest import load_golden, normalize_trace, read_line_by_line
 
@@ -289,3 +293,76 @@ def test_debug_dump_renders_every_node(ex1_program):
     dump = debug_dump(state)
     assert "eps" in dump and "ct=False" in dump
     assert dump.count("num=") == len(state.tree)  # one row per node
+
+
+# ----------------------------------------------------------------------
+# A variable is no predication, in a trace as in a program
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "text, line, column",
+    [
+        ("1 1 1 Call X", 1, 12),
+        ("1 1 1 Call goal\n2 1 1 Exit X", 2, 12),
+        ("1 1 1 Call goal\n\n  2  1 1 Exit _", 3, 15),
+        ("1 1 1 Call p(X)\n2 1 1 Exit _7\n3 1 1 Exit p(X)", 2, 12),
+    ],
+)
+def test_a_variable_predication_is_a_parse_error(text, line, column):
+    for read in (parse_trace, lambda t: [parse_event(l, n) for n, l in enumerate(t.splitlines(), 1) if l]):
+        with pytest.raises(ParseError) as raised:
+            read(text)
+        got = raised.value
+        assert (got.message, got.line, got.column) == ("a predication cannot be a variable", line, column)
+
+
+def test_a_variable_still_reads_as_a_term():
+    assert parse_term("X") == Var("X")
+    assert parse_term(" _7 ") == Var("_7")
+    with pytest.raises(ParseError) as raised:
+        parse_term("\n  X", predication=True)
+    assert (raised.value.line, raised.value.column) == (2, 3)
+    # a text that is no term at all keeps its own error
+    with pytest.raises(ParseError, match="trailing input"):
+        parse_term("X(a)", predication=True)
+
+
+# ----------------------------------------------------------------------
+# TraceEvent behaves as the dataclass it is, however it was built
+# ----------------------------------------------------------------------
+
+_FIELDS = [f.name for f in dataclasses.fields(TraceEvent)]
+# the same class with the __init__ that @dataclass generates
+DataclassEvent = dataclasses.make_dataclass("TraceEvent", _FIELDS, frozen=True)
+
+
+def check_dataclass_behaviour(e):
+    ref = DataclassEvent(*(getattr(e, name) for name in _FIELDS))
+    assert repr(e) == repr(ref)
+    assert hash(e) == hash(ref)
+    same = TraceEvent(**{name: getattr(e, name) for name in _FIELDS})
+    assert e == same and hash(e) == hash(same)
+    moved = dataclasses.replace(e, l=0)
+    assert type(moved) is TraceEvent
+    assert repr(moved) == repr(dataclasses.replace(ref, l=0))
+    assert (moved == e) is (e.l == 0)
+    assert moved.chrono == e.chrono and moved.pred is e.pred
+    for name in _FIELDS:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(e, name, 0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(e, name)
+    assert e == same
+
+
+def test_trace_events_behave_as_dataclass_built_ones(ex2_program, data_dir):
+    events = list(parse_trace((data_dir / "golden_ex1.txt").read_text(encoding="utf-8")))
+    events += run_actual_trace(ex2_program, 100).events  # extract_event
+    for model in (ModelId.M2, ModelId.M3):
+        events += run_model(ex2_program, model, 100).events  # multimodel._fire
+    for program in corpus(5):
+        events += run_actual_trace(program, 50).events
+    assert len(events) > 100
+    for e in events:
+        check_dataclass_behaviour(e)
