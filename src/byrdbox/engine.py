@@ -81,9 +81,10 @@ It copies a snapshot's lists in, in one column order for every stack
 the current node with one bisection of `nodes`; each stack has its own
 rule for a u that is not where it allows.  It keeps the choice points
 (`set_box`), drops every node after a position that no choice point lies
-after (`cut`), adds one (`insert`), freezes the lists (`snapshot`) and
-copies them (`copy`); an engine's stack also holds the binding store
-(`undo`).
+after (`cut`), adds one (`insert`), freezes the lists and the scalars
+(`snapshot`) and copies them (`copy`); an engine's stack also holds the
+binding store (`undo`), one of its scalars, so a snapshot of either
+engine is `_Live.snapshot` alone.
 `_Snapshot` is the frozen stack: it holds the lists as tuples, so a
 snapshot is tuple copies, and derives its word-keyed maps (`tree`,
 `numbers`, `preds`, ...) from them the first time they are read.
@@ -221,11 +222,11 @@ class _Live:
     `insert` keep the lists in Dewey order, so positions compare as the
     nodes do.
 
-    An engine's stack also holds `bindings`, the one binding store of the
-    current branch: a dict in binding order, which is its own trail.  A
-    mark is its length, `undo` takes it back to a mark, `frozen_bindings`
-    hands it out to keep and `owned_bindings` to write to, and
-    `bindings_at` copies its first bindings."""
+    An engine's stack also holds `bindings`, one of its SCALARS: the one
+    binding store of the current branch, a dict in binding order, which is
+    its own trail.  A mark is its length, `undo` takes it back to a mark,
+    `frozen_bindings` hands it out to keep (as `snapshot` does) and
+    `owned_bindings` to write to."""
 
     LISTS = ("nodes", "up")
     shared = True  # whether the store was handed out (see frozen_bindings)
@@ -242,15 +243,15 @@ class _Live:
         p = bisect_left(nodes, u)
         self.current = p if p < len(nodes) and nodes[p] == u else None
 
-    def snapshot(self, **fields):
+    def snapshot(self):
         frozen = lambda name: tuple(getattr(self, name))
+        self.shared = True  # the state keeps the store (see frozen_bindings)
         return self.STATE(
             current=self.nodes[self.current],
             observed=tuple(map(frozen, self.STATE.OBSERVED)),
             kept=tuple(map(frozen, self.STATE.KEPT)),
             **{name: frozen(name) for name in self.LISTS},
             **{name: getattr(self, name) for name in self.SCALARS},
-            **fields,
         )
 
     def copy(self):
@@ -279,10 +280,6 @@ class _Live:
             taken.append(store.popitem())
         taken.reverse()
         return taken
-
-    def bindings_at(self, mark: int) -> dict:
-        """A copy of the store as it was when it held `mark` bindings."""
-        return dict(islice(self.bindings.items(), mark))
 
     def frozen_bindings(self) -> dict:
         """The store as it stands, for a state or a column to keep: no one
@@ -729,18 +726,14 @@ class Machine(_Live):
     not its last node or an ancestor of it (invariant 2)."""
 
     STATE = VirtualState
-    SCALARS = ("counter", "complete", "failing", "program", "stamp")
+    SCALARS = ("counter", "complete", "failing", "program", "bindings", "stamp")
 
     def __init__(self, state: VirtualState):
         super().__init__(state)
         u = state.current
         if self.current is None or self.nodes[-1][: len(u)] != u:
             raise ValueError("a state's u must be its last node or an ancestor of it")
-        self.bindings = state.bindings  # copied on the first write
         self.resolved = None  # (position, Exit predication), see updated_pred
-
-    def snapshot(self) -> VirtualState:
-        return super().snapshot(bindings=self.frozen_bindings())
 
 
 def drive(machine: Machine, max_steps: int):

@@ -18,17 +18,19 @@ Three mutually exclusive models select how backtracking is traced:
     m3  original box model: full stepwise undo; every completed box is
         re-entered (Redo) and closed (Fail) in reverse order
 
-Its state is engine's `_State` plus scs, bk3 and the store a CHOICE
-leaves to commit (`pending`).  The live machine runs on engine's node
-stack (`_Live`; see engine for its layout), with the per-node maps and
-bookkeeping as columns under their state names, and its binding store:
-a CHOICE binds its clause's head in the store, as every visit of either
-engine does, and keeps its mark in `pending` until a success rule
+Its state is engine's `_State` plus scs, bk3 and the mark of a CHOICE
+that is left to commit (`pending`).  The live machine runs on engine's
+node stack (`_Live`; see engine for its layout), with the per-node maps
+and bookkeeping as columns under their state names, and its binding
+store: a CHOICE binds its clause's head in the store, as every visit of
+either engine does, and keeps its mark in `pending` until a success rule
 commits it, and `rechoice` takes the store back to the choice point's
-mark.  A substitution column entry (`sigmas`) is the store as it stood,
-handed out by `frozen_bindings`: the machine copies the store before its
-next write, so it is copied at most once per change, and a node called
-right after a success shares its dict.  It shares engine's clause selection
+mark.  A state holds the store and the mark as the machine does, so
+`_Live` builds and snapshots both engines alike.  A substitution column
+entry (`sigmas`) is the store as it stood, handed out by
+`frozen_bindings`: the machine copies the store before its next write,
+so it is copied at most once per change, and a node called right after
+a success shares its dict.  It shares engine's clause selection
 (`_peek_visit`, `_take`), box fill (`box_init`) and next-node query
 (`may_have_new_brother`).  Four invariants of its own hold:
 
@@ -123,10 +125,10 @@ class ExtRuleId(_Tag):
 class ExtendedState(_State):
     """A snapshot of the machine, by position: engine's shared state with
     this engine's columns and three fields more: the flags scs and bk3,
-    which equality and repr see after ct and flr, and the store as a
-    CHOICE extended it, which a success rule commits (`pending`, None when
-    there is none; while there is one, `bindings` is the store before the
-    CHOICE), which they skip."""
+    which equality and repr see after ct and flr, and the mark of a CHOICE
+    that a success rule has yet to commit (`pending`: the chosen node's
+    `call_marks` entry, None when there is none; `bindings` already holds
+    the CHOICE's bindings), which they skip."""
 
     # preds are the skeleton predications (raw body atoms), chosen the
     # renamed clause instance in use, sigmas the paper's per-node
@@ -138,7 +140,7 @@ class ExtendedState(_State):
 
     success: bool      # scs
     reverse: bool      # bk3
-    pending: Optional[dict] = field(compare=False, repr=False)  # to commit
+    pending: Optional[int] = field(compare=False, repr=False)  # to commit
 
     sigmas = _word_map("sigmas")
     marks = cached_property(lambda s: frozenset(v for v, x in zip(s.nodes, s.kept[3]) if x))
@@ -321,22 +323,13 @@ class ExtMachine(_Live):
     its tree."""
 
     STATE = ExtendedState
-    SCALARS = ("counter", "complete", "failing", "success", "reverse", "program", "stamp")
+    SCALARS = ("counter", "complete", "failing", "success", "reverse", "program", "bindings",
+               "stamp", "pending")
 
     def __init__(self, state: ExtendedState):
         super().__init__(state)
         if self.current is None:
             raise ValueError("a state's u must be in its tree")
-        # a CHOICE's bindings are in the store; `pending` is its mark
-        committed = state.pending is None
-        self.bindings = state.bindings if committed else state.pending  # copied on the first write
-        self.pending = None if committed else len(state.bindings)
-
-    def snapshot(self) -> ExtendedState:
-        store = self.frozen_bindings()
-        if self.pending is None:
-            return super().snapshot(bindings=store, pending=None)
-        return super().snapshot(bindings=self.bindings_at(self.pending), pending=store)
 
     def rechoice(self, v):
         """Resume the choice point v: every node behind it is torn down.

@@ -155,20 +155,11 @@ _KIND = {
 }
 
 
-class _Token(NamedTuple):  # one token whole, as `peek` and `next` give it
-    kind: str
-    text: str
-    line: int
-    column: int
-
-
 _new = tuple.__new__  # builds a NamedTuple without its Python-level __new__
 
 
 class _Parser:
-    """Reads the token texts in place from `pos`, which never passes eof.
-    `peek` and `next` give whole tokens, for a reader that goes one token
-    at a time (as the recursive reference reader of the tests does)."""
+    """Reads the token texts in place from `pos`, which never passes eof."""
 
     __slots__ = ("source", "tokens", "pos", "anon_count")
 
@@ -188,16 +179,6 @@ class _Parser:
 
     def error(self, message: str, i: int) -> ParseError:
         return ParseError(message, *self._where(i))
-
-    def peek(self) -> _Token:
-        text = self.tokens[self.pos]
-        return _Token("ife" if text == ":-" else _KIND[text[:1]], text, *self._where(self.pos))
-
-    def next(self) -> _Token:
-        tok = self.peek()
-        if tok.text:  # not eof
-            self.pos += 1
-        return tok
 
     def skip(self, text: str) -> bool:
         """Whether the next token is `text`, read if it is."""
@@ -262,11 +243,9 @@ def parse_term(text: str, predication: bool = False) -> Term:
     """Parse a single term, e.g. for a goal given on the command line.  A
     `predication` is a term that is not a variable."""
     parser = _Parser(text)
-    t = parser.term()
+    t = parser.predication() if predication else parser.term()
     if parser.tokens[parser.pos]:
         raise parser.error(f"trailing input {parser.tokens[parser.pos]!r}", parser.pos)
-    if predication and t.__class__ is Var:
-        raise parser.error("a predication cannot be a variable", 0)
     return t
 
 

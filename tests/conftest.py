@@ -10,6 +10,8 @@ from byrdbox import parse_event, parse_program
 from byrdbox.engine import child
 
 DATA = Path(__file__).parent / "data"
+# every program of tests/data, by file name
+DATA_PROGRAMS = {path.name: parse_program(path.read_text(encoding="utf-8")) for path in sorted(DATA.glob("*.pl"))}
 
 # A forged trace: its second Exit2 at node 1 asks for node 1's brother 2,
 # which the first one made already.

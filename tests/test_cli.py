@@ -217,6 +217,8 @@ def test_reconstruct_forged_trace_fails(tmp_path, capsys):
         ("1 1 1 Call X\n2 1 1 Exit X\n", "goal", "(line 1, column 12)"),
         ("1 1 1 Call goal\n2 1 1 Exit goal\n", "X", "(line 1, column 1)"),
         ("1 1 1 Call goal\n2 1 1 Exit goal\n", " _", "(line 1, column 2)"),
+        ("1 1 1 Call X(a)\n2 1 1 Exit X(a)\n", "goal", "(line 1, column 12)"),
+        ("1 1 1 Call goal\n2 1 1 Exit goal\n", "X(a)", "(line 1, column 1)"),
     ],
 )
 def test_reconstruct_refuses_a_variable_predication(tmp_path, capsys, trace, goal, where):

@@ -30,7 +30,7 @@ from byrdbox.multimodel import (
 )
 from byrdbox.terms import CyclicTerm
 
-from conftest import DATA, load_golden, normalize_trace
+from conftest import DATA, DATA_PROGRAMS, load_golden, normalize_trace
 
 
 GOLDEN = {
@@ -245,7 +245,6 @@ def test_a_violation_carries_the_gate_table(ex1_program, model):
 # ----------------------------------------------------------------------
 
 NAT = parse_program("nat(s(X)) :- nat(X).\nnat(z).\n:- nat(N).\n")
-DATA_PROGRAMS = {path.name: parse_program(path.read_text(encoding="utf-8")) for path in sorted(DATA.glob("*.pl"))}
 
 
 def three_runs(program, max_steps):

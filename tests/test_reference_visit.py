@@ -15,6 +15,8 @@ store as it was, and once the visit fires the store must be that
 unifier (the bindings at the mark, when the box is drained).
 """
 
+from itertools import islice
+
 import pytest
 
 from byrdbox import BOTTOM, parse_program, rename_clause, run_virtual, unify
@@ -44,7 +46,7 @@ def ref_peek_visit(state, v, base):
 def check_visit(m, v):
     """Check the visit of position v against the scan under the bindings
     at v's mark; (its skipped count, the store its firing must leave)."""
-    base, store = m.bindings_at(m.call_marks[v]), list(m.bindings.items())
+    base, store = dict(islice(m.bindings.items(), m.call_marks[v])), list(m.bindings.items())
     peek = _peek_visit(m, v)
     assert list(m.bindings.items()) == store
     want = ref_peek_visit(m, v, base)

@@ -30,6 +30,7 @@ from byrdbox.terms import (
     Struct,
     Var,
     VarNames,
+    _KIND,
     _Parser,
     apply_subst,
     format_term,
@@ -127,6 +128,19 @@ def ref_format_term(t, names):
 
 
 class RefParser(_Parser):
+    """The package's reader going one whole token at a time: `peek` and
+    `next` give a token with its line and column."""
+
+    def peek(self):
+        text = self.tokens[self.pos]
+        return RefToken("ife" if text == ":-" else _KIND[text[:1]], text, *self._where(self.pos))
+
+    def next(self):
+        tok = self.peek()
+        if tok.text:  # not eof
+            self.pos += 1
+        return tok
+
     def term(self):
         tok = self.next()
         if tok.kind == "var":

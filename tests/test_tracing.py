@@ -307,6 +307,7 @@ def test_debug_dump_renders_every_node(ex1_program):
         ("1 1 1 Call goal\n2 1 1 Exit X", 2, 12),
         ("1 1 1 Call goal\n\n  2  1 1 Exit _", 3, 15),
         ("1 1 1 Call p(X)\n2 1 1 Exit _7\n3 1 1 Exit p(X)", 2, 12),
+        ("1 1 1 Call X(a)", 1, 12),
     ],
 )
 def test_a_variable_predication_is_a_parse_error(text, line, column):
@@ -323,9 +324,13 @@ def test_a_variable_still_reads_as_a_term():
     with pytest.raises(ParseError) as raised:
         parse_term("\n  X", predication=True)
     assert (raised.value.line, raised.value.column) == (2, 3)
-    # a text that is no term at all keeps its own error
-    with pytest.raises(ParseError, match="trailing input"):
+    # read as a program reads one: the variable is the error, before what follows it
+    with pytest.raises(ParseError, match="a predication cannot be a variable") as raised:
         parse_term("X(a)", predication=True)
+    assert (raised.value.line, raised.value.column) == (1, 1)
+    with pytest.raises(ParseError) as in_program:
+        parse_program(":- X(a).")
+    assert in_program.value.message == raised.value.message
 
 
 # ----------------------------------------------------------------------

@@ -147,6 +147,8 @@ def test_machines_give_back_the_states_they_are_built_from(index):
         states = [run.initial] + [s for _, s in run.transitions]
         for state, _ in zip(states, chain([None], _drive(m, model, FUEL)), strict=True):
             assert_round_trip(state, m, ExtMachine(state), layout)
+            # a CHOICE left to commit is its node's mark, not a second store
+            assert state.pending is None or state.pending == state.call_marks[state.current]
 
 
 @pytest.mark.parametrize("index", range(len(PROGRAMS)))
